@@ -19,29 +19,10 @@ compared against the baseline's ratio. Ratios are machine-relative
 transfer across hosts far better than absolute nanoseconds, but CI
 runners still jitter; the gate therefore only fires when a family
 keeps less than BASELINE_KEEP (half) of its baseline speedup.
-
-Parallel-engine mode (--parallel SERIAL.json PARALLEL.json) gates
-the conservative parallel engine instead of the TLB families. Both
-inputs are `fig12_cluster --perf-out` documents (schema
-cronus-parallel-bench-v1). The gate asserts:
-  - determinism: both runs ended at the same virtual time and acked
-    the same number of calls (wall-clock is the only thing allowed
-    to differ);
-  - a wall-clock speedup floor scaled to the host's core count
-    (os.cpu_count()): parallelism cannot beat physics on a 1-core
-    runner, so the floor only demands >= 3x when at least 8 CPUs
-    are available (the ISSUE target), ~2x at 4-7, and merely
-    "not pathologically slower" below that;
-  - with --baseline, the measured speedup must keep at least
-    BASELINE_KEEP of the committed snapshot's speedup, and only
-    when the snapshot was recorded on a host with a comparable
-    core count (otherwise the comparison is meaningless and is
-    reported but not enforced).
 """
 
 import argparse
 import json
-import os
 import sys
 
 # family -> minimum required off/on real_time ratio
@@ -75,91 +56,6 @@ def ratio_of(times, family):
     return off / on if on > 0 else float("inf")
 
 
-def speedup_floor(cpus):
-    """Wall-clock speedup floor for the parallel engine, scaled to
-    the machine actually running the bench."""
-    if cpus >= 8:
-        return 3.0
-    if cpus >= 4:
-        return 2.0
-    if cpus >= 2:
-        return 1.2
-    # Single core: demand only that the engine's overhead does not
-    # more than double the wall time.
-    return 0.5
-
-
-def check_parallel(serial_path, parallel_path, baseline_path):
-    with open(serial_path) as f:
-        serial = json.load(f)
-    with open(parallel_path) as f:
-        parallel = json.load(f)
-    failures = []
-
-    for doc, path in ((serial, serial_path), (parallel, parallel_path)):
-        if doc.get("schema") != "cronus-parallel-bench-v1":
-            failures.append(f"{path}: unexpected schema "
-                            f"{doc.get('schema')!r}")
-
-    # Determinism: virtual results must be bit-equal across worker
-    # counts (CI additionally byte-diffs the full stdout).
-    for key in ("end_time_ns", "acked_calls", "events", "smoke"):
-        if serial.get(key) != parallel.get(key):
-            failures.append(
-                f"determinism: {key} differs "
-                f"(serial {serial.get(key)!r} vs parallel "
-                f"{parallel.get(key)!r})")
-
-    cpus = os.cpu_count() or 1
-    floor = speedup_floor(cpus)
-    s_ms = float(serial.get("wall_ms", 0.0))
-    p_ms = float(parallel.get("wall_ms", 0.0))
-    speedup = s_ms / p_ms if p_ms > 0 else float("inf")
-    workers = parallel.get("workers", 0)
-    status = "ok" if speedup >= floor else "FAIL"
-    print(f"fig12 wall: serial={s_ms:.0f}ms parallel={p_ms:.0f}ms "
-          f"({workers} workers) speedup={speedup:.2f}x "
-          f"(floor {floor:.1f}x on {cpus} cpus) {status}")
-    eps = parallel.get("events_per_sec")
-    if eps is not None:
-        print(f"  parallel throughput: {float(eps):.0f} events/sec "
-              f"({parallel.get('events')} events, "
-              f"{parallel.get('batches')} batches)")
-    if speedup < floor:
-        failures.append(f"speedup {speedup:.2f}x < required "
-                        f"{floor:.1f}x at {cpus} cpus")
-
-    if baseline_path:
-        with open(baseline_path) as f:
-            base = json.load(f)
-        b_speedup = float(base.get("speedup", 0.0))
-        b_cpus = int(base.get("host_cpus", 0))
-        # Comparable means the same floor bucket: a 1-core snapshot
-        # says nothing about an 8-core runner and vice versa.
-        comparable = speedup_floor(b_cpus) == floor
-        need = b_speedup * BASELINE_KEEP
-        if not comparable:
-            print(f"  baseline speedup {b_speedup:.2f}x recorded on "
-                  f"{b_cpus} cpus: not comparable to this "
-                  f"{cpus}-cpu host, skipping keep-check")
-        else:
-            kept = "ok" if speedup >= need else "FAIL"
-            print(f"  baseline speedup {b_speedup:.2f}x "
-                  f"({b_cpus} cpus), must keep >= {need:.2f}x {kept}")
-            if speedup < need:
-                failures.append(
-                    f"speedup {speedup:.2f}x lost more than half of "
-                    f"baseline {b_speedup:.2f}x")
-
-    if failures:
-        print("parallel perf-smoke FAILED:", file=sys.stderr)
-        for f in failures:
-            print(f"  {f}", file=sys.stderr)
-        return 1
-    print("parallel perf-smoke passed")
-    return 0
-
-
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("result", nargs="?",
@@ -167,16 +63,7 @@ def main():
     ap.add_argument("--baseline", metavar="JSON",
                     help="committed snapshot to compare ratios "
                          "against (bench/baselines/)")
-    ap.add_argument("--parallel", nargs=2,
-                    metavar=("SERIAL.json", "PARALLEL.json"),
-                    help="gate the parallel engine: two "
-                         "fig12_cluster --perf-out documents "
-                         "(skips the TLB families)")
     args = ap.parse_args()
-
-    if args.parallel:
-        return check_parallel(args.parallel[0], args.parallel[1],
-                              args.baseline)
 
     times = load_times(args.result)
     base = load_times(args.baseline) if args.baseline else None

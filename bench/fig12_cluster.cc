@@ -18,19 +18,13 @@
  * enclave alive at the end and every cross-node migration to have
  * converged (one live copy, or a fleet re-placement).
  *
- * Everything is virtual time, so two runs are byte-identical and
- * the --out JSON (schema cronus-cluster-bench-v1) is exactly
- * reproducible; bench/check_cluster.py gates CI on it. `--smoke`
+ * Everything is virtual time, so two runs are byte-identical: the
+ * stdout is pinned by bench/golden/ and the --out JSON (schema
+ * cronus-cluster-bench-v1) by bench/check_cluster.py. `--smoke`
  * shrinks enclave count and rounds for the tier-1 lane (the node
- * count stays at 8 so the fault plan keeps its shape).
- *
- * Placements and call rounds go through the async fleet API
- * (placeEnclaveAsync / callAsync + flush), so CRONUS_PARALLEL=N
- * runs the same batches on N workers: stdout and --out JSON stay
- * byte-identical while wall-clock drops. `--perf-out FILE` writes a
- * host-time report (schema cronus-parallel-bench-v1) that
- * bench/check_substrate.py --parallel gates in CI; the wall-clock
- * note itself goes to stderr so stdout never depends on the host.
+ * count stays at 8 so the fault plan keeps its shape). The
+ * wall-clock note goes to stderr so stdout never depends on the
+ * host.
  */
 
 #include <chrono>
@@ -38,7 +32,6 @@
 #include <fstream>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hh"
@@ -118,15 +111,11 @@ main(int argc, char **argv)
 {
     bool smoke = false;
     std::string outPath;
-    std::string perfOutPath;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = true;
         else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
             outPath = argv[++i];
-        else if (std::strcmp(argv[i], "--perf-out") == 0 &&
-                 i + 1 < argc)
-            perfOutPath = argv[++i];
     }
 
     const uint32_t kNodes = 8;
@@ -165,43 +154,26 @@ main(int argc, char **argv)
     FleetInjector injector(cl, plan);
     injector.arm();
 
-    /* Host-clock instrumentation (stderr + --perf-out only; stdout
-     * carries virtual time exclusively, so it is byte-identical
-     * across worker counts and machines). `issued` counts the async
-     * fleet operations the bench itself batched -- the same number
-     * in serial and parallel mode. */
+    /* Host-clock instrumentation (stderr only). `ops` counts the
+     * placements and calls the bench issued. */
     const auto wallStart = std::chrono::steady_clock::now();
-    uint64_t issued = 0;
+    uint64_t ops = 0;
 
-    /* ---- placement: shard kEnclaves across the fleet ----
-     * One async batch: decisions are made at issue time by the
-     * dispatcher, so the shard layout is identical to the serial
-     * loop; the expensive attested creations run per-node. */
+    /* ---- placement: shard kEnclaves across the fleet ---- */
     const std::string manifest = benchManifest();
     const Bytes image = benchImage();
     std::vector<Fid> fids;
     fids.reserve(kEnclaves);
-    bool placementFailed = false;
     for (uint32_t i = 0; i < kEnclaves; ++i) {
-        cl.placeEnclaveAsync(
-            manifest, "fleet.so", image,
-            [&, i](const Result<Fid> &fid) {
-                if (!fid.isOk()) {
-                    if (!placementFailed)
-                        std::printf("FAILED: placement %u: %s\n", i,
-                                    fid.status().toString().c_str());
-                    placementFailed = true;
-                    return;
-                }
-                fids.push_back(fid.value());
-            });
-        ++issued;
-        if (placementFailed)
+        auto fid = cl.placeEnclave(manifest, "fleet.so", image);
+        ++ops;
+        if (!fid.isOk()) {
+            std::printf("FAILED: placement %u: %s\n", i,
+                        fid.status().toString().c_str());
             return 1;
+        }
+        fids.push_back(fid.value());
     }
-    cl.flush();
-    if (placementFailed)
-        return 1;
     std::printf("placed %u enclaves in %llu ms of virtual time\n",
                 kEnclaves,
                 static_cast<unsigned long long>(cl.clock().now() /
@@ -212,42 +184,32 @@ main(int argc, char **argv)
     Audit audit;
     Rng rng(kFaultSeed);
 
-    /* Issue one accumulate call; the ledger bookkeeping runs in the
-     * completion callback, which fires at commit time in issue
-     * order -- the exact order the serial loop audited in. */
     auto callOne = [&](Fid fid, uint64_t delta) {
         ByteWriter w;
         w.putU64(delta);
-        ++issued;
-        cl.callAsync(
-            fid, "fleet_acc", w.take(),
-            [&, fid, delta](const Result<Bytes> &r) {
-                if (!r.isOk()) {
-                    /* Only PeerFailed during the (deliberate)
-                     * partition window is acceptable; the call was
-                     * not acked, so the ledger does not move. */
-                    if (r.code() != ErrorCode::PeerFailed)
-                        ++audit.callFailures;
-                    return;
-                }
-                ledger[fid] += delta;
-                ++audit.ackedCalls;
-                ByteReader rd(r.value());
-                if (rd.getU64().value() != ledger[fid])
-                    ++audit.ledgerViolations;
-            });
+        ++ops;
+        auto r = cl.call(fid, "fleet_acc", w.take());
+        if (!r.isOk()) {
+            /* Only PeerFailed during the (deliberate) partition
+             * window is acceptable; the call was not acked, so the
+             * ledger does not move. */
+            if (r.code() != ErrorCode::PeerFailed)
+                ++audit.callFailures;
+            return;
+        }
+        ledger[fid] += delta;
+        ++audit.ackedCalls;
+        ByteReader rd(r.value());
+        if (rd.getU64().value() != ledger[fid])
+            ++audit.ledgerViolations;
     };
 
-    /* ---- call rounds with the fault plan firing mid-run ----
-     * Each round's calls form one batch; the flush barrier sits
-     * before the injector poll, so node health is constant within a
-     * batch (the conservative rule the engine relies on). */
+    /* ---- call rounds with the fault plan firing mid-run ---- */
     for (uint32_t round = 0; round < kRounds; ++round) {
         for (uint32_t c = 0; c < kCallsPerRound; ++c) {
             Fid fid = fids[rng.nextBelow(fids.size())];
             callOne(fid, 1 + rng.nextBelow(100));
         }
-        cl.flush();
         injector.poll();
         cl.pump();
 
@@ -288,7 +250,7 @@ main(int argc, char **argv)
         cl.pump();
     }
 
-    /* ---- final self-audit (one more batch) ---- */
+    /* ---- final self-audit ---- */
     for (Fid fid : fids) {
         if (!cl.enclaveAlive(fid)) {
             ++audit.deadEnclaves;
@@ -298,7 +260,6 @@ main(int argc, char **argv)
          * ledger exactly, node crashes and migrations included. */
         callOne(fid, 1);
     }
-    cl.flush();
     for (const MigrationAudit &m : cl.migrations()) {
         if (m.src == m.dst)
             continue;
@@ -308,10 +269,9 @@ main(int argc, char **argv)
     }
 
     const SimTime endNs = cl.clock().now();
-    const auto wallEnd = std::chrono::steady_clock::now();
     const double wallMs =
-        std::chrono::duration<double, std::milli>(wallEnd -
-                                                  wallStart)
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - wallStart)
             .count();
     std::printf("\nvirtual time: %llu ms, acked calls: %llu\n",
                 static_cast<unsigned long long>(endNs / kNsPerMs),
@@ -406,48 +366,13 @@ main(int argc, char **argv)
         }
     }
 
-    /* Host-clock report: stderr note + optional --perf-out JSON.
-     * Never printed to stdout -- CI byte-diffs stdout across worker
-     * counts, and the wall clock is the one thing allowed to vary. */
-    const double eventsPerSec =
-        wallMs > 0.0 ? static_cast<double>(issued) * 1000.0 / wallMs
-                     : 0.0;
     std::fprintf(stderr,
-                 "host-time: %.1f ms wall, %llu events issued, "
-                 "%.0f events/sec, %u workers\n",
-                 wallMs, static_cast<unsigned long long>(issued),
-                 eventsPerSec, cl.executor().workers());
-    if (!perfOutPath.empty()) {
-        JsonObject perf;
-        perf["schema"] = "cronus-parallel-bench-v1";
-        perf["smoke"] = smoke;
-        perf["workers"] =
-            static_cast<int64_t>(cl.executor().workers());
-        perf["host_cpus"] = static_cast<int64_t>(
-            std::thread::hardware_concurrency());
-        perf["wall_ms"] = wallMs;
-        perf["events"] = static_cast<int64_t>(issued);
-        perf["events_committed"] = static_cast<int64_t>(
-            cl.executor().eventsCommitted());
-        perf["events_discarded"] = static_cast<int64_t>(
-            cl.executor().eventsDiscarded());
-        perf["batches"] =
-            static_cast<int64_t>(cl.executor().batches());
-        perf["max_local_advance_ns"] = static_cast<int64_t>(
-            cl.executor().maxLocalAdvanceNs());
-        perf["events_per_sec"] = eventsPerSec;
-        perf["end_time_ns"] = static_cast<int64_t>(endNs);
-        perf["acked_calls"] =
-            static_cast<int64_t>(audit.ackedCalls);
-        std::ofstream pout(perfOutPath);
-        if (!pout) {
-            std::printf("FAILED: cannot write %s\n",
-                        perfOutPath.c_str());
-            failed = true;
-        } else {
-            pout << JsonValue(perf).dump() << "\n";
-        }
-    }
+                 "host-time: %.1f ms wall, %llu fleet ops, "
+                 "%.0f ops/sec\n",
+                 wallMs, static_cast<unsigned long long>(ops),
+                 wallMs > 0.0
+                     ? static_cast<double>(ops) * 1000.0 / wallMs
+                     : 0.0);
     bench::exportTraceIfEnabled("fig12_cluster.trace.json");
     return failed ? 1 : 0;
 }

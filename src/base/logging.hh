@@ -48,8 +48,8 @@ class Logger
     void setQuiet(bool quiet) { quietMode.store(quiet); }
     bool quiet() const { return quietMode.load(); }
 
-    /** Emit one record (thread-safe: parallel-engine workers and
-     *  fuzz --jobs seeds may log concurrently). */
+    /** Emit one record (thread-safe: fuzz --jobs seeds may log
+     *  concurrently). */
     void log(LogLevel level, const std::string &msg);
 
     /** Number of warnings emitted since construction/reset. */

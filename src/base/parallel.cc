@@ -2,192 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <map>
+#include <thread>
 
 namespace cronus
 {
-
-unsigned
-ParallelExecutor::workersFromEnv()
-{
-    const char *v = std::getenv("CRONUS_PARALLEL");
-    if (v == nullptr || v[0] == '\0')
-        return 0;
-    unsigned long n = std::strtoul(v, nullptr, 10);
-    if (n <= 1)
-        return 0;
-    return static_cast<unsigned>(std::min(n, 64ul));
-}
-
-ParallelExecutor::ParallelExecutor(SimClock &clk, unsigned workers)
-    : clock(clk), workerCount(workers <= 1 ? 0 : workers)
-{
-    if (workerCount == 0)
-        return;
-    pool.reserve(workerCount);
-    for (unsigned i = 0; i < workerCount; ++i)
-        pool.emplace_back([this] { workerLoop(); });
-}
-
-ParallelExecutor::~ParallelExecutor()
-{
-    if (pool.empty())
-        return;
-    {
-        std::lock_guard<std::mutex> lock(poolMu);
-        shuttingDown = true;
-    }
-    workCv.notify_all();
-    for (std::thread &t : pool)
-        t.join();
-}
-
-void
-ParallelExecutor::submit(DomainId domain, std::function<void()> body,
-                         std::function<bool()> commit,
-                         std::function<void()> discard)
-{
-    if (workerCount == 0) {
-        /* Serial path: execute inline, exactly like the pre-engine
-         * code -- no frame, charges land on the shared clock as
-         * they happen, commit right after. */
-        if (body)
-            body();
-        if (commit)
-            (void)commit();
-        ++committedEvents;
-        return;
-    }
-    Event ev;
-    ev.domain = domain;
-    ev.body = std::move(body);
-    ev.commit = std::move(commit);
-    ev.discard = std::move(discard);
-    pending.push_back(std::move(ev));
-}
-
-void
-ParallelExecutor::runDomain(const std::vector<size_t> &indices,
-                            SimTime batch_base)
-{
-    for (size_t idx : indices) {
-        Event &ev = pending[idx];
-        if (hooks.beginEvent)
-            ev.hookState = hooks.beginEvent();
-        {
-            SimClock::FrameScope frame(clock, batch_base);
-            if (ev.body) {
-                try {
-                    ev.body();
-                } catch (...) {
-                    /* Rethrown at this event's commit point so the
-                     * failure surfaces in deterministic issue order,
-                     * never through the pool loop. */
-                    ev.error = std::current_exception();
-                }
-            }
-            ev.durNs = frame.localNs();
-        }
-        if (hooks.endEvent)
-            hooks.endEvent(ev.hookState);
-    }
-}
-
-void
-ParallelExecutor::workerLoop()
-{
-    uint64_t seenGeneration = 0;
-    for (;;) {
-        std::unique_lock<std::mutex> lock(poolMu);
-        workCv.wait(lock, [&] {
-            return shuttingDown || generation != seenGeneration;
-        });
-        if (shuttingDown)
-            return;
-        seenGeneration = generation;
-        for (;;) {
-            if (nextDomain >= domainLists.size())
-                break;
-            const size_t mine = nextDomain++;
-            lock.unlock();
-            runDomain(domainLists[mine], batchBase);
-            lock.lock();
-            if (--domainsLeft == 0)
-                doneCv.notify_all();
-        }
-    }
-}
-
-uint64_t
-ParallelExecutor::flush()
-{
-    if (workerCount == 0 || pending.empty())
-        return 0;
-
-    /* Partition the batch into per-domain FIFO lists (deterministic:
-     * issue order within a domain, domain id across). */
-    std::map<DomainId, std::vector<size_t>> byDomain;
-    for (size_t i = 0; i < pending.size(); ++i)
-        byDomain[pending[i].domain].push_back(i);
-
-    const SimTime base = clock.now();
-    {
-        std::unique_lock<std::mutex> lock(poolMu);
-        domainLists.clear();
-        for (auto &[domain, indices] : byDomain) {
-            (void)domain;
-            domainLists.push_back(std::move(indices));
-        }
-        batchBase = base;
-        nextDomain = 0;
-        domainsLeft = domainLists.size();
-        ++generation;
-        workCv.notify_all();
-        doneCv.wait(lock, [&] { return domainsLeft == 0; });
-    }
-
-    /* Serialized commit: replay the receipts in issue order. The
-     * absolute start time of event k is therefore exactly what the
-     * serial engine would have produced. */
-    uint64_t committed = 0;
-    bool aborting = false;
-    std::exception_ptr firstError;
-    for (Event &ev : pending) {
-        if (aborting) {
-            if (hooks.discardEvent)
-                hooks.discardEvent(ev.hookState);
-            if (ev.discard)
-                ev.discard();
-            ++discardedEvents;
-            continue;
-        }
-        const SimTime trueStart = clock.now();
-        clock.advance(ev.durNs);
-        maxLocalAdvance = std::max(maxLocalAdvance, ev.durNs);
-        if (hooks.commitEvent)
-            hooks.commitEvent(ev.hookState, trueStart, base);
-        if (ev.error) {
-            firstError = ev.error;
-            aborting = true;
-            ++committed;
-            continue;
-        }
-        bool keepGoing = true;
-        if (ev.commit)
-            keepGoing = ev.commit();
-        ++committed;
-        if (!keepGoing)
-            aborting = true;
-    }
-    pending.clear();
-    committedEvents += committed;
-    ++batchCount;
-    clock.commitBarrier(clock.now());
-    if (firstError)
-        std::rethrow_exception(firstError);
-    return committed;
-}
 
 void
 runTasks(unsigned workers,

@@ -1,203 +1,27 @@
 /**
  * @file
- * Conservative parallel discrete-event engine (DESIGN.md section 13).
+ * Coarse-grain host parallelism for independent simulations.
  *
- * The simulation substrate is a *charge* model: code calls
- * SimClock::advance() with the virtual cost of whatever it just did,
- * on one clock shared by the whole machine (or fleet). The engine
- * parallelizes that model without changing a single charge site:
- *
- *  - The frontend partitions work into *events*, each pinned to a
- *    *domain* (one per cluster node, plus one for the frontend
- *    itself). Events on one domain execute in FIFO issue order;
- *    events on different domains may run concurrently, because the
- *    frontend only batches events that exchange no cross-domain
- *    messages before the next barrier -- the conservative rule: a
- *    domain may run ahead of the committed barrier only up to the
- *    earliest virtual time a cross-domain message could reach it
- *    (barrier + lookahead, where lookahead is derived from the cost
- *    model's minimum cross-domain latency), and the frontend issues
- *    no cross-domain sends inside a batch at all, so the bound is
- *    trivially respected.
- *
- *  - Each event body runs under a SimClock frame (sim_clock.hh): its
- *    charges accumulate into a private duration receipt instead of
- *    the shared clock, so workers never contend on -- or observe --
- *    the absolute timeline.
- *
- *  - flush() is the virtual-time barrier. After every body has run,
- *    the flush thread *commits* the receipts strictly in issue
- *    order: for each event it reads the true start time, advances
- *    the shared clock by the receipt, and runs the event's commit
- *    callback. Because within-batch durations depend only on
- *    domain-local state (FIFO-ordered exactly as the serial engine
- *    would order them), the committed timeline is bit-for-bit the
- *    serial one -- the byte-identical-output discipline that gates
- *    this engine in CI.
- *
- * A commit callback may return false to *abort* the rest of the
- * batch: later events are discarded (no clock advance, no hook
- * commit; their discard callbacks run instead, in issue order) so
- * the caller can redo them serially at the true clock. The cluster
- * uses this to keep even mid-batch recovery failures
- * serial-equivalent.
- *
- * Worker count comes from CRONUS_PARALLEL (0 or 1 = serial). In
- * serial mode submit()/flush() degrade to immediate in-order inline
- * execution with no frames and no threads -- bit-for-bit the seed
- * code path.
- *
- * Why conservative, not optimistic: optimistic PDES (Time Warp)
- * needs rollback of arbitrary model state, and this substrate's
- * state (crypto sessions, SPM page tables, host-side key material)
- * is not checkpointable at event granularity. Conservative barriers
- * cost a join per batch but make byte-identity provable.
+ * The simulator itself is serial: every figure, fleet and fuzz run
+ * executes on one thread against one virtual clock. What runs in
+ * parallel is whole *runs* -- the fuzz runner's --jobs mode hands
+ * each seed to a worker, and each seed owns its own simulated
+ * universe, so the only shared state is the process-wide singletons
+ * (logger, tracer, function registries), which lock.
  */
 
 #ifndef CRONUS_BASE_PARALLEL_HH
 #define CRONUS_BASE_PARALLEL_HH
 
-#include <condition_variable>
-#include <cstdint>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
-
-#include "sim_clock.hh"
 
 namespace cronus
 {
 
-class ParallelExecutor
-{
-  public:
-    using DomainId = uint32_t;
-
-    /**
-     * Per-event observer hooks, installed once by the owner. The
-     * engine itself is below the observability layer; the cluster
-     * wires these to the tracer's deferred-capture API (and the
-     * interconnect's deferred traffic counters) so per-domain event
-     * streams merge deterministically at commit time.
-     */
-    struct Hooks
-    {
-        /** Worker thread, before the event body. Returns opaque
-         *  per-event state threaded through the later hooks. */
-        std::function<void *()> beginEvent;
-        /** Worker thread, right after the event body. */
-        std::function<void(void *)> endEvent;
-        /** Flush thread, in issue order, after the receipt was
-         *  committed: @p true_start is the event's absolute start,
-         *  @p frame_base the base its frame ran against. */
-        std::function<void(void *, SimTime true_start,
-                           SimTime frame_base)>
-            commitEvent;
-        /** Flush thread, for events dropped by a batch abort. */
-        std::function<void(void *)> discardEvent;
-    };
-
-    /** @p workers <= 1 selects the serial inline path. */
-    ParallelExecutor(SimClock &clock, unsigned workers);
-    ~ParallelExecutor();
-
-    ParallelExecutor(const ParallelExecutor &) = delete;
-    ParallelExecutor &operator=(const ParallelExecutor &) = delete;
-
-    /** CRONUS_PARALLEL: unset/0/1 = serial, N = N workers (capped
-     *  at 64). */
-    static unsigned workersFromEnv();
-
-    unsigned workers() const { return workerCount; }
-    bool parallel() const { return workerCount > 1; }
-
-    void setHooks(Hooks h) { hooks = std::move(h); }
-
-    /**
-     * Conservative lookahead: the least virtual time that separates
-     * two domains (minimum cross-domain message latency). Purely
-     * declarative for auditing -- batch construction already
-     * guarantees no intra-batch cross-domain traffic.
-     */
-    void setLookaheadNs(SimTime ns) { lookahead = ns; }
-    SimTime lookaheadNs() const { return lookahead; }
-
-    /**
-     * Queue one event on @p domain. Serial mode: body, hooks-free,
-     * then commit run immediately (discard is never called).
-     * Parallel mode: body runs on a worker under a clock frame;
-     * commit runs at the next flush() on the flushing thread, in
-     * global issue order.
-     */
-    void submit(DomainId domain, std::function<void()> body,
-                std::function<bool()> commit = {},
-                std::function<void()> discard = {});
-
-    /**
-     * Virtual-time barrier: run every queued body, then commit the
-     * receipts in issue order (see the abort protocol above).
-     * Returns the number of events committed this batch.
-     */
-    uint64_t flush();
-
-    bool idle() const { return pending.empty(); }
-
-    /* --- engine counters (events/sec reporting) --- */
-
-    uint64_t eventsCommitted() const { return committedEvents; }
-    uint64_t eventsDiscarded() const { return discardedEvents; }
-    uint64_t batches() const { return batchCount; }
-    /** Deepest any single event ran ahead of its batch barrier. */
-    SimTime maxLocalAdvanceNs() const { return maxLocalAdvance; }
-
-  private:
-    struct Event
-    {
-        DomainId domain = 0;
-        std::function<void()> body;
-        std::function<bool()> commit;
-        std::function<void()> discard;
-        SimTime durNs = 0;
-        void *hookState = nullptr;
-        std::exception_ptr error;
-    };
-
-    void workerLoop();
-    void runDomain(const std::vector<size_t> &indices,
-                   SimTime batch_base);
-
-    SimClock &clock;
-    unsigned workerCount = 0;
-    SimTime lookahead = 0;
-    Hooks hooks;
-
-    std::vector<Event> pending;
-    uint64_t committedEvents = 0;
-    uint64_t discardedEvents = 0;
-    uint64_t batchCount = 0;
-    SimTime maxLocalAdvance = 0;
-
-    /* Worker pool (parallel mode only). */
-    std::vector<std::thread> pool;
-    std::mutex poolMu;
-    std::condition_variable workCv;
-    std::condition_variable doneCv;
-    bool shuttingDown = false;
-    uint64_t generation = 0;
-    SimTime batchBase = 0;
-    std::vector<std::vector<size_t>> domainLists;
-    size_t nextDomain = 0;
-    size_t domainsLeft = 0;
-};
-
 /**
  * Run @p tasks to completion on @p workers threads (the caller's
- * thread participates; workers <= 1 runs inline, in order). Used by
- * the fuzz runner's --jobs mode for independent whole-seed tasks --
- * unlike ParallelExecutor there is no virtual clock involved; each
- * task owns its own simulated universe.
+ * thread participates; workers <= 1 runs inline, in order).
  */
 void runTasks(unsigned workers,
               const std::vector<std::function<void()>> &tasks);

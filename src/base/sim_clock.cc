@@ -6,8 +6,6 @@
 namespace cronus
 {
 
-thread_local SimClock::Frame *SimClock::tlsFrame = nullptr;
-
 namespace detail
 {
 
@@ -15,10 +13,8 @@ void
 clockInvariantFailure(const char *what, unsigned long long a,
                       unsigned long long b)
 {
-    /* Not panic(): the clock invariants guard the parallel engine,
-     * whose worker threads must never unwind a PanicError through
-     * the pool loop, and the checks must fire in NDEBUG builds too.
-     * A torn virtual timeline is unrecoverable; die loudly. */
+    /* Not panic(): the check must fire in NDEBUG builds too, and a
+     * wrapped virtual timeline is unrecoverable; die loudly. */
     std::fprintf(stderr, "cronus: %s (%llu, %llu)\n", what, a, b);
     std::fflush(stderr);
     std::abort();

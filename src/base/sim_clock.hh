@@ -6,21 +6,9 @@
  * nanoseconds to a SimClock. Figure benches report virtual time, so
  * results are exactly reproducible and independent of host load.
  *
- * Parallel execution (DESIGN.md section 13): the conservative
- * parallel engine runs events on worker threads. While a worker
- * executes an event it installs a thread-local *frame* on the clock;
- * every advance()/advanceTo() inside the frame accumulates into the
- * frame's local offset instead of the shared absolute time, and
- * now() reads base+local. The engine later *commits* the captured
- * duration on the owning thread, in issue order, so the absolute
- * timeline is bit-for-bit the serial one. Code below the seam is
- * untouched: it keeps calling now()/advance() exactly as before.
- *
- * Hardening: advance() aborts on uint64 overflow, and commitBarrier()
- * aborts on any attempt to move a committed virtual-time barrier
- * backwards. Both checks are always-on (they cost one predictable
- * compare each) because the parallel engine relies on them in every
- * build type, including NDEBUG ones.
+ * Hardening: advance() aborts on uint64 overflow. The check is
+ * always-on (one predictable compare) so a wrapped timeline cannot
+ * slip through NDEBUG builds.
  */
 
 #ifndef CRONUS_BASE_SIM_CLOCK_HH
@@ -52,40 +40,11 @@ namespace detail
 class SimClock
 {
   public:
-    /**
-     * One worker-side execution frame. While installed (via
-     * FrameScope) on the executing thread, charges against @c clock
-     * are captured as a relative duration in @c local instead of
-     * moving the shared absolute time.
-     */
-    struct Frame
-    {
-        SimClock *clock = nullptr;
-        SimTime base = 0;   ///< absolute batch-start time
-        SimTime local = 0;  ///< virtual ns charged inside the frame
-        Frame *prev = nullptr;
-    };
-
-    SimTime now() const
-    {
-        const Frame *f = tlsFrame;
-        if (f != nullptr && f->clock == this)
-            return f->base + f->local;
-        return current;
-    }
+    SimTime now() const { return current; }
 
     /** Charge @p ns of virtual time. Aborts on uint64 overflow. */
     void advance(SimTime ns)
     {
-        Frame *f = tlsFrame;
-        if (f != nullptr && f->clock == this) {
-            const SimTime abs = f->base + f->local;
-            if (abs + ns < abs)
-                detail::clockInvariantFailure(
-                    "SimClock::advance overflow (framed)", abs, ns);
-            f->local += ns;
-            return;
-        }
         if (current + ns < current)
             detail::clockInvariantFailure(
                 "SimClock::advance overflow", current, ns);
@@ -95,81 +54,14 @@ class SimClock
     /** Jump to an absolute time (must not move backwards). */
     void advanceTo(SimTime when)
     {
-        Frame *f = tlsFrame;
-        if (f != nullptr && f->clock == this) {
-            if (when > f->base + f->local)
-                f->local = when - f->base;
-            return;
-        }
         if (when > current)
             current = when;
     }
 
-    void reset()
-    {
-        current = 0;
-        barrierNs = 0;
-    }
-
-    /* --- virtual-time barriers (parallel engine) --- */
-
-    /**
-     * Record that every domain has synchronized up to @p when: no
-     * event before the barrier can ever execute again. Aborts when
-     * asked to move an already-committed barrier backwards.
-     */
-    void commitBarrier(SimTime when)
-    {
-        if (when < barrierNs)
-            detail::clockInvariantFailure(
-                "SimClock::commitBarrier moving backwards", when,
-                barrierNs);
-        barrierNs = when;
-    }
-
-    /** The latest committed virtual-time barrier. */
-    SimTime barrier() const { return barrierNs; }
-
-    /**
-     * RAII frame installation for the executing thread. The engine
-     * opens one scope per event; nested scopes (an event that flushes
-     * a nested engine) stack. Opening a frame based before the
-     * committed barrier is an engine bug and aborts.
-     */
-    class FrameScope
-    {
-      public:
-        FrameScope(SimClock &clk, SimTime base)
-        {
-            if (base < clk.barrierNs)
-                detail::clockInvariantFailure(
-                    "SimClock frame based before committed barrier",
-                    base, clk.barrierNs);
-            frame_.clock = &clk;
-            frame_.base = base;
-            frame_.prev = tlsFrame;
-            tlsFrame = &frame_;
-        }
-        ~FrameScope() { tlsFrame = frame_.prev; }
-        FrameScope(const FrameScope &) = delete;
-        FrameScope &operator=(const FrameScope &) = delete;
-
-        /** Virtual ns charged so far inside this frame. */
-        SimTime localNs() const { return frame_.local; }
-
-      private:
-        Frame frame_;
-    };
-
-    /** The innermost frame installed on this thread (nullptr when
-     *  the thread is executing serially). */
-    static const Frame *activeFrame() { return tlsFrame; }
+    void reset() { current = 0; }
 
   private:
     SimTime current = 0;
-    SimTime barrierNs = 0;
-
-    static thread_local Frame *tlsFrame;
 };
 
 /**

@@ -39,21 +39,6 @@ fleetInstant(const char *name, JsonObject args)
     tr.instant(tr.track("fleet"), name, "cluster", std::move(args));
 }
 
-/** Per-event observability state threaded through the engine hooks:
- *  the tracer capture and the interconnect's deferred traffic. */
-struct EventCtx
-{
-    obs::Tracer::Capture *cap = nullptr;
-    Interconnect::Traffic *traffic = nullptr;
-};
-
-/** Result slot a batched call body fills for its commit callback. */
-struct CallOutcome
-{
-    Status status = Status::ok();
-    Bytes payload;
-};
-
 } // namespace
 
 const char *
@@ -86,44 +71,8 @@ migrationStageFromName(const std::string &name)
 
 Cluster::Cluster(const ClusterConfig &config)
     : cfg(config), fabric(fleetClock, config.link),
-      placer(config.degradedPenalty),
-      exec(fleetClock,
-           config.parallelWorkers < 0
-               ? ParallelExecutor::workersFromEnv()
-               : static_cast<unsigned>(config.parallelWorkers))
+      placer(config.degradedPenalty)
 {
-    if (exec.parallel()) {
-        /* Conservative lookahead = the minimum virtual latency of
-         * any cross-domain message (one interconnect hop). */
-        exec.setLookaheadNs(cfg.link.hopLatencyNs);
-        ParallelExecutor::Hooks hooks;
-        hooks.beginEvent = [this]() -> void * {
-            auto *ctx = new EventCtx;
-            ctx->cap = obs::Tracer::instance().beginCapture();
-            ctx->traffic = fabric.beginDeferred();
-            return ctx;
-        };
-        hooks.endEvent = [this](void *p) {
-            auto *ctx = static_cast<EventCtx *>(p);
-            fabric.endDeferred(ctx->traffic);
-            obs::Tracer::instance().endCapture(ctx->cap);
-        };
-        hooks.commitEvent = [this](void *p, SimTime true_start,
-                                   SimTime frame_base) {
-            auto *ctx = static_cast<EventCtx *>(p);
-            obs::Tracer::instance().spliceCapture(
-                ctx->cap, true_start, frame_base);
-            fabric.commitDeferred(ctx->traffic);
-            delete ctx;
-        };
-        hooks.discardEvent = [this](void *p) {
-            auto *ctx = static_cast<EventCtx *>(p);
-            obs::Tracer::instance().dropCapture(ctx->cap);
-            fabric.discardDeferred(ctx->traffic);
-            delete ctx;
-        };
-        exec.setHooks(std::move(hooks));
-    }
     for (uint32_t i = 0; i < cfg.numNodes; ++i) {
         auto n = std::make_unique<ClusterNode>(
             i, "node" + std::to_string(i), cfg.nodeSystem,
@@ -144,8 +93,6 @@ Cluster::Cluster(const ClusterConfig &config)
         nodes.push_back(std::move(n));
     }
 }
-
-Cluster::~Cluster() = default;
 
 uint64_t
 Cluster::journalBytes(const FleetEnclave &rec) const
@@ -226,124 +173,18 @@ Cluster::placeEnclave(const std::string &manifest_json,
     return fid;
 }
 
-void
-Cluster::placeEnclaveAsync(const std::string &manifest_json,
-                           const std::string &image_name,
-                           const Bytes &image, PlaceDone done)
-{
-    if (!exec.parallel()) {
-        Result<Fid> r = placeEnclave(manifest_json, image_name,
-                                     image);
-        if (done)
-            done(r);
-        return;
-    }
-    auto target = placer.placeNode(nodes);
-    if (!target.isOk()) {
-        Status err = target.status();
-        exec.submit(
-            frontendDomain(), {},
-            [done, err] {
-                if (done)
-                    done(Result<Fid>(err));
-                return true;
-            });
-        return;
-    }
-    const NodeId nodeId = target.value();
-    /* The placement decision and its bookkeeping happen at issue
-     * time: the next placement must score against this one exactly
-     * like the serial engine. The expensive transfer + create
-     * pipeline runs on the target's domain at flush. */
-    FleetEnclave rec;
-    rec.fid = nextFid++;
-    rec.nodeId = nodeId;
-    rec.manifestJson = manifest_json;
-    rec.imageName = image_name;
-    rec.image = image;
-    const Fid fid = rec.fid;
-    auto [it, inserted] = enclaves.emplace(fid, std::move(rec));
-    CRONUS_ASSERT(inserted, "duplicate fid");
-    FleetEnclave *recp = &it->second;
-    ++nodes[nodeId]->liveEnclaves;
-    auto out = std::make_shared<MaterializeOutcome>();
-    exec.submit(
-        static_cast<ParallelExecutor::DomainId>(nodeId),
-        [this, recp, nodeId, out] {
-            Status t = fabric.transfer(
-                kFrontend, nodeId,
-                recp->manifestJson.size() + recp->image.size() +
-                    kMsgOverheadBytes);
-            if (!t.isOk()) {
-                out->status = t;
-                return;
-            }
-            auto h = nodes[nodeId]->system().createEnclave(
-                recp->manifestJson, recp->imageName, recp->image);
-            if (h.isOk())
-                out->handle = h.value();
-            else
-                out->status = h.status();
-        },
-        [this, recp, nodeId, fid, out, done] {
-            if (!out->status.isOk()) {
-                /* The serial engine would have returned the error
-                 * without inserting anything: undo the optimistic
-                 * bookkeeping. (Deviation, documented in DESIGN.md
-                 * section 13: same-batch placements issued after
-                 * this one scored against the optimistic insert.) */
-                if (nodes[nodeId]->liveEnclaves > 0)
-                    --nodes[nodeId]->liveEnclaves;
-                Status err = out->status;
-                enclaves.erase(fid);
-                if (done)
-                    done(Result<Fid>(err));
-                return true;
-            }
-            recp->handle = out->handle;
-            ++placements;
-            placer.notePlacement(fid, nodeId);
-            JsonObject args;
-            args["fid"] = static_cast<int64_t>(fid);
-            args["node"] = static_cast<int64_t>(nodeId);
-            fleetInstant("fleet.place", std::move(args));
-            if (done)
-                done(Result<Fid>(fid));
-            return true;
-        },
-        [this, nodeId, fid, out] {
-            /* Discarded by a batch abort: the serial engine never
-             * built this copy -- tear it down invisibly and undo
-             * the bookkeeping. */
-            if (out->status.isOk() && out->handle.host != nullptr)
-                destroySpeculative(nodeId, out->handle);
-            if (nodes[nodeId]->liveEnclaves > 0)
-                --nodes[nodeId]->liveEnclaves;
-            enclaves.erase(fid);
-        });
-}
-
-void
-Cluster::destroySpeculative(NodeId node, core::AppHandle handle)
-{
-    auto &tr = obs::Tracer::instance();
-    obs::Tracer::Capture *scratch = tr.beginCapture();
-    Interconnect::Traffic *tf = fabric.beginDeferred();
-    {
-        SimClock::FrameScope frame(fleetClock, fleetClock.now());
-        (void)nodes[node]->system().destroyEnclave(handle);
-    }
-    fabric.endDeferred(tf);
-    fabric.discardDeferred(tf);
-    tr.endCapture(scratch);
-    tr.dropCapture(scratch);
-}
-
 Result<Bytes>
-Cluster::callBody(FleetEnclave &rec, const std::string &fn,
-                  const Bytes &args)
+Cluster::call(Fid fid, const std::string &fn, const Bytes &args)
 {
+    auto it = enclaves.find(fid);
+    if (it == enclaves.end())
+        return Status(ErrorCode::NotFound,
+                      "fid " + std::to_string(fid));
+    FleetEnclave &rec = it->second;
     ClusterNode &n = *nodes[rec.nodeId];
+    if (n.health() == NodeHealth::Down)
+        return Status(ErrorCode::PeerFailed,
+                      "node '" + n.name() + "' is down");
     CRONUS_RETURN_IF_ERROR(fabric.transfer(
         kFrontend, rec.nodeId,
         fn.size() + args.size() + kMsgOverheadBytes));
@@ -364,84 +205,6 @@ Cluster::callBody(FleetEnclave &rec, const std::string &fn,
         (void)checkpointRec(rec);
     }
     return r;
-}
-
-Result<Bytes>
-Cluster::call(Fid fid, const std::string &fn, const Bytes &args)
-{
-    auto it = enclaves.find(fid);
-    if (it == enclaves.end())
-        return Status(ErrorCode::NotFound,
-                      "fid " + std::to_string(fid));
-    FleetEnclave &rec = it->second;
-    ClusterNode &n = *nodes[rec.nodeId];
-    if (n.health() == NodeHealth::Down)
-        return Status(ErrorCode::PeerFailed,
-                      "node '" + n.name() + "' is down");
-    return callBody(rec, fn, args);
-}
-
-void
-Cluster::callAsync(Fid fid, const std::string &fn,
-                   const Bytes &args, CallDone done)
-{
-    if (!exec.parallel()) {
-        Result<Bytes> r = call(fid, fn, args);
-        if (done)
-            done(r);
-        return;
-    }
-    /* Existence/health checks happen at issue time -- node health
-     * only changes between batches, so this is what the serial
-     * engine would observe too. Failed checks still become (empty)
-     * events so the callback fires in issue order at commit. */
-    auto it = enclaves.find(fid);
-    if (it == enclaves.end()) {
-        Status err(ErrorCode::NotFound,
-                   "fid " + std::to_string(fid));
-        exec.submit(
-            frontendDomain(), {},
-            [done, err] {
-                if (done)
-                    done(Result<Bytes>(err));
-                return true;
-            });
-        return;
-    }
-    FleetEnclave &rec = it->second;
-    ClusterNode &n = *nodes[rec.nodeId];
-    if (n.health() == NodeHealth::Down) {
-        Status err(ErrorCode::PeerFailed,
-                   "node '" + n.name() + "' is down");
-        exec.submit(
-            frontendDomain(), {},
-            [done, err] {
-                if (done)
-                    done(Result<Bytes>(err));
-                return true;
-            });
-        return;
-    }
-    FleetEnclave *recp = &rec;
-    auto out = std::make_shared<CallOutcome>();
-    exec.submit(
-        static_cast<ParallelExecutor::DomainId>(rec.nodeId),
-        [this, recp, fn, args, out] {
-            auto r = callBody(*recp, fn, args);
-            if (r.isOk())
-                out->payload = r.value();
-            else
-                out->status = r.status();
-        },
-        [done, out] {
-            if (done) {
-                if (out->status.isOk())
-                    done(Result<Bytes>(out->payload));
-                else
-                    done(Result<Bytes>(out->status));
-            }
-            return true;
-        });
 }
 
 Status
@@ -498,54 +261,8 @@ Cluster::destroyEnclave(Fid fid)
     return s;
 }
 
-Cluster::MaterializeOutcome
-Cluster::materializeWork(FleetEnclave &rec, NodeId target,
-                         bool via_frontend)
-{
-    MaterializeOutcome out;
-    ClusterNode &n = *nodes[target];
-    NodeId from = via_frontend ? kFrontend : rec.nodeId;
-    Status t = fabric.transfer(
-        from, target,
-        rec.manifestJson.size() + rec.image.size() +
-            rec.sealed.size() + journalBytes(rec) +
-            kMsgOverheadBytes);
-    if (!t.isOk()) {
-        out.status = t;
-        return out;
-    }
-    auto fresh = n.system().createEnclave(rec.manifestJson,
-                                          rec.imageName, rec.image);
-    if (!fresh.isOk()) {
-        out.status = fresh.status();
-        return out;
-    }
-    core::AppHandle h = fresh.value();
-    if (rec.haveCheckpoint) {
-        Status s = n.system().restoreEnclave(h, rec.sealed,
-                                             rec.sealedSecret);
-        if (!s.isOk()) {
-            (void)n.system().destroyEnclave(h);
-            out.status = s;
-            return out;
-        }
-    }
-    for (const FleetCall &c : rec.journal) {
-        auto r = n.system().ecall(h, c.fn, c.args);
-        if (!r.isOk()) {
-            (void)n.system().destroyEnclave(h);
-            out.status = r.status();
-            return out;
-        }
-        ++out.replayed;
-    }
-    out.handle = h;
-    return out;
-}
-
 Status
-Cluster::materialize(FleetEnclave &rec, NodeId target,
-                     uint64_t *replayed, bool via_frontend)
+Cluster::materialize(FleetEnclave &rec, NodeId target)
 {
     if (target >= nodes.size())
         return Status(ErrorCode::InvalidArgument, "bad node id");
@@ -553,18 +270,37 @@ Cluster::materialize(FleetEnclave &rec, NodeId target,
     if (!n.placeable())
         return Status(ErrorCode::InvalidState,
                       "node '" + n.name() + "' is not placeable");
-    MaterializeOutcome out = materializeWork(rec, target,
-                                             via_frontend);
-    if (!out.status.isOk())
-        return out.status;
-    if (replayed != nullptr)
-        *replayed += out.replayed;
+    CRONUS_RETURN_IF_ERROR(fabric.transfer(
+        kFrontend, target,
+        rec.manifestJson.size() + rec.image.size() +
+            rec.sealed.size() + journalBytes(rec) +
+            kMsgOverheadBytes));
+    auto fresh = n.system().createEnclave(rec.manifestJson,
+                                          rec.imageName, rec.image);
+    if (!fresh.isOk())
+        return fresh.status();
+    core::AppHandle h = fresh.value();
+    if (rec.haveCheckpoint) {
+        Status s = n.system().restoreEnclave(h, rec.sealed,
+                                             rec.sealedSecret);
+        if (!s.isOk()) {
+            (void)n.system().destroyEnclave(h);
+            return s;
+        }
+    }
+    for (const FleetCall &c : rec.journal) {
+        auto r = n.system().ecall(h, c.fn, c.args);
+        if (!r.isOk()) {
+            (void)n.system().destroyEnclave(h);
+            return r.status();
+        }
+    }
     /* Commit: the record now points at the new copy. */
     if (rec.nodeId < nodes.size() &&
         nodes[rec.nodeId]->liveEnclaves > 0)
         --nodes[rec.nodeId]->liveEnclaves;
     rec.nodeId = target;
-    rec.handle = out.handle;
+    rec.handle = h;
     ++n.liveEnclaves;
     return Status::ok();
 }
@@ -575,8 +311,7 @@ Cluster::recoverEnclave(FleetEnclave &rec)
     auto target = placer.placeNode(nodes);
     if (!target.isOk())
         return target.status();
-    Status s = materialize(rec, target.value(), nullptr,
-                           /*via_frontend=*/true);
+    Status s = materialize(rec, target.value());
     if (s.isOk()) {
         ++replacements;
         placer.notePlacement(rec.fid, target.value());
@@ -586,96 +321,6 @@ Cluster::recoverEnclave(FleetEnclave &rec)
         fleetInstant("fleet.replace", std::move(args));
     }
     return s;
-}
-
-std::shared_ptr<bool>
-Cluster::issueRecovery(FleetEnclave &rec)
-{
-    auto target = placer.placeNode(nodes);
-    if (!target.isOk()) {
-        /* The serial engine's attempt fails in placeNode with zero
-         * virtual-time charge and no state change; skipping the
-         * event reproduces that exactly (placeability is static
-         * within a batch). */
-        return nullptr;
-    }
-    const NodeId dst = target.value();
-    const NodeId oldNode = rec.nodeId;
-    /* Optimistic bookkeeping at issue time: the next recovery's
-     * placement must score against this one, like the serial sweep.
-     * Undone by the failure-commit and discard paths. */
-    const bool decremented =
-        oldNode < nodes.size() && nodes[oldNode]->liveEnclaves > 0;
-    if (decremented)
-        --nodes[oldNode]->liveEnclaves;
-    ++nodes[dst]->liveEnclaves;
-    FleetEnclave *recp = &rec;
-    auto out = std::make_shared<MaterializeOutcome>();
-    auto settled = std::make_shared<bool>(false);
-    exec.submit(
-        static_cast<ParallelExecutor::DomainId>(dst),
-        [this, recp, dst, out] {
-            *out = materializeWork(*recp, dst,
-                                   /*via_frontend=*/true);
-        },
-        [this, recp, dst, oldNode, decremented, out, settled] {
-            *settled = true;
-            if (!out->status.isOk()) {
-                /* This failure falsifies the optimistic bookkeeping
-                 * every later event was issued against: undo ours
-                 * and abort the batch; recoverBatch() redoes the
-                 * discarded tail serially at the true clock. */
-                if (decremented)
-                    ++nodes[oldNode]->liveEnclaves;
-                if (nodes[dst]->liveEnclaves > 0)
-                    --nodes[dst]->liveEnclaves;
-                return false;
-            }
-            recp->nodeId = dst;
-            recp->handle = out->handle;
-            ++replacements;
-            placer.notePlacement(recp->fid, dst);
-            JsonObject args;
-            args["fid"] = static_cast<int64_t>(recp->fid);
-            args["node"] = static_cast<int64_t>(dst);
-            fleetInstant("fleet.replace", std::move(args));
-            return true;
-        },
-        [this, dst, oldNode, decremented, out] {
-            if (out->status.isOk() && out->handle.host != nullptr)
-                destroySpeculative(dst, out->handle);
-            if (decremented)
-                ++nodes[oldNode]->liveEnclaves;
-            if (nodes[dst]->liveEnclaves > 0)
-                --nodes[dst]->liveEnclaves;
-        });
-    return settled;
-}
-
-void
-Cluster::recoverBatch(const std::vector<FleetEnclave *> &recs)
-{
-    if (recs.empty())
-        return;
-    if (!exec.parallel()) {
-        for (FleetEnclave *rec : recs)
-            (void)recoverEnclave(*rec);
-        return;
-    }
-    std::vector<std::pair<FleetEnclave *, std::shared_ptr<bool>>>
-        issued;
-    issued.reserve(recs.size());
-    for (FleetEnclave *rec : recs)
-        issued.emplace_back(rec, issueRecovery(*rec));
-    exec.flush();
-    /* A mid-batch failure aborts the suffix; finish it serially --
-     * exactly what the serial sweep does past the failure point.
-     * (The failed recovery itself committed and stays stranded,
-     * as it would serially.) */
-    for (auto &[rec, settled] : issued) {
-        if (settled != nullptr && !*settled)
-            (void)recoverEnclave(*rec);
-    }
 }
 
 Status
@@ -894,9 +539,7 @@ Cluster::drainNode(NodeId id, const DrainBudget &budget)
         FleetEnclave &rec = it->second;
         if (aliveOn(rec, id))
             continue;
-        if (nodes[id]->placeable() &&
-            materialize(rec, id, nullptr, /*via_frontend=*/true)
-                .isOk())
+        if (nodes[id]->placeable() && materialize(rec, id).isOk())
             continue;
         ++failures;
     }
@@ -998,13 +641,11 @@ Cluster::quarantineNode(NodeId id, const std::string &why)
      * and the escalation hook does not re-fire. */
     for (const std::string &dev : n.deviceNames())
         (void)n.supervisor().quarantineDevice(dev, why);
-    std::vector<FleetEnclave *> stranded;
     for (Fid fid : enclavesOn(id)) {
         auto it = enclaves.find(fid);
         if (it != enclaves.end())
-            stranded.push_back(&it->second);
+            (void)recoverEnclave(it->second);
     }
-    recoverBatch(stranded);
     return Status::ok();
 }
 
@@ -1017,11 +658,8 @@ Cluster::pump()
             continue;
         n->supervisor().pump();
     }
-    /* Re-place enclaves stranded on dead or quarantined nodes.
-     * Recoveries never change which *other* records are stranded
-     * (they only move enclaves onto healthy nodes), so collecting
-     * the sweep up front matches the serial in-place loop and lets
-     * the parallel engine batch it across target domains. */
+    /* Re-place enclaves stranded on dead or quarantined nodes. The
+     * sweep is fixed up front from the node health at its start. */
     std::vector<FleetEnclave *> stranded;
     for (auto &[fid, rec] : enclaves) {
         (void)fid;
@@ -1031,7 +669,8 @@ Cluster::pump()
         if (h == NodeHealth::Down || h == NodeHealth::Quarantined)
             stranded.push_back(&rec);
     }
-    recoverBatch(stranded);
+    for (FleetEnclave *rec : stranded)
+        (void)recoverEnclave(*rec);
 }
 
 bool

@@ -31,12 +31,14 @@
  * that cannot move, and finally quarantine the node at fleet level
  * (idempotent with the node Supervisor's own quarantine -- see
  * Supervisor::quarantineDevice) re-placing whatever remained.
+ *
+ * Every operation runs to completion on the calling thread, so the
+ * fleet timeline is a pure function of the call sequence.
  */
 
 #ifndef CRONUS_CLUSTER_CLUSTER_HH
 #define CRONUS_CLUSTER_CLUSTER_HH
 
-#include "base/parallel.hh"
 #include "fleet_dispatcher.hh"
 #include "interconnect.hh"
 #include "node.hh"
@@ -58,13 +60,8 @@ struct ClusterConfig
     uint32_t autoCheckpointEvery = 0;
     /** FleetDispatcher score penalty for Degraded nodes. */
     uint64_t degradedPenalty = 1ull << 20;
-    /**
-     * Conservative-parallel engine workers. -1 (default) defers to
-     * the CRONUS_PARALLEL environment toggle; 0/1 forces the serial
-     * engine; N >= 2 runs N workers. Parallel execution changes
-     * wall-clock time only: virtual time, reports and traces are
-     * byte-identical to the serial engine (DESIGN.md section 13).
-     */
+    /** Ignored: the fleet always runs serially. Kept only so that
+     *  configurations which still set it keep compiling. */
     int parallelWorkers = -1;
 };
 
@@ -113,7 +110,6 @@ class Cluster
 {
   public:
     explicit Cluster(const ClusterConfig &config);
-    ~Cluster();
 
     SimClock &clock() { return fleetClock; }
     size_t numNodes() const { return nodes.size(); }
@@ -121,24 +117,6 @@ class Cluster
     Interconnect &interconnect() { return fabric; }
     FleetDispatcher &dispatcher() { return placer; }
     const ClusterConfig &config() const { return cfg; }
-
-    /* --- parallel engine --- */
-
-    /** The cluster's conservative-parallel engine (serial-mode
-     *  passthrough when workers are disabled). */
-    ParallelExecutor &executor() { return exec; }
-    bool parallelEnabled() const { return exec.parallel(); }
-
-    /**
-     * Commit every batched *Async operation: runs the batch on the
-     * worker pool (one FIFO per node domain), then replays the
-     * receipts in issue order, which makes virtual time, callbacks,
-     * counters and traces byte-identical to issuing the same
-     * operations serially. No-op (returns 0) in serial mode, where
-     * *Async ran inline. Between submit and flush the batched fids
-     * must not be destroyed and node health must not be changed.
-     */
-    uint64_t flush() { return exec.flush(); }
 
     /* --- placement + calls --- */
 
@@ -152,19 +130,6 @@ class Cluster
                              const Bytes &image);
 
     /**
-     * Batched placeEnclave: placement is decided now (so successive
-     * placements score against each other exactly like serial), the
-     * expensive create/attest pipeline runs on the target node's
-     * domain at flush(), and @p done fires at commit in issue order.
-     * Serial mode places inline and fires @p done immediately.
-     */
-    using PlaceDone = std::function<void(const Result<Fid> &)>;
-    void placeEnclaveAsync(const std::string &manifest_json,
-                           const std::string &image_name,
-                           const Bytes &image,
-                           PlaceDone done = nullptr);
-
-    /**
      * Authenticated call routed frontend -> node over the
      * interconnect. An acked (successful) call is journaled before
      * it is reported acked, so no acked call can be lost to a later
@@ -173,12 +138,6 @@ class Cluster
      */
     Result<Bytes> call(Fid fid, const std::string &fn,
                        const Bytes &args);
-
-    /** Batched call(): body runs on the hosting node's domain at
-     *  flush(); @p done fires at commit in issue order. */
-    using CallDone = std::function<void(const Result<Bytes> &)>;
-    void callAsync(Fid fid, const std::string &fn, const Bytes &args,
-                   CallDone done = nullptr);
 
     /**
      * Advance the enclave's watermark: seal its state, pull the
@@ -287,68 +246,20 @@ class Cluster
         uint32_t callsSinceCkpt = 0;
     };
 
-    /** What one create+restore+replay attempt produced (no fleet
-     *  bookkeeping -- that belongs to the commit step). */
-    struct MaterializeOutcome
-    {
-        Status status = Status::ok();
-        core::AppHandle handle;
-        uint64_t replayed = 0;
-    };
-
     /**
-     * The domain-confined part of materialize: transfer + create +
-     * restore + replay onto @p target, destroying the partial copy
-     * on failure. Touches only @p target's node, the interconnect
-     * and the clock, so it is safe as a parallel event body.
+     * Rebuild @p rec on @p target from the frontend's durable copy:
+     * transfer + create + restore the watermark + replay the
+     * journal, destroying the partial copy on failure. On success
+     * the record points at the new copy. Shared by cold re-placement
+     * and the drain's in-place recovery.
      */
-    MaterializeOutcome materializeWork(FleetEnclave &rec,
-                                       NodeId target,
-                                       bool via_frontend);
-
-    /** Create + restore + replay @p rec onto @p target; updates the
-     *  record on success. The shared tail of migration Restore/
-     *  Replay and cold re-placement. */
-    Status materialize(FleetEnclave &rec, NodeId target,
-                       uint64_t *replayed, bool via_frontend);
+    Status materialize(FleetEnclave &rec, NodeId target);
 
     /** Re-place a stranded enclave on the best other node. */
     Status recoverEnclave(FleetEnclave &rec);
 
-    /** The domain-confined body of call(): transfers + ecall +
-     *  journal + auto-checkpoint (no existence/health checks). */
-    Result<Bytes> callBody(FleetEnclave &rec, const std::string &fn,
-                           const Bytes &args);
-
     /** checkpoint() minus the lookup/health guards. */
     Status checkpointRec(FleetEnclave &rec);
-
-    /**
-     * Queue one cold re-placement on the parallel engine: placement
-     * decision + optimistic bookkeeping now, materializeWork on the
-     * target domain at flush. Returns a settled flag (nullptr when
-     * no node can take the enclave): still false after flush() means
-     * the event was discarded by a batch abort and the recovery must
-     * be redone serially.
-     */
-    std::shared_ptr<bool> issueRecovery(FleetEnclave &rec);
-
-    /** Recover every record in @p recs (serial engine: one by one;
-     *  parallel: batched with a serial redo of any aborted tail). */
-    void recoverBatch(const std::vector<FleetEnclave *> &recs);
-
-    /**
-     * Destroy an enclave copy a discarded (batch-aborted) event
-     * speculatively created: no virtual-time charge, no trace
-     * events, no traffic counts -- the serial engine never built it.
-     */
-    void destroySpeculative(NodeId node, core::AppHandle handle);
-
-    /** Domain id for frontend-only events (no node work). */
-    ParallelExecutor::DomainId frontendDomain() const
-    {
-        return static_cast<ParallelExecutor::DomainId>(nodes.size());
-    }
 
     /** Live copy of @p rec on node @p id right now? */
     bool aliveOn(FleetEnclave &rec, NodeId id);
@@ -367,9 +278,6 @@ class Cluster
     uint64_t migrationSeq = 0;
     std::vector<MigrationAudit> migrationLog;
     StageHook stageHook;
-    /* Last member: its destructor joins the worker pool before the
-     * nodes/fabric the workers reference go away. */
-    ParallelExecutor exec;
 };
 
 } // namespace cronus::cluster

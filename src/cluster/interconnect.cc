@@ -5,13 +5,6 @@
 namespace cronus::cluster
 {
 
-namespace
-{
-
-thread_local Interconnect::Traffic *tlsTraffic = nullptr;
-
-} // namespace
-
 Interconnect::Interconnect(SimClock &fleet_clock,
                            const LinkCostModel &costs)
     : clock(fleet_clock), cost(costs)
@@ -21,23 +14,15 @@ Interconnect::Interconnect(SimClock &fleet_clock,
 void
 Interconnect::registerNode(NodeId id, const NodeCredential &cred)
 {
-    std::lock_guard<std::mutex> lock(mu);
     credentials[id] = cred;
     /* A re-registered (rebooted) node invalidates what peers
      * verified about the old incarnation. */
-    for (auto it = attestedLinks.begin();
-         it != attestedLinks.end();) {
-        if (it->first == id || it->second == id)
-            it = attestedLinks.erase(it);
-        else
-            ++it;
-    }
+    invalidateAttestation(id);
 }
 
 void
 Interconnect::trustMeasurement(const crypto::Digest &measurement)
 {
-    std::lock_guard<std::mutex> lock(mu);
     trustedMeasurements.insert(crypto::digestHex(measurement));
 }
 
@@ -50,7 +35,6 @@ Interconnect::linkKey(NodeId a, NodeId b)
 void
 Interconnect::setLinkDown(NodeId a, NodeId b, bool down)
 {
-    std::lock_guard<std::mutex> lock(mu);
     if (down)
         downLinks.insert(linkKey(a, b));
     else
@@ -60,19 +44,11 @@ Interconnect::setLinkDown(NodeId a, NodeId b, bool down)
 bool
 Interconnect::linkUp(NodeId a, NodeId b) const
 {
-    std::lock_guard<std::mutex> lock(mu);
     return downLinks.find(linkKey(a, b)) == downLinks.end();
 }
 
 Status
 Interconnect::ensureAttested(NodeId src, NodeId dst)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return ensureAttestedLocked(src, dst);
-}
-
-Status
-Interconnect::ensureAttestedLocked(NodeId src, NodeId dst)
 {
     if (dst == kFrontend || src == dst)
         return Status::ok();
@@ -87,65 +63,44 @@ Interconnect::ensureAttestedLocked(NodeId src, NodeId dst)
     /* One Schnorr verification per directed link, charged on the
      * fleet clock; renewed only after invalidateAttestation. */
     clock.advance(CostModel{}.verifyNs);
-    if (Traffic *t = tlsTraffic)
-        ++t->attestations;
-    else
-        ++attestations;
+    ++attestations;
     if (!crypto::verify(cred.rotKey, cred.signedMessage(),
                         cred.endorsement)) {
-        if (Traffic *t = tlsTraffic)
-            ++t->refusals;
-        else
-            ++refusals;
+        ++refusals;
         return Status(ErrorCode::AuthFailed,
                       "credential signature for '" + cred.name +
                           "' does not verify");
     }
     if (!trustedMeasurements.count(
             crypto::digestHex(cred.dtMeasurement))) {
-        if (Traffic *t = tlsTraffic)
-            ++t->refusals;
-        else
-            ++refusals;
+        ++refusals;
         return Status(ErrorCode::PermissionDenied,
                       "measurement of '" + cred.name +
                           "' is not in the fleet trusted set");
     }
     attestedLinks.insert({src, dst});
-    if (Traffic *t = tlsTraffic)
-        t->newAttested.push_back({src, dst});
     return Status::ok();
 }
 
 Status
 Interconnect::transfer(NodeId src, NodeId dst, uint64_t bytes)
 {
-    std::lock_guard<std::mutex> lock(mu);
     if (downLinks.count(linkKey(src, dst))) {
-        if (Traffic *t = tlsTraffic)
-            ++t->drops;
-        else
-            ++partitionedDrops;
+        ++partitionedDrops;
         return Status(ErrorCode::PeerFailed,
                       "interconnect link is partitioned");
     }
-    CRONUS_RETURN_IF_ERROR(ensureAttestedLocked(src, dst));
+    CRONUS_RETURN_IF_ERROR(ensureAttested(src, dst));
     clock.advance(cost.hopLatencyNs +
                   static_cast<SimTime>(bytes * cost.nsPerByte));
-    if (Traffic *t = tlsTraffic) {
-        ++t->messages;
-        t->bytes += bytes;
-    } else {
-        ++messages;
-        bytesMoved += bytes;
-    }
+    ++messages;
+    bytesMoved += bytes;
     return Status::ok();
 }
 
 void
 Interconnect::invalidateAttestation(NodeId node)
 {
-    std::lock_guard<std::mutex> lock(mu);
     for (auto it = attestedLinks.begin();
          it != attestedLinks.end();) {
         if (it->first == node || it->second == node)
@@ -155,52 +110,9 @@ Interconnect::invalidateAttestation(NodeId node)
     }
 }
 
-Interconnect::Traffic *
-Interconnect::beginDeferred()
-{
-    Traffic *t = new Traffic;
-    t->prev = tlsTraffic;
-    tlsTraffic = t;
-    return t;
-}
-
-void
-Interconnect::endDeferred(Traffic *t)
-{
-    if (t == nullptr)
-        return;
-    tlsTraffic = t->prev;
-}
-
-void
-Interconnect::commitDeferred(Traffic *t)
-{
-    if (t == nullptr)
-        return;
-    std::lock_guard<std::mutex> lock(mu);
-    messages += t->messages;
-    bytesMoved += t->bytes;
-    attestations += t->attestations;
-    refusals += t->refusals;
-    partitionedDrops += t->drops;
-    delete t;
-}
-
-void
-Interconnect::discardDeferred(Traffic *t)
-{
-    if (t == nullptr)
-        return;
-    std::lock_guard<std::mutex> lock(mu);
-    for (const auto &link : t->newAttested)
-        attestedLinks.erase(link);
-    delete t;
-}
-
 JsonValue
 Interconnect::report() const
 {
-    std::lock_guard<std::mutex> lock(mu);
     JsonObject o;
     o["messages"] = static_cast<int64_t>(messages);
     o["bytes_moved"] = static_cast<int64_t>(bytesMoved);

@@ -27,10 +27,8 @@
 #define CRONUS_CLUSTER_INTERCONNECT_HH
 
 #include <map>
-#include <mutex>
 #include <set>
 #include <utility>
-#include <vector>
 
 #include "node.hh"
 
@@ -85,41 +83,7 @@ class Interconnect
 
     const LinkCostModel &costs() const { return cost; }
 
-    /* --- deferred traffic (parallel engine) --- */
-
-    /**
-     * Traffic counted by one parallel-engine event. While installed
-     * on a thread, counter increments accumulate here instead of the
-     * shared totals, and are applied at commit (in issue order) or
-     * thrown away on discard -- so an aborted batch suffix leaves no
-     * counter residue. Cache *insertions* into attestedLinks happen
-     * immediately (each directed link is touched by exactly one
-     * domain per batch, so the single verifyNs charge stays in that
-     * domain's frame); newAttested remembers them for rollback.
-     */
-    struct Traffic
-    {
-        uint64_t messages = 0;
-        uint64_t bytes = 0;
-        uint64_t attestations = 0;
-        uint64_t refusals = 0;
-        uint64_t drops = 0;
-        std::vector<std::pair<NodeId, NodeId>> newAttested;
-        Traffic *prev = nullptr;
-    };
-
-    /** Install a deferred-traffic sink on this thread. */
-    Traffic *beginDeferred();
-    /** Uninstall @p t (no-op on nullptr); stays alive until
-     *  commitDeferred()/discardDeferred(). */
-    void endDeferred(Traffic *t);
-    /** Apply @p t's counts to the shared totals and free it. */
-    void commitDeferred(Traffic *t);
-    /** Roll back @p t's attestation-cache inserts, drop its counts
-     *  and free it. */
-    void discardDeferred(Traffic *t);
-
-    /* --- counters (fleet metrics; committed totals) --- */
+    /* --- counters (fleet metrics) --- */
     uint64_t messages = 0;
     uint64_t bytesMoved = 0;
     uint64_t attestations = 0;
@@ -130,14 +94,9 @@ class Interconnect
 
   private:
     static std::pair<NodeId, NodeId> linkKey(NodeId a, NodeId b);
-    Status ensureAttestedLocked(NodeId src, NodeId dst);
 
     SimClock &clock;
     LinkCostModel cost;
-    /* Guards the maps/sets and the counter totals. Virtual-time
-     * charges inside the lock are frame-local in parallel mode, so
-     * the critical sections stay short. */
-    mutable std::mutex mu;
     std::map<NodeId, NodeCredential> credentials;
     std::set<std::string> trustedMeasurements;  ///< hex digests
     std::set<std::pair<NodeId, NodeId>> downLinks;

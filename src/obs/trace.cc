@@ -43,11 +43,8 @@ eventJson(const TraceEvent &ev)
 }
 
 /**
- * Per-thread stamping state. The main thread attaches platform
- * clocks exactly like the serial tracer always did; a fuzz --jobs
- * worker gets its own stack so concurrent seeds stamp independently;
- * a parallel-engine worker attaches nothing (its clock comes from
- * the active SimClock frame).
+ * Per-thread stamping state: a fuzz --jobs worker gets its own stack
+ * so concurrent seeds stamp independently.
  */
 struct TlsClockState
 {
@@ -61,8 +58,6 @@ tlsClocks()
     static thread_local TlsClockState state;
     return state;
 }
-
-thread_local Tracer::Capture *tlsCapture = nullptr;
 
 } // namespace
 
@@ -120,8 +115,6 @@ Tracer::detachClock(const SimClock *clk)
 SimTime
 Tracer::now() const
 {
-    if (const SimClock::Frame *frame = SimClock::activeFrame())
-        return frame->clock->now();
     const std::vector<const SimClock *> &stack = tlsClocks().stack;
     return stack.empty() ? 0 : stack.back()->now();
 }
@@ -135,31 +128,7 @@ Tracer::currentPlatform() const
 uint32_t
 Tracer::track(const std::string &name)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        auto it = trackIds.find(name);
-        if (it != trackIds.end())
-            return it->second;
-        if (tlsCapture == nullptr)
-            return trackLocked(name);
-    }
-    /* First use inside a capture: hand out a provisional id; the
-     * real id is assigned at splice time, in commit (= issue) order,
-     * so the first-use-order table matches a serial run's. */
-    Capture *cap = tlsCapture;
-    auto it = cap->provisionalIds.find(name);
-    if (it != cap->provisionalIds.end())
-        return it->second;
-    uint32_t id = kProvisionalTrack |
-                  static_cast<uint32_t>(cap->provisionalTracks.size());
-    cap->provisionalIds.emplace(name, id);
-    cap->provisionalTracks.push_back(name);
-    return id;
-}
-
-uint32_t
-Tracer::trackLocked(const std::string &name)
-{
+    std::lock_guard<std::mutex> lock(mu);
     auto it = trackIds.find(name);
     if (it != trackIds.end())
         return it->second;
@@ -184,21 +153,7 @@ Tracer::enclaveTrack(uint64_t eid, const std::string &device)
 void
 Tracer::record(TraceEvent ev)
 {
-    if (Capture *cap = tlsCapture) {
-        if (cap->events.size() >= kMaxExportEvents) {
-            ++cap->drops;
-            return;
-        }
-        cap->events.push_back(std::move(ev));
-        return;
-    }
     std::lock_guard<std::mutex> lock(mu);
-    recordLocked(std::move(ev));
-}
-
-void
-Tracer::recordLocked(TraceEvent ev)
-{
     ring.push(ev);
     if (mode() != TraceMode::Full)
         return;
@@ -207,58 +162,6 @@ Tracer::recordLocked(TraceEvent ev)
         return;
     }
     events.push_back(std::move(ev));
-}
-
-Tracer::Capture *
-Tracer::beginCapture()
-{
-    if (!active())
-        return nullptr;
-    Capture *cap = new Capture;
-    cap->prev = tlsCapture;
-    tlsCapture = cap;
-    return cap;
-}
-
-void
-Tracer::endCapture(Capture *cap)
-{
-    if (cap == nullptr)
-        return;
-    tlsCapture = cap->prev;
-}
-
-void
-Tracer::spliceCapture(Capture *cap, SimTime true_start,
-                      SimTime frame_base)
-{
-    if (cap == nullptr)
-        return;
-    std::lock_guard<std::mutex> lock(mu);
-    /* The splicing (commit) thread's ordinal is the one a serial run
-     * would have stamped: the engine's commit loop runs on the thread
-     * that attached the platforms. */
-    const uint32_t plat = tlsClocks().ordinal;
-    std::vector<uint32_t> resolved(cap->provisionalTracks.size(), 0);
-    for (TraceEvent &ev : cap->events) {
-        ev.ts = ev.ts - frame_base + true_start;
-        if (ev.track & kProvisionalTrack) {
-            const uint32_t idx = ev.track & ~kProvisionalTrack;
-            if (resolved[idx] == 0)
-                resolved[idx] = trackLocked(cap->provisionalTracks[idx]);
-            ev.track = resolved[idx];
-        }
-        ev.platform = plat;
-        recordLocked(std::move(ev));
-    }
-    dropped += cap->drops;
-    delete cap;
-}
-
-void
-Tracer::dropCapture(Capture *cap)
-{
-    delete cap;
 }
 
 void

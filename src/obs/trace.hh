@@ -32,15 +32,9 @@
  * or per component ("dispatcher") -- resolved through the track
  * helpers below and emitted as thread_name metadata.
  *
- * Parallelism (DESIGN.md section 13): clock attachment is
- * *per-thread* (each fuzz --jobs seed stamps from its own clocks),
- * and the shared streams (track table, export list, flight ring)
- * are mutex-guarded. Parallel-engine workers never touch the shared
- * streams directly: the engine installs a per-event Capture, events
- * buffer into it with provisional timestamps/track ids, and the
- * commit step splices each capture at its event's true start time,
- * in issue order -- so the merged stream (and the exported JSON) is
- * byte-identical to a serial run's.
+ * Threads: clock attachment is *per-thread* (each fuzz --jobs seed
+ * stamps from its own clocks), and the shared streams (track table,
+ * export list, flight ring) are mutex-guarded.
  */
 
 #ifndef CRONUS_OBS_TRACE_HH
@@ -93,55 +87,10 @@ class Tracer
      */
     void attachClock(const SimClock *clk);
     void detachClock(const SimClock *clk);
-    /**
-     * Virtual now for stamping. Inside a parallel-engine event an
-     * active SimClock frame wins (the worker thread has no attached
-     * clocks of its own); otherwise the innermost clock attached on
-     * this thread (0 if none).
-     */
+    /** Virtual now for stamping: the innermost clock attached on
+     *  this thread (0 if none). */
     SimTime now() const;
     uint32_t currentPlatform() const;
-
-    /* --- deferred capture (parallel engine) --- */
-
-    /**
-     * Event sink for one parallel-engine event. While installed on a
-     * thread, record() buffers events here instead of touching the
-     * shared ring/export streams; tracks first seen inside a capture
-     * get *provisional* ids (kProvisionalTrack bit set) resolved to
-     * real first-use-order ids at splice time.
-     */
-    struct Capture
-    {
-        std::vector<TraceEvent> events;
-        /** Names behind provisional ids; index = id with the marker
-         *  bit cleared. */
-        std::vector<std::string> provisionalTracks;
-        std::map<std::string, uint32_t> provisionalIds;
-        uint64_t drops = 0;
-        Capture *prev = nullptr;
-    };
-    static constexpr uint32_t kProvisionalTrack = 0x80000000u;
-
-    /** Install a capture on this thread (nullptr when tracing is
-     *  off -- then nothing is installed). */
-    Capture *beginCapture();
-    /** Uninstall @p cap (no-op on nullptr). The capture stays alive
-     *  until spliceCapture()/dropCapture(). */
-    void endCapture(Capture *cap);
-    /**
-     * Merge a capture into the shared streams: each event's frame-
-     * relative timestamp (recorded against @p frame_base) is rebased
-     * to the event's committed start @p true_start, its platform is
-     * stamped from the *calling* thread's ordinal, and provisional
-     * tracks are resolved in commit order -- which the engine
-     * guarantees is issue order, reproducing serial first-use track
-     * ids. Frees @p cap.
-     */
-    void spliceCapture(Capture *cap, SimTime true_start,
-                       SimTime frame_base);
-    /** Discard a capture unmerged (aborted batch suffix). */
-    void dropCapture(Capture *cap);
 
     /* --- tracks --- */
 
@@ -216,10 +165,6 @@ class Tracer
   private:
     Tracer();
     void record(TraceEvent ev);
-    /** Push to ring/export streams; caller holds mu. */
-    void recordLocked(TraceEvent ev);
-    /** Find-or-create a real track id; caller holds mu. */
-    uint32_t trackLocked(const std::string &name);
 
     /* Full-mode growth is bounded so a runaway trace degrades into
      * a truncated (and counted) document instead of an OOM. */
@@ -230,9 +175,7 @@ class Tracer
     std::atomic<uint32_t> nextPlatformOrdinal{0};
 
     /* mu guards everything below: track table, export list, flight
-     * ring and retained dumps. Worker threads only reach these via
-     * spliceCapture (serialized by the engine's commit loop anyway);
-     * fuzz --jobs seeds contend for real. */
+     * ring and retained dumps (fuzz --jobs seeds share them). */
     mutable std::mutex mu;
     std::map<std::string, uint32_t> trackIds;
     std::vector<std::string> trackNames;  ///< index = id - 1

@@ -9,14 +9,30 @@ namespace cronus::attacks
 namespace
 {
 
-class AttackTest
-    : public ::testing::TestWithParam<AttackOutcome (*)()>
+/** An attack entry point with its name. gtest prints the parameter
+ * into every test's listed name, so it must print the name rather
+ * than the function's (ASLR-randomized) address. */
+struct Scenario
+{
+    const char *name;
+    AttackOutcome (*run)();
+};
+
+void
+PrintTo(const Scenario &scenario, std::ostream *os)
+{
+    *os << scenario.name;
+}
+
+#define SCENARIO(fn) Scenario{#fn, &fn}
+
+class AttackTest : public ::testing::TestWithParam<Scenario>
 {
 };
 
 TEST_P(AttackTest, IsBlocked)
 {
-    AttackOutcome result = GetParam()();
+    AttackOutcome result = GetParam().run();
     EXPECT_TRUE(result.blocked)
         << result.name << ": " << result.detail;
 }
@@ -24,14 +40,17 @@ TEST_P(AttackTest, IsBlocked)
 INSTANTIATE_TEST_SUITE_P(
     InScopeAttacks, AttackTest,
     ::testing::Values(
-        &attackNormalWorldReadsSmem, &attackNormalWorldTampersSmem,
-        &attackReplayEcall, &attackTamperEcallArgs,
-        &attackMisdispatch, &attackDropRpcByStall,
-        &attackFabricatedAccelerator, &attackMaliciousDeviceTree,
-        &attackMosSubstitution, &attackCrashLeak,
-        &attackDeadLockOnFailure, &attackUndeclaredCall,
-        &attackCrossContextGpuRead),
-    [](const ::testing::TestParamInfo<AttackOutcome (*)()> &info) {
+        SCENARIO(attackNormalWorldReadsSmem),
+        SCENARIO(attackNormalWorldTampersSmem),
+        SCENARIO(attackReplayEcall), SCENARIO(attackTamperEcallArgs),
+        SCENARIO(attackMisdispatch), SCENARIO(attackDropRpcByStall),
+        SCENARIO(attackFabricatedAccelerator),
+        SCENARIO(attackMaliciousDeviceTree),
+        SCENARIO(attackMosSubstitution), SCENARIO(attackCrashLeak),
+        SCENARIO(attackDeadLockOnFailure),
+        SCENARIO(attackUndeclaredCall),
+        SCENARIO(attackCrossContextGpuRead)),
+    [](const ::testing::TestParamInfo<Scenario> &info) {
         return "attack_" + std::to_string(info.index);
     });
 

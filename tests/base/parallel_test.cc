@@ -1,17 +1,12 @@
 /**
  * @file
- * ParallelExecutor unit tests: the engine's contract is that a
- * batch of per-domain events commits bit-for-bit like the serial
- * engine -- commit callbacks in issue order, per-domain FIFO body
- * order, identical end-of-batch virtual time for any worker count,
- * and a serial-equivalent abort/discard protocol.
+ * runTasks, the fuzz runner's --jobs pool: every task runs exactly
+ * once, on worker threads and on the inline path.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
-#include <numeric>
 #include <vector>
 
 #include "base/parallel.hh"
@@ -20,203 +15,6 @@ namespace cronus
 {
 namespace
 {
-
-TEST(ParallelExecutorTest, SerialModeRunsInline)
-{
-    SimClock clock;
-    ParallelExecutor exec(clock, 0);
-    EXPECT_FALSE(exec.parallel());
-    EXPECT_EQ(exec.workers(), 0u);
-
-    int bodyRan = 0;
-    int committed = 0;
-    exec.submit(
-        3, [&] { ++bodyRan; clock.advance(10); },
-        [&] { ++committed; return true; });
-    /* Inline: both already happened, no flush needed. */
-    EXPECT_EQ(bodyRan, 1);
-    EXPECT_EQ(committed, 1);
-    EXPECT_EQ(clock.now(), 10u);
-    EXPECT_EQ(exec.eventsCommitted(), 1u);
-    EXPECT_EQ(exec.flush(), 0u);
-}
-
-TEST(ParallelExecutorTest, CommitOrderIsIssueOrder)
-{
-    SimClock clock;
-    ParallelExecutor exec(clock, 4);
-    ASSERT_TRUE(exec.parallel());
-
-    std::vector<int> commitOrder;
-    for (int i = 0; i < 40; ++i) {
-        exec.submit(
-            static_cast<ParallelExecutor::DomainId>(i % 5),
-            [&clock] { clock.advance(7); },
-            [&commitOrder, i] {
-                commitOrder.push_back(i);
-                return true;
-            });
-    }
-    EXPECT_EQ(exec.flush(), 40u);
-    std::vector<int> want(40);
-    std::iota(want.begin(), want.end(), 0);
-    EXPECT_EQ(commitOrder, want);
-    EXPECT_EQ(clock.now(), 40u * 7u);
-    EXPECT_EQ(exec.batches(), 1u);
-}
-
-TEST(ParallelExecutorTest, PerDomainBodiesRunFifo)
-{
-    SimClock clock;
-    ParallelExecutor exec(clock, 4);
-
-    /* One vector per domain; a domain's events run on one worker
-     * sequentially, so no synchronization is needed inside. */
-    std::vector<std::vector<int>> bodyOrder(3);
-    for (int i = 0; i < 30; ++i) {
-        const unsigned d = static_cast<unsigned>(i) % 3;
-        exec.submit(d, [&bodyOrder, d, i] {
-            bodyOrder[d].push_back(i);
-        });
-    }
-    exec.flush();
-    for (unsigned d = 0; d < 3; ++d) {
-        ASSERT_EQ(bodyOrder[d].size(), 10u);
-        for (size_t k = 1; k < bodyOrder[d].size(); ++k)
-            EXPECT_LT(bodyOrder[d][k - 1], bodyOrder[d][k]);
-    }
-}
-
-/* The headline determinism property: the same batched charge
- * pattern ends at the same virtual time whatever the worker
- * count -- including the serial engine. */
-TEST(ParallelExecutorTest, EndTimeIndependentOfWorkerCount)
-{
-    auto run = [](unsigned workers) {
-        SimClock clock;
-        ParallelExecutor exec(clock, workers);
-        for (int batch = 0; batch < 4; ++batch) {
-            for (int i = 0; i < 24; ++i) {
-                exec.submit(
-                    static_cast<ParallelExecutor::DomainId>(i % 6),
-                    [&clock, i] {
-                        clock.advance(
-                            static_cast<SimTime>(13 + 31 * i));
-                    });
-            }
-            exec.flush();
-        }
-        return clock.now();
-    };
-    const SimTime serial = run(0);
-    EXPECT_EQ(run(1), serial);
-    EXPECT_EQ(run(2), serial);
-    EXPECT_EQ(run(8), serial);
-    EXPECT_GT(serial, 0u);
-}
-
-TEST(ParallelExecutorTest, HooksSeeTrueStartAndFrameBase)
-{
-    SimClock clock;
-    clock.advance(1000);
-    ParallelExecutor exec(clock, 2);
-
-    std::vector<std::pair<SimTime, SimTime>> commits;
-    std::atomic<int> begun{0};
-    ParallelExecutor::Hooks hooks;
-    hooks.beginEvent = [&]() -> void * {
-        ++begun;
-        return nullptr;
-    };
-    hooks.commitEvent = [&](void *, SimTime true_start,
-                            SimTime frame_base) {
-        commits.push_back({true_start, frame_base});
-    };
-    exec.setHooks(std::move(hooks));
-
-    for (int i = 0; i < 3; ++i)
-        exec.submit(static_cast<unsigned>(i),
-                    [&clock] { clock.advance(100); });
-    exec.flush();
-
-    EXPECT_EQ(begun.load(), 3);
-    ASSERT_EQ(commits.size(), 3u);
-    /* Every frame ran against the batch base; the commit replay
-     * serializes the true starts. */
-    using TimePair = std::pair<SimTime, SimTime>;
-    EXPECT_EQ(commits[0], TimePair(1000u, 1000u));
-    EXPECT_EQ(commits[1], TimePair(1100u, 1000u));
-    EXPECT_EQ(commits[2], TimePair(1200u, 1000u));
-    EXPECT_EQ(clock.now(), 1300u);
-    EXPECT_EQ(clock.barrier(), 1300u);
-}
-
-TEST(ParallelExecutorTest, CommitFalseAbortsRestOfBatch)
-{
-    SimClock clock;
-    ParallelExecutor exec(clock, 2);
-
-    std::vector<int> committed;
-    std::vector<int> discarded;
-    for (int i = 0; i < 6; ++i) {
-        exec.submit(
-            static_cast<unsigned>(i % 2),
-            [&clock] { clock.advance(50); },
-            [&committed, i] {
-                committed.push_back(i);
-                return i != 2;  // abort after the third event
-            },
-            [&discarded, i] { discarded.push_back(i); });
-    }
-    EXPECT_EQ(exec.flush(), 3u);
-    EXPECT_EQ(committed, (std::vector<int>{0, 1, 2}));
-    /* Discards also run in issue order, and their receipts never
-     * reach the clock. */
-    EXPECT_EQ(discarded, (std::vector<int>{3, 4, 5}));
-    EXPECT_EQ(clock.now(), 150u);
-    EXPECT_EQ(exec.eventsDiscarded(), 3u);
-}
-
-TEST(ParallelExecutorTest, BodyExceptionRethrownAtCommit)
-{
-    SimClock clock;
-    ParallelExecutor exec(clock, 2);
-
-    std::vector<int> discarded;
-    exec.submit(0, [&clock] { clock.advance(10); });
-    exec.submit(1, [] { throw std::runtime_error("boom"); });
-    exec.submit(0, [&clock] { clock.advance(10); }, {},
-                [&discarded] { discarded.push_back(2); });
-    EXPECT_THROW(exec.flush(), std::runtime_error);
-    /* Events before the throwing one committed; events after were
-     * discarded. The faulted event still charged its receipt, like
-     * a serial run that charged work before throwing. */
-    EXPECT_EQ(clock.now(), 10u);
-    EXPECT_EQ(discarded, (std::vector<int>{2}));
-}
-
-TEST(ParallelExecutorTest, FlushOnEmptyIsNoop)
-{
-    SimClock clock;
-    ParallelExecutor exec(clock, 4);
-    EXPECT_EQ(exec.flush(), 0u);
-    EXPECT_EQ(exec.batches(), 0u);
-    EXPECT_TRUE(exec.idle());
-}
-
-TEST(ParallelExecutorTest, WorkersFromEnv)
-{
-    ::setenv("CRONUS_PARALLEL", "8", 1);
-    EXPECT_EQ(ParallelExecutor::workersFromEnv(), 8u);
-    ::setenv("CRONUS_PARALLEL", "1", 1);
-    EXPECT_EQ(ParallelExecutor::workersFromEnv(), 0u);
-    ::setenv("CRONUS_PARALLEL", "0", 1);
-    EXPECT_EQ(ParallelExecutor::workersFromEnv(), 0u);
-    ::setenv("CRONUS_PARALLEL", "100000", 1);
-    EXPECT_EQ(ParallelExecutor::workersFromEnv(), 64u);
-    ::unsetenv("CRONUS_PARALLEL");
-    EXPECT_EQ(ParallelExecutor::workersFromEnv(), 0u);
-}
 
 TEST(ParallelExecutorTest, RunTasksRunsEveryTask)
 {

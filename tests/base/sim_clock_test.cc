@@ -1,10 +1,9 @@
 /**
  * @file
- * SimClock unit tests: frame routing for the parallel engine and
- * the always-on hardening aborts (advance overflow, barrier
- * monotonicity, frame-before-barrier). The aborts are exercised
- * with death tests because they fire via abort(), not exceptions --
- * they must hold in NDEBUG builds too.
+ * SimClock unit tests: charging, monotonic jumps, reset, and the
+ * always-on overflow abort. The abort is exercised with a death test
+ * because it fires via abort(), not an exception -- it must hold in
+ * NDEBUG builds too.
  */
 
 #include <gtest/gtest.h>
@@ -29,82 +28,12 @@ TEST(SimClockTest, AdvanceAndNow)
     EXPECT_EQ(clock.now(), 400u);
 }
 
-TEST(SimClockTest, ResetClearsTimeAndBarrier)
+TEST(SimClockTest, ResetClearsTime)
 {
     SimClock clock;
     clock.advance(100);
-    clock.commitBarrier(100);
     clock.reset();
     EXPECT_EQ(clock.now(), 0u);
-    EXPECT_EQ(clock.barrier(), 0u);
-}
-
-TEST(SimClockTest, FrameCapturesCharges)
-{
-    SimClock clock;
-    clock.advance(1000);
-    EXPECT_EQ(SimClock::activeFrame(), nullptr);
-    {
-        SimClock::FrameScope frame(clock, clock.now());
-        ASSERT_NE(SimClock::activeFrame(), nullptr);
-        clock.advance(40);
-        clock.advance(2);
-        /* Framed reads see base + local... */
-        EXPECT_EQ(clock.now(), 1042u);
-        EXPECT_EQ(frame.localNs(), 42u);
-    }
-    /* ...but the shared absolute time never moved. */
-    EXPECT_EQ(SimClock::activeFrame(), nullptr);
-    EXPECT_EQ(clock.now(), 1000u);
-}
-
-TEST(SimClockTest, FrameAdvanceTo)
-{
-    SimClock clock;
-    clock.advance(500);
-    SimClock::FrameScope frame(clock, 500);
-    clock.advanceTo(575);
-    EXPECT_EQ(frame.localNs(), 75u);
-    clock.advanceTo(10);  // backwards: no-op inside a frame too
-    EXPECT_EQ(frame.localNs(), 75u);
-}
-
-TEST(SimClockTest, NestedFramesStack)
-{
-    SimClock clock;
-    clock.advance(100);
-    SimClock::FrameScope outer(clock, 100);
-    clock.advance(10);
-    {
-        SimClock::FrameScope inner(clock, clock.now());
-        clock.advance(5);
-        EXPECT_EQ(clock.now(), 115u);
-        EXPECT_EQ(inner.localNs(), 5u);
-    }
-    /* The inner frame's charges were a private receipt; the outer
-     * frame still holds only its own. */
-    EXPECT_EQ(outer.localNs(), 10u);
-    EXPECT_EQ(clock.now(), 110u);
-}
-
-TEST(SimClockTest, FrameIsClockSpecific)
-{
-    SimClock framed;
-    SimClock other;
-    SimClock::FrameScope frame(framed, 0);
-    framed.advance(10);
-    other.advance(99);  // different clock: charges stay direct
-    EXPECT_EQ(frame.localNs(), 10u);
-    EXPECT_EQ(other.now(), 99u);
-}
-
-TEST(SimClockTest, BarrierIsMonotonic)
-{
-    SimClock clock;
-    clock.commitBarrier(100);
-    clock.commitBarrier(100);  // same point is fine
-    clock.commitBarrier(250);
-    EXPECT_EQ(clock.barrier(), 250u);
 }
 
 TEST(SimClockDeath, AdvanceOverflowAborts)
@@ -112,34 +41,6 @@ TEST(SimClockDeath, AdvanceOverflowAborts)
     SimClock clock;
     clock.advance(~0ull);
     EXPECT_DEATH(clock.advance(2), "overflow");
-}
-
-TEST(SimClockDeath, FramedAdvanceOverflowAborts)
-{
-    SimClock clock;
-    EXPECT_DEATH(
-        {
-            SimClock::FrameScope frame(clock, 0);
-            clock.advance(~0ull);
-            clock.advance(2);
-        },
-        "overflow");
-}
-
-TEST(SimClockDeath, BarrierBackwardsAborts)
-{
-    SimClock clock;
-    clock.commitBarrier(1000);
-    EXPECT_DEATH(clock.commitBarrier(999), "moving backwards");
-}
-
-TEST(SimClockDeath, FrameBeforeBarrierAborts)
-{
-    SimClock clock;
-    clock.advance(1000);
-    clock.commitBarrier(1000);
-    EXPECT_DEATH(SimClock::FrameScope frame(clock, 500),
-                 "before committed barrier");
 }
 
 } // namespace
