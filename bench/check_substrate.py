@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
-"""Perf-smoke gate for the memory fast path.
+"""Perf-smoke gate for the memory and crypto fast paths.
 
 Reads the google-benchmark JSON written by `micro_substrate`
-(BENCH_substrate.json) and compares each fast-path benchmark's
-TLB-off variant (/0) against its TLB-on variant (/1). A single run
-contains both: the benches flip the software TLB per measurement.
+(BENCH_substrate.json) and compares each fast-path benchmark's slow
+variant (/0) against its fast variant (/1). A single run contains
+both: the memory benches flip the software TLB per measurement, and
+the crypto benches run the tests' textbook oracle (/0) beside the
+src/crypto primitive (/1).
 
-Fails (exit 1) if the TLB-on variant is slower than the floor for
-its family. The SPM copy benches are translation-bound and must show
-a real multiple; the sRPC per-call benches are dominated by fixed
+Fails (exit 1) if the fast variant is slower than the floor for its
+family. The SPM copy benches are translation-bound and must show a
+real multiple; the sRPC per-call benches are dominated by fixed
 executor cost (see DESIGN.md section 8), so their floor only asserts
-the fast path never regresses below the uncached walk.
+the fast path never regresses below the uncached walk. The T-table
+AES block must stay at least twice as fast as the byte-wise rounds;
+the unrolled SHA-256 must never fall behind the rolled loop.
 
 With --baseline BASELINE.json (normally the committed snapshot under
-bench/baselines/), each family's measured off/on ratio is also
+bench/baselines/), each family's measured /0 over /1 ratio is also
 compared against the baseline's ratio. Ratios are machine-relative
 -- both sides of the division come from the same run -- so they
 transfer across hosts far better than absolute nanoseconds, but CI
@@ -25,15 +29,17 @@ import argparse
 import json
 import sys
 
-# family -> minimum required off/on real_time ratio
+# family -> minimum required /0 over /1 real_time ratio
 FLOORS = {
     "BM_SpmRead": 2.0,
     "BM_SpmWrite": 2.0,
     "BM_SrpcCallSync": 1.0,
     "BM_SrpcCallAsync": 1.0,
+    "BM_AesBlock": 2.0,
+    "BM_Sha256Block": 1.0,
 }
 
-# Fraction of the baseline off/on ratio that must survive.
+# Fraction of the baseline /0 over /1 ratio that must survive.
 BASELINE_KEEP = 0.5
 
 

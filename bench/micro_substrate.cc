@@ -9,9 +9,12 @@
  *
  * The memory fast-path benches (BM_Spm*, BM_Srpc*) take Arg(0) =
  * software TLB off / Arg(1) = TLB on, so a single run quantifies the
- * fast path against the uncached walk. Results are also written to
- * BENCH_substrate.json (benchmark's JSON format) unless the caller
- * passes its own --benchmark_out.
+ * fast path against the uncached walk. BM_AesBlock and BM_Sha256Block
+ * follow the same convention: Arg(0) = the textbook reference oracle
+ * (tests/crypto/reference_crypto.hh), Arg(1) = the src/crypto fast
+ * path. Results are also written to BENCH_substrate.json
+ * (benchmark's JSON format) unless the caller passes its own
+ * --benchmark_out.
  */
 
 #include <benchmark/benchmark.h>
@@ -23,6 +26,7 @@
 #include "crypto/keys.hh"
 #include "crypto/sha256.hh"
 #include "hw/page_table.hh"
+#include "reference_crypto.hh"
 #include "tee/spm.hh"
 
 using namespace cronus;
@@ -73,6 +77,45 @@ BM_AesCtr(benchmark::State &state)
 }
 BENCHMARK(BM_AesCtr)->Arg(4096)->Arg(65536);
 
+/** One AES-128 block: Arg(0) textbook rounds, Arg(1) T-table. */
+void
+BM_AesBlock(benchmark::State &state)
+{
+    const crypto::AesKey key = crypto::aesKeyFromSecret(Bytes(32, 0x07));
+    const crypto::reference::TextbookAes textbook(key);
+    const crypto::Aes128 fast(key);
+    uint8_t block[16] = {};
+    for (auto _ : state) {
+        if (state.range(0) == 0)
+            textbook.encryptBlock(block);
+        else
+            fast.encryptBlock(block);
+        benchmark::DoNotOptimize(block);
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(int64_t(state.iterations()) * 16);
+}
+BENCHMARK(BM_AesBlock)->Arg(0)->Arg(1);
+
+/** SHA-256 of 4 KiB (64 blocks): Arg(0) rolled reference, Arg(1)
+ *  unrolled fast path. */
+void
+BM_Sha256Block(benchmark::State &state)
+{
+    Bytes data(4096);
+    for (size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<uint8_t>(i * 31);
+    for (auto _ : state) {
+        auto digest = state.range(0) == 0
+                          ? crypto::reference::sha256(data)
+                          : crypto::sha256(data);
+        benchmark::DoNotOptimize(digest);
+    }
+    state.SetBytesProcessed(int64_t(state.iterations()) *
+                            int64_t(data.size()));
+}
+BENCHMARK(BM_Sha256Block)->Arg(0)->Arg(1);
+
 void
 BM_SealOpen(benchmark::State &state)
 {
@@ -95,7 +138,7 @@ BM_SchnorrSign(benchmark::State &state)
     crypto::KeyPair kp = crypto::deriveKeyPair(toBytes("bench"));
     Bytes msg(64, 0x99);
     for (auto _ : state) {
-        auto sig = crypto::sign(kp.priv, msg);
+        auto sig = crypto::sign(kp, msg);
         benchmark::DoNotOptimize(sig);
     }
 }
@@ -106,7 +149,7 @@ BM_SchnorrVerify(benchmark::State &state)
 {
     crypto::KeyPair kp = crypto::deriveKeyPair(toBytes("bench"));
     Bytes msg(64, 0x99);
-    auto sig = crypto::sign(kp.priv, msg);
+    auto sig = crypto::sign(kp, msg);
     for (auto _ : state) {
         bool ok = crypto::verify(kp.pub, msg, sig);
         benchmark::DoNotOptimize(ok);

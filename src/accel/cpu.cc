@@ -76,7 +76,7 @@ CpuDevice::attestConfig(const Bytes &challenge) const
     w.putString(devCompatible);
     w.putU64(cfg.cores);
     w.putBytes(challenge);
-    return crypto::sign(rotKeys.priv, w.take());
+    return crypto::sign(rotKeys, w.take());
 }
 
 } // namespace cronus::accel

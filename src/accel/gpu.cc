@@ -435,7 +435,7 @@ GpuDevice::attestConfig(const Bytes &challenge) const
     w.putString(devCompatible);
     w.putU64(cfg.vramBytes);
     w.putBytes(challenge);
-    return crypto::sign(rotKeys.priv, w.take());
+    return crypto::sign(rotKeys, w.take());
 }
 
 } // namespace cronus::accel

@@ -268,7 +268,7 @@ NpuDevice::attestConfig(const Bytes &challenge) const
     w.putString(devCompatible);
     w.putU64(cfg.sramBytes);
     w.putBytes(challenge);
-    return crypto::sign(rotKeys.priv, w.take());
+    return crypto::sign(rotKeys, w.take());
 }
 
 } // namespace cronus::accel

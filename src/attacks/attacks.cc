@@ -224,7 +224,7 @@ attackFabricatedAccelerator()
     /* The "vendor" endorsement comes from a fabricated key. */
     crypto::KeyPair fab = crypto::deriveKeyPair(toBytes("knockoff"));
     expect.deviceEndorsement = crypto::sign(
-        fab.priv, report.value().report.devicePublicKey);
+        fab, report.value().report.devicePublicKey);
     Status v = verifyAttestation(report.value(), expect);
     bool blocked = v.code() == ErrorCode::AuthFailed;
     return outcome("fabricated-accelerator", blocked,

@@ -118,7 +118,7 @@ CronusSystem::CronusSystem(const CronusConfig &config) : cfg(config)
         record->image = image;
         record->vendor = entry.vendor;
         record->deviceEndorsement = crypto::sign(
-            vendorKeys[entry.vendor].priv, entry.rotKey.toBytes());
+            vendorKeys[entry.vendor], entry.rotKey.toBytes());
         enclaveDispatcher.registerPartition(record->os.get());
         records.push_back(std::move(record));
     }

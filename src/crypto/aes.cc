@@ -1,8 +1,8 @@
 #include "aes.hh"
 
+#include <array>
 #include <cstring>
 
-#include "base/logging.hh"
 #include "sha256.hh"
 
 namespace cronus::crypto
@@ -11,7 +11,7 @@ namespace cronus::crypto
 namespace
 {
 
-const uint8_t kSbox[256] = {
+constexpr uint8_t kSbox[256] = {
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5,
     0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
     0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0,
@@ -46,103 +46,176 @@ const uint8_t kSbox[256] = {
     0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 };
 
-const uint8_t kRcon[11] = {
+/* sealMessage framing. */
+constexpr size_t kNonceBytes = 8;
+constexpr size_t kTagBytes = 32;
+
+constexpr uint8_t kRcon[11] = {
     0x00, 0x01, 0x02, 0x04, 0x08, 0x10,
     0x20, 0x40, 0x80, 0x1b, 0x36,
 };
 
-inline uint8_t
+constexpr uint8_t
 xtime(uint8_t x)
 {
     return static_cast<uint8_t>((x << 1) ^ ((x >> 7) * 0x1b));
+}
+
+constexpr uint32_t
+rotr8(uint32_t x)
+{
+    return (x >> 8) | (x << 24);
+}
+
+/**
+ * The four 256-entry T-tables: Te[0][x] is the MixColumns column
+ * (2s, s, s, 3s) of s = S(x), big-endian in a word, and Te[k] is
+ * Te[0] rotated right by 8k bits, so one round of SubBytes,
+ * ShiftRows and MixColumns is 16 lookups and XORs. Computed from the
+ * S-box at compile time.
+ */
+constexpr std::array<std::array<uint32_t, 256>, 4>
+makeTeTables()
+{
+    std::array<std::array<uint32_t, 256>, 4> te{};
+    for (int x = 0; x < 256; ++x) {
+        const uint8_t s = kSbox[x];
+        const uint8_t s2 = xtime(s);
+        const uint8_t s3 = static_cast<uint8_t>(s2 ^ s);
+        uint32_t w = (uint32_t(s2) << 24) | (uint32_t(s) << 16) |
+                     (uint32_t(s) << 8) | uint32_t(s3);
+        for (int k = 0; k < 4; ++k) {
+            te[k][x] = w;
+            w = rotr8(w);
+        }
+    }
+    return te;
+}
+
+constexpr auto kTe = makeTeTables();
+
+inline uint32_t
+loadBE32(const uint8_t *p)
+{
+    return (uint32_t(p[0]) << 24) | (uint32_t(p[1]) << 16) |
+           (uint32_t(p[2]) << 8) | uint32_t(p[3]);
+}
+
+inline void
+storeBE32(uint8_t *p, uint32_t v)
+{
+    p[0] = static_cast<uint8_t>(v >> 24);
+    p[1] = static_cast<uint8_t>(v >> 16);
+    p[2] = static_cast<uint8_t>(v >> 8);
+    p[3] = static_cast<uint8_t>(v);
+}
+
+inline uint32_t
+byteOf(uint32_t w, int shift)
+{
+    return (w >> shift) & 0xff;
+}
+
+/** One T-table round: column c takes row r from column c + r. */
+inline uint32_t
+teColumn(uint32_t a, uint32_t b, uint32_t c, uint32_t d, uint32_t rk)
+{
+    return kTe[0][byteOf(a, 24)] ^ kTe[1][byteOf(b, 16)] ^
+           kTe[2][byteOf(c, 8)] ^ kTe[3][byteOf(d, 0)] ^ rk;
+}
+
+/** The final round: SubBytes and ShiftRows without MixColumns. */
+inline uint32_t
+lastColumn(uint32_t a, uint32_t b, uint32_t c, uint32_t d, uint32_t rk)
+{
+    return ((uint32_t(kSbox[byteOf(a, 24)]) << 24) |
+            (uint32_t(kSbox[byteOf(b, 16)]) << 16) |
+            (uint32_t(kSbox[byteOf(c, 8)]) << 8) |
+            uint32_t(kSbox[byteOf(d, 0)])) ^
+           rk;
+}
+
+/** Encrypt the state held as four big-endian column words. */
+inline void
+encryptWords(const std::array<uint32_t, 44> &rk, uint32_t s[4])
+{
+    uint32_t s0 = s[0] ^ rk[0], s1 = s[1] ^ rk[1];
+    uint32_t s2 = s[2] ^ rk[2], s3 = s[3] ^ rk[3];
+    for (int round = 1; round < 10; ++round) {
+        const uint32_t *k = rk.data() + 4 * round;
+        const uint32_t t0 = teColumn(s0, s1, s2, s3, k[0]);
+        const uint32_t t1 = teColumn(s1, s2, s3, s0, k[1]);
+        const uint32_t t2 = teColumn(s2, s3, s0, s1, k[2]);
+        const uint32_t t3 = teColumn(s3, s0, s1, s2, k[3]);
+        s0 = t0;
+        s1 = t1;
+        s2 = t2;
+        s3 = t3;
+    }
+    s[0] = lastColumn(s0, s1, s2, s3, rk[40]);
+    s[1] = lastColumn(s1, s2, s3, s0, rk[41]);
+    s[2] = lastColumn(s2, s3, s0, s1, rk[42]);
+    s[3] = lastColumn(s3, s0, s1, s2, rk[43]);
 }
 
 } // namespace
 
 Aes128::Aes128(const AesKey &key)
 {
-    std::memcpy(roundKeys.data(), key.data(), 16);
+    for (int i = 0; i < 4; ++i)
+        roundKeys[i] = loadBE32(key.data() + 4 * i);
     for (int i = 4; i < 44; ++i) {
-        uint8_t temp[4];
-        std::memcpy(temp, roundKeys.data() + (i - 1) * 4, 4);
+        uint32_t temp = roundKeys[i - 1];
         if (i % 4 == 0) {
-            uint8_t t = temp[0];
-            temp[0] = static_cast<uint8_t>(
-                kSbox[temp[1]] ^ kRcon[i / 4]);
-            temp[1] = kSbox[temp[2]];
-            temp[2] = kSbox[temp[3]];
-            temp[3] = kSbox[t];
+            /* RotWord, SubWord, Rcon. */
+            temp = (uint32_t(kSbox[byteOf(temp, 16)]) << 24) |
+                   (uint32_t(kSbox[byteOf(temp, 8)]) << 16) |
+                   (uint32_t(kSbox[byteOf(temp, 0)]) << 8) |
+                   uint32_t(kSbox[byteOf(temp, 24)]);
+            temp ^= uint32_t(kRcon[i / 4]) << 24;
         }
-        for (int j = 0; j < 4; ++j) {
-            roundKeys[i * 4 + j] = static_cast<uint8_t>(
-                roundKeys[(i - 4) * 4 + j] ^ temp[j]);
-        }
+        roundKeys[i] = roundKeys[i - 4] ^ temp;
     }
 }
 
 void
 Aes128::encryptBlock(uint8_t block[16]) const
 {
-    auto add_round_key = [&](int round) {
-        for (int i = 0; i < 16; ++i)
-            block[i] ^= roundKeys[round * 16 + i];
-    };
-    auto sub_bytes = [&]() {
-        for (int i = 0; i < 16; ++i)
-            block[i] = kSbox[block[i]];
-    };
-    auto shift_rows = [&]() {
-        uint8_t tmp[16];
-        std::memcpy(tmp, block, 16);
-        /* column-major state: byte r + 4c */
-        for (int r = 0; r < 4; ++r) {
-            for (int c = 0; c < 4; ++c)
-                block[r + 4 * c] = tmp[r + 4 * ((c + r) % 4)];
-        }
-    };
-    auto mix_columns = [&]() {
-        for (int c = 0; c < 4; ++c) {
-            uint8_t *col = block + 4 * c;
-            uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-            col[0] = static_cast<uint8_t>(
-                xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3);
-            col[1] = static_cast<uint8_t>(
-                a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3);
-            col[2] = static_cast<uint8_t>(
-                a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3));
-            col[3] = static_cast<uint8_t>(
-                (xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3));
-        }
-    };
+    uint32_t s[4];
+    for (int i = 0; i < 4; ++i)
+        s[i] = loadBE32(block + 4 * i);
+    encryptWords(roundKeys, s);
+    for (int i = 0; i < 4; ++i)
+        storeBE32(block + 4 * i, s[i]);
+}
 
-    add_round_key(0);
-    for (int round = 1; round < 10; ++round) {
-        sub_bytes();
-        shift_rows();
-        mix_columns();
-        add_round_key(round);
+void
+Aes128::ctr(const uint8_t *in, size_t len, uint64_t nonce,
+            uint8_t *out) const
+{
+    uint8_t keystream[16];
+    for (size_t offset = 0; offset < len; offset += 16) {
+        const uint64_t counter = offset / 16;
+        uint32_t s[4] = {
+            static_cast<uint32_t>(nonce >> 32),
+            static_cast<uint32_t>(nonce),
+            static_cast<uint32_t>(counter >> 32),
+            static_cast<uint32_t>(counter),
+        };
+        encryptWords(roundKeys, s);
+        for (int i = 0; i < 4; ++i)
+            storeBE32(keystream + 4 * i, s[i]);
+        const size_t n = std::min<size_t>(16, len - offset);
+        for (size_t i = 0; i < n; ++i)
+            out[offset + i] = in[offset + i] ^ keystream[i];
     }
-    sub_bytes();
-    shift_rows();
-    add_round_key(10);
 }
 
 Bytes
 Aes128::ctr(const Bytes &data, uint64_t nonce) const
 {
     Bytes out(data.size());
-    uint8_t counter_block[16];
-    for (size_t offset = 0; offset < data.size(); offset += 16) {
-        uint64_t counter = offset / 16;
-        for (int i = 0; i < 8; ++i) {
-            counter_block[i] = (nonce >> (56 - 8 * i)) & 0xff;
-            counter_block[8 + i] = (counter >> (56 - 8 * i)) & 0xff;
-        }
-        encryptBlock(counter_block);
-        size_t n = std::min<size_t>(16, data.size() - offset);
-        for (size_t i = 0; i < n; ++i)
-            out[offset + i] = data[offset + i] ^ counter_block[i];
-    }
+    ctr(data.data(), data.size(), nonce, out.data());
     return out;
 }
 
@@ -161,40 +234,42 @@ Bytes
 sealMessage(const Bytes &secret, uint64_t nonce,
             const Bytes &plaintext)
 {
+    /* nonce(8, LE) || ciphertext || tag, written in place. */
+    const size_t body_len = kNonceBytes + plaintext.size();
+    Bytes out(body_len + kTagBytes);
+    for (size_t i = 0; i < kNonceBytes; ++i)
+        out[i] = static_cast<uint8_t>(nonce >> (8 * i));
     Aes128 cipher(aesKeyFromSecret(secret));
-    Bytes ciphertext = cipher.ctr(plaintext, nonce);
-
-    ByteWriter w;
-    w.putU64(nonce);
-    w.putRaw(ciphertext.data(), ciphertext.size());
-    Bytes body = w.take();
-
-    Digest tag = hmacSha256(secret, body);
-    Bytes out = body;
-    out.insert(out.end(), tag.begin(), tag.end());
+    cipher.ctr(plaintext.data(), plaintext.size(), nonce,
+               out.data() + kNonceBytes);
+    const Digest tag = hmacSha256(secret, out.data(), body_len);
+    std::memcpy(out.data() + body_len, tag.data(), kTagBytes);
     return out;
 }
 
 Result<Bytes>
 openMessage(const Bytes &secret, const Bytes &sealed)
 {
-    if (sealed.size() < 8 + 32)
+    if (sealed.size() < kNonceBytes + kTagBytes)
         return Status(ErrorCode::IntegrityViolation,
                       "sealed message too short");
-    Bytes body(sealed.begin(), sealed.end() - 32);
-    Bytes tag(sealed.end() - 32, sealed.end());
-    Digest expected = hmacSha256(secret, body);
-    if (!constantTimeEqual(tag, digestToBytes(expected)))
+    const size_t body_len = sealed.size() - kTagBytes;
+    const Digest expected = hmacSha256(secret, sealed.data(), body_len);
+    uint8_t diff = 0;
+    for (size_t i = 0; i < kTagBytes; ++i)
+        diff |= sealed[body_len + i] ^ expected[i];
+    if (diff != 0)
         return Status(ErrorCode::IntegrityViolation,
                       "authentication tag mismatch");
 
-    ByteReader r(body);
-    auto nonce = r.getU64();
-    if (!nonce.isOk())
-        return nonce.status();
-    Bytes ciphertext(body.begin() + 8, body.end());
+    uint64_t nonce = 0;
+    for (size_t i = 0; i < kNonceBytes; ++i)
+        nonce |= uint64_t(sealed[i]) << (8 * i);
+    Bytes plaintext(body_len - kNonceBytes);
     Aes128 cipher(aesKeyFromSecret(secret));
-    return cipher.ctr(ciphertext, nonce.value());
+    cipher.ctr(sealed.data() + kNonceBytes, plaintext.size(), nonce,
+               plaintext.data());
+    return plaintext;
 }
 
 } // namespace cronus::crypto

@@ -36,9 +36,14 @@ class Aes128
      */
     Bytes ctr(const Bytes &data, uint64_t nonce) const;
 
+    /** CTR mode over @p len bytes at @p in into @p out, which may
+     *  equal @p in. */
+    void ctr(const uint8_t *in, size_t len, uint64_t nonce,
+             uint8_t *out) const;
+
   private:
-    /* 11 round keys of 16 bytes. */
-    std::array<uint8_t, 176> roundKeys;
+    /* 11 round keys of four big-endian column words. */
+    std::array<uint32_t, 44> roundKeys;
 };
 
 /** Derive an AES key from a 32-byte shared secret. */
@@ -47,7 +52,7 @@ AesKey aesKeyFromSecret(const Bytes &secret);
 /**
  * Authenticated encryption: AES-128-CTR + HMAC-SHA256 tag over
  * (nonce || ciphertext), encrypt-then-MAC. Returns
- * nonce(8) || ciphertext || tag(32).
+ * nonce(8, little-endian) || ciphertext || tag(32).
  */
 Bytes sealMessage(const Bytes &secret, uint64_t nonce,
                   const Bytes &plaintext);

@@ -112,8 +112,9 @@ challenge(const U256 &commitment, const PublicKey &pub,
 } // namespace
 
 Signature
-sign(const PrivateKey &key, const Bytes &message)
+sign(const KeyPair &keys, const Bytes &message)
 {
+    const PrivateKey &key = keys.priv;
     /* Deterministic nonce k = H(x || m). */
     Bytes nonce_material = toBytes("cronus-nonce:");
     Bytes x_bytes = key.scalar.toBytesBE();
@@ -124,14 +125,20 @@ sign(const PrivateKey &key, const Bytes &message)
     U256 k = hashToScalar(nonce_material);
 
     U256 commitment = U256::powMod(groupGenerator(), k, groupPrime());
-    PublicKey pub{
-        U256::powMod(groupGenerator(), key.scalar, groupPrime())};
-    U256 e = challenge(commitment, pub, message);
+    U256 e = challenge(commitment, keys.pub, message);
     /* s = k + e * x mod order */
     U256 ex = U256::mulMod(e, key.scalar, groupOrder());
     U256 s = U256::addMod(U256::reduce(k, groupOrder()), ex,
                           groupOrder());
     return Signature{commitment, s};
+}
+
+Signature
+sign(const PrivateKey &key, const Bytes &message)
+{
+    PublicKey pub{
+        U256::powMod(groupGenerator(), key.scalar, groupPrime())};
+    return sign(KeyPair{key, pub}, message);
 }
 
 bool

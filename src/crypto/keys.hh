@@ -86,7 +86,13 @@ KeyPair generateKeyPair(Rng &rng);
 /** Derive a key pair from seed bytes (for ROM-stored root keys). */
 KeyPair deriveKeyPair(const Bytes &seed);
 
-/** Sign @p message with @p key (deterministic nonce). */
+/** Sign @p message with @p keys (deterministic nonce). The public
+ *  half enters the challenge, so it must match the private half. */
+Signature sign(const KeyPair &keys, const Bytes &message);
+
+/** Sign with the private scalar alone: rebuilds the public key with
+ *  one more powMod per call, so callers holding a KeyPair use the
+ *  form above. */
 Signature sign(const PrivateKey &key, const Bytes &message);
 
 /** Verify a signature. */

@@ -35,6 +35,31 @@ rotr(uint32_t x, int n)
     return (x >> n) | (x << (32 - n));
 }
 
+inline uint32_t
+loadBE32(const uint8_t *p)
+{
+    return (uint32_t(p[0]) << 24) | (uint32_t(p[1]) << 16) |
+           (uint32_t(p[2]) << 8) | uint32_t(p[3]);
+}
+
+/**
+ * One compression round. The caller rotates the register names
+ * instead of shuffling eight values per round: only d and h change.
+ */
+inline void
+compressRound(uint32_t a, uint32_t b, uint32_t c, uint32_t &d,
+              uint32_t e, uint32_t f, uint32_t g, uint32_t &h,
+              uint32_t kw)
+{
+    const uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+    const uint32_t ch = g ^ (e & (f ^ g));
+    const uint32_t temp1 = h + s1 + ch + kw;
+    const uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+    const uint32_t maj = (a & b) | (c & (a | b));
+    d += temp1;
+    h = temp1 + s0 + maj;
+}
+
 } // namespace
 
 Sha256::Sha256()
@@ -53,38 +78,29 @@ void
 Sha256::processBlock(const uint8_t *block)
 {
     uint32_t w[64];
-    for (int i = 0; i < 16; ++i) {
-        w[i] = (uint32_t(block[i * 4]) << 24) |
-               (uint32_t(block[i * 4 + 1]) << 16) |
-               (uint32_t(block[i * 4 + 2]) << 8) |
-               uint32_t(block[i * 4 + 3]);
-    }
+    for (int i = 0; i < 16; ++i)
+        w[i] = loadBE32(block + 4 * i);
     for (int i = 16; i < 64; ++i) {
-        uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^
-                      (w[i - 15] >> 3);
-        uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^
-                      (w[i - 2] >> 10);
+        const uint32_t x = w[i - 15], y = w[i - 2];
+        const uint32_t s0 = rotr(x, 7) ^ rotr(x, 18) ^ (x >> 3);
+        const uint32_t s1 = rotr(y, 17) ^ rotr(y, 19) ^ (y >> 10);
         w[i] = w[i - 16] + s0 + w[i - 7] + s1;
     }
 
     uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
     uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
-    for (int i = 0; i < 64; ++i) {
-        uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-        uint32_t ch = (e & f) ^ (~e & g);
-        uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-        uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-        uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-        uint32_t temp2 = s0 + maj;
-        h = g;
-        g = f;
-        f = e;
-        e = d + temp1;
-        d = c;
-        c = b;
-        b = a;
-        a = temp1 + temp2;
+    /* Eight rounds per iteration, each one name further along. */
+    for (int i = 0; i < 64; i += 8) {
+        const uint32_t *k = kRoundConstants + i;
+        compressRound(a, b, c, d, e, f, g, h, k[0] + w[i]);
+        compressRound(h, a, b, c, d, e, f, g, k[1] + w[i + 1]);
+        compressRound(g, h, a, b, c, d, e, f, k[2] + w[i + 2]);
+        compressRound(f, g, h, a, b, c, d, e, k[3] + w[i + 3]);
+        compressRound(e, f, g, h, a, b, c, d, k[4] + w[i + 4]);
+        compressRound(d, e, f, g, h, a, b, c, k[5] + w[i + 5]);
+        compressRound(c, d, e, f, g, h, a, b, k[6] + w[i + 6]);
+        compressRound(b, c, d, e, f, g, h, a, k[7] + w[i + 7]);
     }
 
     state[0] += a;
@@ -101,18 +117,26 @@ void
 Sha256::update(const uint8_t *data, size_t len)
 {
     CRONUS_ASSERT(!finalized, "Sha256::update after finalize");
+    if (len == 0)
+        return;
     totalLen += len;
-    while (len > 0) {
+    if (bufferLen > 0) {
         size_t take = std::min(len, sizeof(buffer) - bufferLen);
         std::memcpy(buffer + bufferLen, data, take);
         bufferLen += take;
         data += take;
         len -= take;
-        if (bufferLen == sizeof(buffer)) {
-            processBlock(buffer);
-            bufferLen = 0;
-        }
+        if (bufferLen < sizeof(buffer))
+            return;
+        processBlock(buffer);
+        bufferLen = 0;
     }
+    /* Whole blocks are hashed straight from the input. */
+    for (; len >= sizeof(buffer); data += sizeof(buffer),
+                                  len -= sizeof(buffer))
+        processBlock(data);
+    std::memcpy(buffer, data, len);
+    bufferLen = len;
 }
 
 Digest
@@ -176,12 +200,18 @@ digestHex(const Digest &d)
 Digest
 hmacSha256(const Bytes &key, const Bytes &message)
 {
+    return hmacSha256(key, message.data(), message.size());
+}
+
+Digest
+hmacSha256(const Bytes &key, const uint8_t *message, size_t len)
+{
     uint8_t key_block[64];
     std::memset(key_block, 0, sizeof(key_block));
     if (key.size() > 64) {
         Digest kd = sha256(key);
         std::memcpy(key_block, kd.data(), kd.size());
-    } else {
+    } else if (!key.empty()) {
         std::memcpy(key_block, key.data(), key.size());
     }
 
@@ -193,7 +223,7 @@ hmacSha256(const Bytes &key, const Bytes &message)
 
     Sha256 inner;
     inner.update(ipad, sizeof(ipad));
-    inner.update(message);
+    inner.update(message, len);
     Digest inner_digest = inner.finalize();
 
     Sha256 outer;

@@ -62,6 +62,7 @@ std::string digestHex(const Digest &d);
 
 /** HMAC-SHA256 (RFC 2104). */
 Digest hmacSha256(const Bytes &key, const Bytes &message);
+Digest hmacSha256(const Bytes &key, const uint8_t *message, size_t len);
 
 } // namespace cronus::crypto
 

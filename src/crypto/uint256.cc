@@ -82,13 +82,7 @@ reduce512(Limbs8 value, const U256 &mod)
             sub512(value, shifted);
     }
 
-    U256 out;
-    Bytes be(32);
-    for (int i = 0; i < 4; ++i) {
-        for (int b = 0; b < 8; ++b)
-            be[31 - (i * 8 + b)] = (value[i] >> (8 * b)) & 0xff;
-    }
-    return U256::fromBytesBE(be);
+    return U256({value[0], value[1], value[2], value[3]});
 }
 
 } // namespace

@@ -26,6 +26,8 @@ class U256
   public:
     U256() : limbs{0, 0, 0, 0} {}
     U256(uint64_t v) : limbs{v, 0, 0, 0} {}
+    /** From little-endian limbs. */
+    explicit U256(const std::array<uint64_t, 4> &l) : limbs(l) {}
 
     static U256 fromBytesBE(const Bytes &bytes);
     static Result<U256> fromHex(const std::string &hex);

@@ -12,14 +12,14 @@ VendorRegistry::addVendor(const std::string &vendor,
 
 Result<crypto::Signature>
 VendorRegistry::endorse(const std::string &vendor,
-                        const crypto::PrivateKey &vendor_key,
+                        const crypto::KeyPair &vendor_keys,
                         const crypto::PublicKey &device_key) const
 {
     auto it = vendors.find(vendor);
     if (it == vendors.end())
         return Status(ErrorCode::NotFound,
                       "unknown vendor '" + vendor + "'");
-    return crypto::sign(vendor_key, device_key.toBytes());
+    return crypto::sign(vendor_keys, device_key.toBytes());
 }
 
 bool

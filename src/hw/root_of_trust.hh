@@ -35,7 +35,7 @@ class RootOfTrust
      */
     crypto::Signature sign(const Bytes &message) const
     {
-        return crypto::sign(keys.priv, message);
+        return crypto::sign(keys, message);
     }
 
   private:
@@ -57,7 +57,7 @@ class VendorRegistry
     /** Endorsement = vendor signature over the device public key. */
     Result<crypto::Signature> endorse(
         const std::string &vendor,
-        const crypto::PrivateKey &vendor_key,
+        const crypto::KeyPair &vendor_keys,
         const crypto::PublicKey &device_key) const;
 
     /** Verify that @p device_key carries a valid endorsement. */

@@ -71,7 +71,7 @@ SecureMonitor::signReport(const Bytes &report)
 {
     plat.clock().advance(plat.costs().signNs);
     stats.counter("reports_signed").inc();
-    return crypto::sign(atk.priv, report);
+    return crypto::sign(atk, report);
 }
 
 } // namespace cronus::tee

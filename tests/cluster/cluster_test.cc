@@ -430,7 +430,7 @@ TEST_P(ClusterBackendTest, ForgedCredentialIsRefused)
     rogue.dtMeasurement[0] ^= 0xff;
     rogue.rotKey = rogueRot.pub;
     rogue.endorsement =
-        crypto::sign(rogueRot.priv, rogue.signedMessage());
+        crypto::sign(rogueRot, rogue.signedMessage());
     cl->interconnect().registerNode(2, rogue);
     EXPECT_EQ(cl->interconnect().ensureAttested(0, 2).code(),
               ErrorCode::PermissionDenied);

@@ -77,7 +77,7 @@ TEST_F(AttestationTest, ForgedAtkRejected)
     auto bad = report;
     crypto::KeyPair evil = crypto::deriveKeyPair(toBytes("evil"));
     bad.atkPublicKey = evil.pub.toBytes();
-    bad.reportSignature = crypto::sign(evil.priv,
+    bad.reportSignature = crypto::sign(evil,
                                        bad.report.serialize());
     EXPECT_EQ(verifyAttestation(bad, expect).code(),
               ErrorCode::AuthFailed);
@@ -90,7 +90,7 @@ TEST_F(AttestationTest, FabricatedAcceleratorRejected)
     crypto::KeyPair fake_vendor =
         crypto::deriveKeyPair(toBytes("fake-vendor"));
     wrong.deviceEndorsement = crypto::sign(
-        fake_vendor.priv, report.report.devicePublicKey);
+        fake_vendor, report.report.devicePublicKey);
     EXPECT_EQ(verifyAttestation(report, wrong).code(),
               ErrorCode::AuthFailed);
 }

@@ -32,8 +32,18 @@ TEST(KeysTest, SignVerifyRoundTrip)
     Rng rng(7);
     KeyPair kp = generateKeyPair(rng);
     Bytes msg = toBytes("attestation report");
-    Signature sig = sign(kp.priv, msg);
+    Signature sig = sign(kp, msg);
     EXPECT_TRUE(verify(kp.pub, msg, sig));
+}
+
+TEST(KeysTest, SignFromPrivateKeyMatchesKeyPair)
+{
+    /* The private-key form rebuilds the public key; the signature
+     * (deterministic nonce) must be the same either way. */
+    Rng rng(11);
+    KeyPair kp = generateKeyPair(rng);
+    Bytes msg = toBytes("endorsement");
+    EXPECT_EQ(sign(kp.priv, msg), sign(kp, msg));
 }
 
 TEST(KeysTest, VerifyRejectsTamperedMessage)
@@ -41,7 +51,7 @@ TEST(KeysTest, VerifyRejectsTamperedMessage)
     Rng rng(7);
     KeyPair kp = generateKeyPair(rng);
     Bytes msg = toBytes("attestation report");
-    Signature sig = sign(kp.priv, msg);
+    Signature sig = sign(kp, msg);
     Bytes tampered = msg;
     tampered[0] ^= 1;
     EXPECT_FALSE(verify(kp.pub, tampered, sig));
@@ -53,7 +63,7 @@ TEST(KeysTest, VerifyRejectsWrongKey)
     KeyPair kp = generateKeyPair(rng);
     KeyPair other = generateKeyPair(rng);
     Bytes msg = toBytes("hello");
-    Signature sig = sign(kp.priv, msg);
+    Signature sig = sign(kp, msg);
     EXPECT_FALSE(verify(other.pub, msg, sig));
 }
 
@@ -62,7 +72,7 @@ TEST(KeysTest, VerifyRejectsTamperedSignature)
     Rng rng(9);
     KeyPair kp = generateKeyPair(rng);
     Bytes msg = toBytes("hello");
-    Signature sig = sign(kp.priv, msg);
+    Signature sig = sign(kp, msg);
 
     Signature bad_r = sig;
     bad_r.commitment = U256::addMod(bad_r.commitment, U256(1),
@@ -79,7 +89,7 @@ TEST(KeysTest, SignatureSerializationRoundTrip)
 {
     Rng rng(11);
     KeyPair kp = generateKeyPair(rng);
-    Signature sig = sign(kp.priv, toBytes("m"));
+    Signature sig = sign(kp, toBytes("m"));
     auto back = Signature::fromBytes(sig.toBytes());
     ASSERT_TRUE(back.isOk());
     EXPECT_TRUE(back.value() == sig);
@@ -121,7 +131,7 @@ TEST_P(SignPropertyTest, RoundTripAndSingleBitTamper)
     KeyPair kp = generateKeyPair(rng);
     Bytes msg(64);
     rng.fill(msg);
-    Signature sig = sign(kp.priv, msg);
+    Signature sig = sign(kp, msg);
     ASSERT_TRUE(verify(kp.pub, msg, sig));
 
     /* Flip one random bit of the message: must be rejected. */

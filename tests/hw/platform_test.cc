@@ -167,7 +167,7 @@ TEST(VendorRegistryTest, EndorsementFlow)
     crypto::KeyPair device = crypto::deriveKeyPair(toBytes("gpu-rot"));
     reg.addVendor("nvidia", vendor.pub);
 
-    auto endorsement = reg.endorse("nvidia", vendor.priv, device.pub);
+    auto endorsement = reg.endorse("nvidia", vendor, device.pub);
     ASSERT_TRUE(endorsement.isOk());
     EXPECT_TRUE(reg.verifyEndorsement("nvidia", device.pub,
                                       endorsement.value()));
@@ -178,7 +178,7 @@ TEST(VendorRegistryTest, EndorsementFlow)
     crypto::KeyPair fake = crypto::deriveKeyPair(toBytes("fake"));
     EXPECT_FALSE(reg.verifyEndorsement("nvidia", fake.pub,
                                        endorsement.value()));
-    EXPECT_FALSE(reg.endorse("unknown", vendor.priv,
+    EXPECT_FALSE(reg.endorse("unknown", vendor,
                              device.pub).isOk());
 }
 
