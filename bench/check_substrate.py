@@ -6,15 +6,17 @@ Reads the google-benchmark JSON written by `micro_substrate`
 variant (/0) against its fast variant (/1). A single run contains
 both: the memory benches flip the software TLB per measurement, and
 the crypto benches run the tests' textbook oracle (/0) beside the
-src/crypto primitive (/1).
+src/crypto primitive (/1), and BM_MatmulKernel runs the tests'
+i-j-k matmul loop (/0) beside the registered matmul_f32 body (/1).
 
 Fails (exit 1) if the fast variant is slower than the floor for its
 family. The SPM copy benches are translation-bound and must show a
 real multiple; the sRPC per-call benches are dominated by fixed
 executor cost (see DESIGN.md section 8), so their floor only asserts
 the fast path never regresses below the uncached walk. The T-table
-AES block must stay at least twice as fast as the byte-wise rounds;
-the unrolled SHA-256 must never fall behind the rolled loop.
+AES block must stay at least twice as fast as the byte-wise rounds,
+and so must the i-k-j matmul body against the i-j-k loop; the
+unrolled SHA-256 must never fall behind the rolled loop.
 
 With --baseline BASELINE.json (normally the committed snapshot under
 bench/baselines/), each family's measured /0 over /1 ratio is also
@@ -37,6 +39,7 @@ FLOORS = {
     "BM_SrpcCallAsync": 1.0,
     "BM_AesBlock": 2.0,
     "BM_Sha256Block": 1.0,
+    "BM_MatmulKernel": 2.0,
 }
 
 # Fraction of the baseline /0 over /1 ratio that must survive.

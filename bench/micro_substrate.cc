@@ -12,7 +12,9 @@
  * fast path against the uncached walk. BM_AesBlock and BM_Sha256Block
  * follow the same convention: Arg(0) = the textbook reference oracle
  * (tests/crypto/reference_crypto.hh), Arg(1) = the src/crypto fast
- * path. Results are also written to BENCH_substrate.json
+ * path; so does BM_MatmulKernel, Arg(0) = the textbook matmul loop
+ * (tests/accel/reference_kernels.hh), Arg(1) = the registered
+ * matmul_f32 body. Results are also written to BENCH_substrate.json
  * (benchmark's JSON format) unless the caller passes its own
  * --benchmark_out.
  */
@@ -20,6 +22,7 @@
 #include <benchmark/benchmark.h>
 
 #include "accel/builtin_kernels.hh"
+#include "accel/gpu.hh"
 #include "core/auto_partition.hh"
 #include "core/system.hh"
 #include "crypto/aes.hh"
@@ -27,6 +30,7 @@
 #include "crypto/sha256.hh"
 #include "hw/page_table.hh"
 #include "reference_crypto.hh"
+#include "reference_kernels.hh"
 #include "tee/spm.hh"
 
 using namespace cronus;
@@ -115,6 +119,49 @@ BM_Sha256Block(benchmark::State &state)
                             int64_t(data.size()));
 }
 BENCHMARK(BM_Sha256Block)->Arg(0)->Arg(1);
+
+/** One 48x48x48 matmul_f32, failover's kernel shape: Arg(0) the
+ *  textbook i-j-k oracle over host arrays, Arg(1) the registered
+ *  kernel body over GPU memory. */
+void
+BM_MatmulKernel(benchmark::State &state)
+{
+    constexpr uint64_t kDim = 48, kCount = kDim * kDim;
+    std::vector<float> a(kCount), b(kCount), c(kCount);
+    for (uint64_t i = 0; i < kCount; ++i) {
+        a[i] = static_cast<float>(i % 13) * 0.25f - 1.5f;
+        b[i] = static_cast<float>(i % 11) * 0.5f - 2.5f;
+    }
+    accel::registerBuiltinKernels();
+    accel::GpuDevice gpu;
+    const accel::GpuContextId ctx = gpu.createContext().value();
+    auto upload = [&](const std::vector<float> &v) {
+        accel::GpuVa va = gpu.malloc(ctx, v.size() * 4).value();
+        (void)gpu.write(ctx, va,
+                        reinterpret_cast<const uint8_t *>(v.data()),
+                        v.size() * 4);
+        return va;
+    };
+    const std::vector<uint64_t> args = {upload(a), upload(b), upload(c),
+                                        kDim, kDim, kDim};
+    const accel::GpuKernel *kernel =
+        accel::GpuKernelRegistry::instance().find("matmul_f32");
+    accel::GpuAccessor mem(gpu, ctx);
+    const accel::LaunchDims dims{kDim * kDim * kDim};
+    for (auto _ : state) {
+        if (state.range(0) == 0) {
+            accel::reference::matmul(a.data(), b.data(), c.data(),
+                                     args[3], args[4], args[5]);
+            benchmark::DoNotOptimize(c.data());
+        } else {
+            benchmark::DoNotOptimize(kernel->body(mem, args, dims));
+        }
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()) *
+                            int64_t(dims.workItems));
+}
+BENCHMARK(BM_MatmulKernel)->Arg(0)->Arg(1);
 
 void
 BM_SealOpen(benchmark::State &state)

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <functional>
 
+#include "accel/builtin_kernels.hh"
 #include "accel/gpu.hh"
 #include "base/logging.hh"
 #include "base/rng.hh"
@@ -11,6 +12,7 @@
 namespace cronus::workloads
 {
 
+using accel::accumulateRows;
 using accel::GpuAccessor;
 using accel::GpuKernel;
 using accel::GpuKernelRegistry;
@@ -243,12 +245,14 @@ backpropBody(GpuAccessor &mem, const std::vector<uint64_t> &args,
     auto out = mem.span<float>(args[2], n_out);
     if (!in.isOk() || !w.isOk() || !out.isOk())
         return Status(ErrorCode::AccessFault, "backprop span fault");
-    for (uint64_t j = 0; j < n_out; ++j) {
-        float acc = 0.0f;
-        for (uint64_t i = 0; i < n_in; ++i)
-            acc += in.value()[i] * w.value()[i * n_out + j];
-        out.value()[j] = std::tanh(acc);
-    }
+    /* One accumulator per output, filled over contiguous rows of w:
+     * output j still sums in[i] * w[i][j] from 0.0f with i
+     * ascending, so the result matches the column-walking loop in
+     * runBackprop bit for bit. */
+    std::vector<float> acc(n_out, 0.0f);
+    accumulateRows(acc.data(), in.value(), w.value(), n_in, n_out);
+    for (uint64_t j = 0; j < n_out; ++j)
+        out.value()[j] = std::tanh(acc[j]);
     return Status::ok();
 }
 

@@ -83,6 +83,29 @@ TEST_F(GpuTest, MatmulKernelComputes)
               (std::vector<float>{58, 64, 139, 154}));
 }
 
+TEST_F(GpuTest, MatmulRejectsOutputOverlappingInputs)
+{
+    /* A, B and a free 2x2 C laid out back to back in one buffer. */
+    const std::vector<float> init = {1, 2, 3, 4, 5, 6, 7, 8,
+                                     0, 0, 0, 0};
+    GpuVa buf = upload(init);
+    GpuVa a = buf, b = buf + 16, free_c = buf + 32;
+    /* C on A, on A's tail, on B, and straddling B's tail. */
+    for (GpuVa c : {a, a + 8, b, b + 8}) {
+        EXPECT_EQ(gpu.launch(ctx, "matmul_f32", {a, b, c, 2, 2, 2},
+                             LaunchDims{8}, 0).code(),
+                  ErrorCode::InvalidArgument)
+            << "C at +" << (c - buf);
+    }
+    EXPECT_EQ(download(buf, 12), init);
+
+    /* Adjacent but disjoint is not an overlap. */
+    ASSERT_TRUE(gpu.launch(ctx, "matmul_f32", {a, b, free_c, 2, 2, 2},
+                           LaunchDims{8}, 0).isOk());
+    EXPECT_EQ(download(free_c, 4),
+              (std::vector<float>{19, 22, 43, 50}));
+}
+
 TEST_F(GpuTest, LaunchRequiresLoadedKernel)
 {
     GpuVa buf = gpu.malloc(ctx, 16).value();
