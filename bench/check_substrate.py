@@ -6,8 +6,14 @@ Reads the google-benchmark JSON written by `micro_substrate`
 variant (/0) against its fast variant (/1). A single run contains
 both: the memory benches flip the software TLB per measurement, and
 the crypto benches run the tests' textbook oracle (/0) beside the
-src/crypto primitive (/1), and BM_MatmulKernel runs the tests'
-i-j-k matmul loop (/0) beside the registered matmul_f32 body (/1).
+portable src/crypto primitive (/1), BM_AesCtrPath/BM_Sha256Path run
+that portable path (/0) beside AES-NI/SHA-NI (/1), and
+BM_MatmulKernel runs the tests' i-j-k matmul loop (/0) beside the
+registered matmul_f32 body (/1).
+
+When the run used --benchmark_repetitions, each /0 and /1 time is
+the `median` aggregate, so one jittered repetition cannot flip a
+gate; a JSON without aggregates (one run each) is read as is.
 
 Fails (exit 1) if the fast variant is slower than the floor for its
 family. The SPM copy benches are translation-bound and must show a
@@ -16,7 +22,10 @@ executor cost (see DESIGN.md section 8), so their floor only asserts
 the fast path never regresses below the uncached walk. The T-table
 AES block must stay at least twice as fast as the byte-wise rounds,
 and so must the i-k-j matmul body against the i-j-k loop; the
-unrolled SHA-256 must never fall behind the rolled loop.
+unrolled SHA-256 must never fall behind the rolled loop. AES-NI CTR
+and SHA-NI compression must beat the portable paths by a real
+multiple; on a CPU without the extension their /1 skips itself and
+the family is reported as skipped, not gated.
 
 With --baseline BASELINE.json (normally the committed snapshot under
 bench/baselines/), each family's measured /0 over /1 ratio is also
@@ -40,21 +49,33 @@ FLOORS = {
     "BM_AesBlock": 2.0,
     "BM_Sha256Block": 1.0,
     "BM_MatmulKernel": 2.0,
+    "BM_AesCtrPath": 4.0,
+    "BM_Sha256Path": 2.0,
 }
+
+# Families whose /1 needs a CPU extension and skips itself without it.
+HARDWARE = {"BM_AesCtrPath", "BM_Sha256Path"}
 
 # Fraction of the baseline /0 over /1 ratio that must survive.
 BASELINE_KEEP = 0.5
 
 
 def load_times(path):
+    """(times, skipped): real_time per run name, the median aggregate
+    when present, and the error message of each self-skipped run."""
     with open(path) as f:
         doc = json.load(f)
-    times = {}
+    times, medians, skipped = {}, {}, {}
     for b in doc.get("benchmarks", []):
-        if b.get("run_type") == "aggregate":
-            continue
-        times[b.get("name", "")] = float(b["real_time"])
-    return times
+        name = b.get("run_name", b.get("name", ""))
+        if b.get("error_occurred"):
+            skipped[name] = b.get("error_message", "")
+        elif b.get("run_type") != "aggregate":
+            times[name] = float(b["real_time"])
+        elif b.get("aggregate_name") == "median":
+            medians[name] = float(b["real_time"])
+    times.update(medians)
+    return times, skipped
 
 
 def ratio_of(times, family):
@@ -74,10 +95,13 @@ def main():
                          "against (bench/baselines/)")
     args = ap.parse_args()
 
-    times = load_times(args.result)
-    base = load_times(args.baseline) if args.baseline else None
+    times, skipped = load_times(args.result)
+    base = load_times(args.baseline)[0] if args.baseline else None
     failures = []
     for family, floor in FLOORS.items():
+        if family in HARDWARE and f"{family}/1" in skipped:
+            print(f"{family}: skipped ({skipped[f'{family}/1']})")
+            continue
         ratio = ratio_of(times, family)
         if ratio is None:
             failures.append(f"{family}: missing /0 or /1 result")

@@ -4,6 +4,7 @@
 
 #include "base/logging.hh"
 #include "crypto/aes.hh"
+#include "crypto/sha256.hh"
 
 namespace cronus::core
 {
@@ -172,6 +173,14 @@ CronusSystem::CronusSystem(const CronusConfig &config) : cfg(config)
         o["misses"] = static_cast<int64_t>(c.misses);
         o["fills"] = static_cast<int64_t>(c.fills);
         o["shootdowns"] = static_cast<int64_t>(c.shootdowns);
+        return JsonValue(std::move(o));
+    });
+    /* Which host implementation ran the bulk crypto (1 = AES-NI /
+     * SHA-NI), so host-time numbers say what produced them. */
+    metricsRegistry.addSource("crypto", [] {
+        JsonObject o;
+        o["aes.hw"] = static_cast<int64_t>(crypto::aesNiAvailable());
+        o["sha256.hw"] = static_cast<int64_t>(crypto::shaNiAvailable());
         return JsonValue(std::move(o));
     });
 }

@@ -3,6 +3,11 @@
 #include <array>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
+#include "dispatch.hh"
 #include "sha256.hh"
 
 namespace cronus::crypto
@@ -158,14 +163,45 @@ encryptWords(const std::array<uint32_t, 44> &rk, uint32_t s[4])
     s[3] = lastColumn(s3, s0, s1, s2, rk[43]);
 }
 
+#if defined(__x86_64__)
+
+#define CRONUS_AESNI __attribute__((target("aes,sse4.1,ssse3")))
+
+/** One block through the ten AES-NI rounds. */
+CRONUS_AESNI inline __m128i
+encryptAesNi(__m128i block, const __m128i k[11])
+{
+    block = _mm_xor_si128(block, k[0]);
+    for (int round = 1; round < 10; ++round)
+        block = _mm_aesenc_si128(block, k[round]);
+    return _mm_aesenclast_si128(block, k[10]);
+}
+
+/** The counter block nonce(8, BE) || counter(8, BE) in a register,
+ *  whose byte 0 is the low byte of the low quadword. */
+CRONUS_AESNI inline __m128i
+counterBlock(uint64_t nonce, uint64_t counter)
+{
+    return _mm_set_epi64x(
+        static_cast<int64_t>(__builtin_bswap64(counter)),
+        static_cast<int64_t>(__builtin_bswap64(nonce)));
+}
+
+#endif
+
 } // namespace
 
-Aes128::Aes128(const AesKey &key)
+namespace detail
 {
+
+AesRoundKeys
+expandAesKey(const AesKey &key)
+{
+    AesRoundKeys rk;
     for (int i = 0; i < 4; ++i)
-        roundKeys[i] = loadBE32(key.data() + 4 * i);
+        rk[i] = loadBE32(key.data() + 4 * i);
     for (int i = 4; i < 44; ++i) {
-        uint32_t temp = roundKeys[i - 1];
+        uint32_t temp = rk[i - 1];
         if (i % 4 == 0) {
             /* RotWord, SubWord, Rcon. */
             temp = (uint32_t(kSbox[byteOf(temp, 16)]) << 24) |
@@ -174,8 +210,114 @@ Aes128::Aes128(const AesKey &key)
                    uint32_t(kSbox[byteOf(temp, 24)]);
             temp ^= uint32_t(kRcon[i / 4]) << 24;
         }
-        roundKeys[i] = roundKeys[i - 4] ^ temp;
+        rk[i] = rk[i - 4] ^ temp;
     }
+    return rk;
+}
+
+void
+aesCtrPortable(const AesRoundKeys &rk, const uint8_t *in, size_t len,
+               uint64_t nonce, uint8_t *out)
+{
+    uint8_t keystream[16];
+    for (size_t offset = 0; offset < len; offset += 16) {
+        const uint64_t counter = offset / 16;
+        uint32_t s[4] = {
+            static_cast<uint32_t>(nonce >> 32),
+            static_cast<uint32_t>(nonce),
+            static_cast<uint32_t>(counter >> 32),
+            static_cast<uint32_t>(counter),
+        };
+        encryptWords(rk, s);
+        for (int i = 0; i < 4; ++i)
+            storeBE32(keystream + 4 * i, s[i]);
+        const size_t n = std::min<size_t>(16, len - offset);
+        for (size_t i = 0; i < n; ++i)
+            out[offset + i] = in[offset + i] ^ keystream[i];
+    }
+}
+
+#if defined(__x86_64__)
+
+CRONUS_AESNI void
+aesCtrAesNi(const AesRoundKeys &rk, const uint8_t *in, size_t len,
+            uint64_t nonce, uint8_t *out)
+{
+    /* AES-NI takes each round key as the 16 bytes of the state, the
+     * same byte order the big-endian column words spell out. */
+    __m128i k[11];
+    for (int round = 0; round < 11; ++round) {
+        uint8_t bytes[16];
+        for (int i = 0; i < 4; ++i)
+            storeBE32(bytes + 4 * i, rk[4 * round + i]);
+        k[round] = _mm_loadu_si128(reinterpret_cast<__m128i *>(bytes));
+    }
+
+    /* Four counter blocks per pass keep the AES unit's pipeline
+     * full; each block's input is loaded before its output is
+     * stored, so in == out is safe. */
+    uint64_t counter = 0;
+    size_t offset = 0;
+    for (; len - offset >= 64; offset += 64, counter += 4) {
+        __m128i b[4];
+        for (int j = 0; j < 4; ++j)
+            b[j] = _mm_xor_si128(counterBlock(nonce, counter + j), k[0]);
+        for (int round = 1; round < 10; ++round)
+            for (int j = 0; j < 4; ++j)
+                b[j] = _mm_aesenc_si128(b[j], k[round]);
+        for (int j = 0; j < 4; ++j) {
+            const auto *src =
+                reinterpret_cast<const __m128i *>(in + offset) + j;
+            auto *dst = reinterpret_cast<__m128i *>(out + offset) + j;
+            _mm_storeu_si128(
+                dst, _mm_xor_si128(_mm_loadu_si128(src),
+                                   _mm_aesenclast_si128(b[j], k[10])));
+        }
+    }
+    /* The last 0..63 bytes, one block at a time, byte by byte. */
+    for (; offset < len; offset += 16, ++counter) {
+        uint8_t keystream[16];
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(keystream),
+                         encryptAesNi(counterBlock(nonce, counter), k));
+        const size_t n = std::min<size_t>(16, len - offset);
+        for (size_t i = 0; i < n; ++i)
+            out[offset + i] = in[offset + i] ^ keystream[i];
+    }
+}
+
+#else
+
+void
+aesCtrAesNi(const AesRoundKeys &rk, const uint8_t *in, size_t len,
+            uint64_t nonce, uint8_t *out)
+{
+    aesCtrPortable(rk, in, len, nonce, out);
+}
+
+#endif
+
+} // namespace detail
+
+bool
+aesNiAvailable()
+{
+#if defined(__x86_64__)
+    /* Function-local, so a call during static initialization still
+     * runs __builtin_cpu_init() before reading the feature bits. */
+    static const bool available = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("aes") &&
+               __builtin_cpu_supports("sse4.1") &&
+               __builtin_cpu_supports("ssse3");
+    }();
+    return available;
+#else
+    return false;
+#endif
+}
+
+Aes128::Aes128(const AesKey &key) : roundKeys(detail::expandAesKey(key))
+{
 }
 
 void
@@ -193,22 +335,10 @@ void
 Aes128::ctr(const uint8_t *in, size_t len, uint64_t nonce,
             uint8_t *out) const
 {
-    uint8_t keystream[16];
-    for (size_t offset = 0; offset < len; offset += 16) {
-        const uint64_t counter = offset / 16;
-        uint32_t s[4] = {
-            static_cast<uint32_t>(nonce >> 32),
-            static_cast<uint32_t>(nonce),
-            static_cast<uint32_t>(counter >> 32),
-            static_cast<uint32_t>(counter),
-        };
-        encryptWords(roundKeys, s);
-        for (int i = 0; i < 4; ++i)
-            storeBE32(keystream + 4 * i, s[i]);
-        const size_t n = std::min<size_t>(16, len - offset);
-        for (size_t i = 0; i < n; ++i)
-            out[offset + i] = in[offset + i] ^ keystream[i];
-    }
+    if (aesNiAvailable())
+        detail::aesCtrAesNi(roundKeys, in, len, nonce, out);
+    else
+        detail::aesCtrPortable(roundKeys, in, len, nonce, out);
 }
 
 Bytes

@@ -32,7 +32,9 @@ class Aes128
 
     /**
      * CTR mode: encrypt/decrypt (symmetric) @p data with @p nonce.
-     * The 16-byte counter block is nonce(8) || counter(8, BE).
+     * The 16-byte counter block is nonce(8) || counter(8, BE). Runs
+     * on AES-NI when aesNiAvailable(), else on the T-table rounds;
+     * the output bytes are the same.
      */
     Bytes ctr(const Bytes &data, uint64_t nonce) const;
 
@@ -45,6 +47,9 @@ class Aes128
     /* 11 round keys of four big-endian column words. */
     std::array<uint32_t, 44> roundKeys;
 };
+
+/** Whether this host has AES-NI (CPUID, resolved once). */
+bool aesNiAvailable();
 
 /** Derive an AES key from a 32-byte shared secret. */
 AesKey aesKeyFromSecret(const Bytes &secret);

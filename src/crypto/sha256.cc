@@ -1,8 +1,14 @@
 #include "sha256.hh"
 
+#include <algorithm>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include "base/logging.hh"
+#include "dispatch.hh"
 
 namespace cronus::crypto
 {
@@ -60,57 +66,160 @@ compressRound(uint32_t a, uint32_t b, uint32_t c, uint32_t &d,
     h = temp1 + s0 + maj;
 }
 
+/** Every whole block in one call, on SHA-NI when the host has it. */
+void
+compressBlocks(uint32_t state[8], const uint8_t *data, size_t n_blocks)
+{
+    if (shaNiAvailable())
+        detail::sha256CompressShaNi(state, data, n_blocks);
+    else
+        detail::sha256CompressPortable(state, data, n_blocks);
+}
+
 } // namespace
+
+namespace detail
+{
+
+void
+sha256CompressPortable(uint32_t state[8], const uint8_t *data,
+                       size_t n_blocks)
+{
+    for (; n_blocks > 0; --n_blocks, data += 64) {
+        uint32_t w[64];
+        for (int i = 0; i < 16; ++i)
+            w[i] = loadBE32(data + 4 * i);
+        for (int i = 16; i < 64; ++i) {
+            const uint32_t x = w[i - 15], y = w[i - 2];
+            const uint32_t s0 = rotr(x, 7) ^ rotr(x, 18) ^ (x >> 3);
+            const uint32_t s1 = rotr(y, 17) ^ rotr(y, 19) ^ (y >> 10);
+            w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+        }
+
+        uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+        uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+        /* Eight rounds per iteration, each one name further along. */
+        for (int i = 0; i < 64; i += 8) {
+            const uint32_t *k = kRoundConstants + i;
+            compressRound(a, b, c, d, e, f, g, h, k[0] + w[i]);
+            compressRound(h, a, b, c, d, e, f, g, k[1] + w[i + 1]);
+            compressRound(g, h, a, b, c, d, e, f, k[2] + w[i + 2]);
+            compressRound(f, g, h, a, b, c, d, e, k[3] + w[i + 3]);
+            compressRound(e, f, g, h, a, b, c, d, k[4] + w[i + 4]);
+            compressRound(d, e, f, g, h, a, b, c, k[5] + w[i + 5]);
+            compressRound(c, d, e, f, g, h, a, b, k[6] + w[i + 6]);
+            compressRound(b, c, d, e, f, g, h, a, k[7] + w[i + 7]);
+        }
+
+        state[0] += a;
+        state[1] += b;
+        state[2] += c;
+        state[3] += d;
+        state[4] += e;
+        state[5] += f;
+        state[6] += g;
+        state[7] += h;
+    }
+}
+
+#if defined(__x86_64__)
+
+__attribute__((target("sha,sse4.1,ssse3"))) void
+sha256CompressShaNi(uint32_t state[8], const uint8_t *data,
+                    size_t n_blocks)
+{
+    /* SHA256RNDS2 keeps the state as ABEF and CDGH lane pairs. */
+    __m128i tmp = _mm_loadu_si128(reinterpret_cast<__m128i *>(state));
+    __m128i state1 =
+        _mm_loadu_si128(reinterpret_cast<__m128i *>(state + 4));
+    tmp = _mm_shuffle_epi32(tmp, 0xb1);         /* CDAB */
+    state1 = _mm_shuffle_epi32(state1, 0x1b);   /* EFGH */
+    __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);   /* ABEF */
+    state1 = _mm_blend_epi16(state1, tmp, 0xf0);        /* CDGH */
+
+    /* Big-endian message words. */
+    const __m128i bswap =
+        _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+
+    for (; n_blocks > 0; --n_blocks, data += 64) {
+        const __m128i abef = state0, cdgh = state1;
+        /* w[g % 4] holds the message words 4g..4g+3 of round group
+         * g. Groups 0..3 load theirs; during group g, SHA256MSG2
+         * finishes group g + 1's words (g = 3..14) and SHA256MSG1
+         * starts group g + 3's (g = 1..12). */
+        __m128i w[4];
+#pragma GCC unroll 16
+        for (int g = 0; g < 16; ++g) {
+            if (g < 4)
+                w[g] = _mm_shuffle_epi8(
+                    _mm_loadu_si128(
+                        reinterpret_cast<const __m128i *>(data) + g),
+                    bswap);
+            __m128i msg = _mm_add_epi32(
+                w[g & 3],
+                _mm_loadu_si128(reinterpret_cast<const __m128i *>(
+                    kRoundConstants + 4 * g)));
+            state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
+            if (g >= 3 && g <= 14) {
+                __m128i &next = w[(g + 1) & 3];
+                next = _mm_add_epi32(
+                    next, _mm_alignr_epi8(w[g & 3], w[(g + 3) & 3], 4));
+                next = _mm_sha256msg2_epu32(next, w[g & 3]);
+            }
+            msg = _mm_shuffle_epi32(msg, 0x0e);
+            state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
+            if (g >= 1 && g <= 12)
+                w[(g + 3) & 3] =
+                    _mm_sha256msg1_epu32(w[(g + 3) & 3], w[g & 3]);
+        }
+        state0 = _mm_add_epi32(state0, abef);
+        state1 = _mm_add_epi32(state1, cdgh);
+    }
+
+    tmp = _mm_shuffle_epi32(state0, 0x1b);      /* FEBA */
+    state1 = _mm_shuffle_epi32(state1, 0xb1);   /* DCHG */
+    state0 = _mm_blend_epi16(tmp, state1, 0xf0);        /* DCBA */
+    state1 = _mm_alignr_epi8(state1, tmp, 8);           /* ABEF */
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(state), state0);
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(state + 4), state1);
+}
+
+#else
+
+void
+sha256CompressShaNi(uint32_t state[8], const uint8_t *data,
+                    size_t n_blocks)
+{
+    sha256CompressPortable(state, data, n_blocks);
+}
+
+#endif
+
+} // namespace detail
+
+bool
+shaNiAvailable()
+{
+#if defined(__x86_64__)
+    /* Function-local, so a sha256() during static initialization
+     * still runs __builtin_cpu_init() before reading the bits. */
+    static const bool available = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("sha") &&
+               __builtin_cpu_supports("sse4.1") &&
+               __builtin_cpu_supports("ssse3");
+    }();
+    return available;
+#else
+    return false;
+#endif
+}
 
 Sha256::Sha256()
 {
-    state[0] = 0x6a09e667;
-    state[1] = 0xbb67ae85;
-    state[2] = 0x3c6ef372;
-    state[3] = 0xa54ff53a;
-    state[4] = 0x510e527f;
-    state[5] = 0x9b05688c;
-    state[6] = 0x1f83d9ab;
-    state[7] = 0x5be0cd19;
-}
-
-void
-Sha256::processBlock(const uint8_t *block)
-{
-    uint32_t w[64];
-    for (int i = 0; i < 16; ++i)
-        w[i] = loadBE32(block + 4 * i);
-    for (int i = 16; i < 64; ++i) {
-        const uint32_t x = w[i - 15], y = w[i - 2];
-        const uint32_t s0 = rotr(x, 7) ^ rotr(x, 18) ^ (x >> 3);
-        const uint32_t s1 = rotr(y, 17) ^ rotr(y, 19) ^ (y >> 10);
-        w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
-
-    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
-    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
-
-    /* Eight rounds per iteration, each one name further along. */
-    for (int i = 0; i < 64; i += 8) {
-        const uint32_t *k = kRoundConstants + i;
-        compressRound(a, b, c, d, e, f, g, h, k[0] + w[i]);
-        compressRound(h, a, b, c, d, e, f, g, k[1] + w[i + 1]);
-        compressRound(g, h, a, b, c, d, e, f, k[2] + w[i + 2]);
-        compressRound(f, g, h, a, b, c, d, e, k[3] + w[i + 3]);
-        compressRound(e, f, g, h, a, b, c, d, k[4] + w[i + 4]);
-        compressRound(d, e, f, g, h, a, b, c, k[5] + w[i + 5]);
-        compressRound(c, d, e, f, g, h, a, b, k[6] + w[i + 6]);
-        compressRound(b, c, d, e, f, g, h, a, k[7] + w[i + 7]);
-    }
-
-    state[0] += a;
-    state[1] += b;
-    state[2] += c;
-    state[3] += d;
-    state[4] += e;
-    state[5] += f;
-    state[6] += g;
-    state[7] += h;
+    std::copy(detail::kSha256Init.begin(), detail::kSha256Init.end(),
+              state);
 }
 
 void
@@ -128,13 +237,14 @@ Sha256::update(const uint8_t *data, size_t len)
         len -= take;
         if (bufferLen < sizeof(buffer))
             return;
-        processBlock(buffer);
+        compressBlocks(state, buffer, 1);
         bufferLen = 0;
     }
-    /* Whole blocks are hashed straight from the input. */
-    for (; len >= sizeof(buffer); data += sizeof(buffer),
-                                  len -= sizeof(buffer))
-        processBlock(data);
+    /* Whole blocks are hashed straight from the input, in one call. */
+    const size_t whole = len / sizeof(buffer);
+    compressBlocks(state, data, whole);
+    data += whole * sizeof(buffer);
+    len -= whole * sizeof(buffer);
     std::memcpy(buffer, data, len);
     bufferLen = len;
 }
@@ -145,19 +255,16 @@ Sha256::finalize()
     CRONUS_ASSERT(!finalized, "Sha256::finalize twice");
     finalized = true;
 
-    uint64_t bit_len = totalLen * 8;
-    buffer[bufferLen++] = 0x80;
-    if (bufferLen > 56) {
-        std::memset(buffer + bufferLen, 0, sizeof(buffer) - bufferLen);
-        processBlock(buffer);
-        std::memset(buffer, 0, 56);
-    } else {
-        std::memset(buffer + bufferLen, 0, 56 - bufferLen);
-    }
-    bufferLen = 56;
+    /* 0x80, zeros, then the bit length at the end of the last of
+     * one or two padding blocks. */
+    uint8_t tail[128] = {};
+    std::memcpy(tail, buffer, bufferLen);
+    tail[bufferLen] = 0x80;
+    const size_t blocks = bufferLen < 56 ? 1 : 2;
+    const uint64_t bit_len = totalLen * 8;
     for (int i = 0; i < 8; ++i)
-        buffer[56 + i] = (bit_len >> (56 - 8 * i)) & 0xff;
-    processBlock(buffer);
+        tail[64 * blocks - 8 + i] = (bit_len >> (56 - 8 * i)) & 0xff;
+    compressBlocks(state, tail, blocks);
 
     Digest out;
     for (int i = 0; i < 8; ++i) {

@@ -41,14 +41,17 @@ class Sha256
     Digest finalize();
 
   private:
-    void processBlock(const uint8_t *block);
-
     uint32_t state[8];
     uint64_t totalLen = 0;
     uint8_t buffer[64];
     size_t bufferLen = 0;
     bool finalized = false;
 };
+
+/** Whether this host has SHA-NI (CPUID, resolved once). Sha256
+ *  compresses on it when true, else on the unrolled rounds; the
+ *  digests are the same. */
+bool shaNiAvailable();
 
 /** One-shot helpers. */
 Digest sha256(const Bytes &data);

@@ -1,13 +1,19 @@
 /** Property tests: the fast symmetric primitives against the slow
  *  reference oracles in reference_crypto.hh, on seeded random
- *  inputs. The oracles are first pinned to the published vectors. */
+ *  inputs. The oracles are first pinned to the published vectors.
+ *  The bulk primitives are tested twice: through the public API
+ *  (whichever path the host's CPUID picks) and path by path through
+ *  crypto/dispatch.hh, so the portable path is covered on hosts with
+ *  the extensions and the hardware path wherever the CPU has it. */
 
 #include <algorithm>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "base/rng.hh"
 #include "crypto/aes.hh"
+#include "crypto/dispatch.hh"
 #include "crypto/sha256.hh"
 #include "reference_crypto.hh"
 
@@ -121,9 +127,10 @@ TEST(ShaOracleTest, RandomUpdateSplitsMatch)
         Sha256 ctx;
         size_t pos = 0;
         while (pos < msg.size()) {
-            /* Chunks straddle, fill and skip whole 64-byte blocks. */
+            /* Chunks straddle, fill and skip whole 64-byte blocks,
+             * up to five in one multi-block compression call. */
             size_t take = std::min<size_t>(msg.size() - pos,
-                                           rng.nextBelow(200));
+                                           rng.nextBelow(400));
             ctx.update(msg.data() + pos, take);
             pos += take;
         }
@@ -158,6 +165,230 @@ TEST(SealOracleTest, SealMatchesReferenceAndOpens)
                   ErrorCode::IntegrityViolation);
     }
 }
+
+/* ---- Each implementation of the bulk primitives, by name. ---- */
+
+using Ctr = void (*)(const detail::AesRoundKeys &, const uint8_t *,
+                     size_t, uint64_t, uint8_t *);
+using Compress = void (*)(uint32_t *, const uint8_t *, size_t);
+
+std::string
+pathName(const testing::TestParamInfo<bool> &info)
+{
+    return info.param ? "hardware" : "portable";
+}
+
+/** A nonce whose eight bytes all differ, so a misplaced or
+ *  byte-swapped nonce cannot produce the same counter block. */
+uint64_t
+distinctNonce(Rng &rng)
+{
+    std::vector<uint8_t> bytes(256);
+    for (size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<uint8_t>(i);
+    rng.shuffle(bytes);
+    uint64_t nonce = 0;
+    for (int i = 0; i < 8; ++i)
+        nonce = (nonce << 8) | bytes[i];
+    return nonce;
+}
+
+/** SHA-256 of @p msg, padded here and compressed by @p compress.
+ *  With @p splits, the blocks go in calls of random counts
+ *  (including zero), so the state must carry across calls. */
+Digest
+hashWith(Compress compress, const Bytes &msg, Rng *splits = nullptr)
+{
+    Bytes padded = msg;
+    padded.push_back(0x80);
+    while (padded.size() % 64 != 56)
+        padded.push_back(0);
+    const uint64_t bits = uint64_t(msg.size()) * 8;
+    for (int i = 7; i >= 0; --i)
+        padded.push_back(static_cast<uint8_t>(bits >> (8 * i)));
+
+    std::array<uint32_t, 8> state = detail::kSha256Init;
+    const size_t blocks = padded.size() / 64;
+    for (size_t done = 0; done < blocks;) {
+        const size_t n =
+            splits ? std::min<size_t>(blocks - done, splits->nextBelow(6))
+                   : blocks - done;
+        compress(state.data(), padded.data() + 64 * done, n);
+        done += n;
+    }
+    Digest out;
+    for (int i = 0; i < 8; ++i)
+        for (int j = 0; j < 4; ++j)
+            out[4 * i + j] =
+                static_cast<uint8_t>(state[i] >> (24 - 8 * j));
+    return out;
+}
+
+/** RFC 2104 HMAC over hashWith(@p compress). */
+Digest
+hmacWith(Compress compress, const Bytes &key, const Bytes &msg)
+{
+    Bytes k = key.size() > 64 ? digestToBytes(hashWith(compress, key))
+                              : key;
+    k.resize(64, 0);
+    Bytes inner(64), outer(64);
+    for (int i = 0; i < 64; ++i) {
+        inner[i] = k[i] ^ 0x36;
+        outer[i] = k[i] ^ 0x5c;
+    }
+    inner.insert(inner.end(), msg.begin(), msg.end());
+    const Digest inner_digest = hashWith(compress, inner);
+    outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+    return hashWith(compress, outer);
+}
+
+class AesCtrPathTest : public testing::TestWithParam<bool>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (GetParam() && !aesNiAvailable())
+            GTEST_SKIP() << "this CPU has no AES-NI";
+    }
+
+    Ctr ctr() const
+    {
+        return GetParam() ? detail::aesCtrAesNi : detail::aesCtrPortable;
+    }
+};
+
+TEST_P(AesCtrPathTest, EveryLengthUpTo300AndSealSize)
+{
+    Rng rng(0xc7a);
+    std::vector<size_t> lengths;
+    for (size_t len = 0; len <= 300; ++len)
+        lengths.push_back(len);
+    lengths.push_back(37 * 1024);
+    lengths.push_back(37 * 1024 + 5);
+    for (size_t len : lengths) {
+        const AesKey key = randomKey(rng);
+        const uint64_t nonce = distinctNonce(rng);
+        const Bytes data = randomBytes(rng, len);
+        const Bytes expected = reference::aesCtr(key, data, nonce);
+        const detail::AesRoundKeys rk = detail::expandAesKey(key);
+
+        Bytes out(len);
+        ctr()(rk, data.data(), len, nonce, out.data());
+        ASSERT_EQ(out, expected) << "length " << len;
+
+        Bytes inplace = data;
+        ctr()(rk, inplace.data(), len, nonce, inplace.data());
+        ASSERT_EQ(inplace, expected) << "in place, length " << len;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Paths, AesCtrPathTest, testing::Bool(),
+                         pathName);
+
+class ShaPathTest : public testing::TestWithParam<bool>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (GetParam() && !shaNiAvailable())
+            GTEST_SKIP() << "this CPU has no SHA-NI";
+    }
+
+    Compress compress() const
+    {
+        return GetParam() ? detail::sha256CompressShaNi
+                          : detail::sha256CompressPortable;
+    }
+};
+
+TEST_P(ShaPathTest, EveryLengthUpTo300)
+{
+    Rng rng(0x5a7);
+    const Bytes data = randomBytes(rng, 300);
+    for (size_t len = 0; len <= 300; ++len) {
+        const Bytes msg(data.begin(), data.begin() + len);
+        ASSERT_EQ(hashWith(compress(), msg), reference::sha256(msg))
+            << "length " << len;
+        /* Key lengths cycle through short, block-sized and hashed. */
+        const Bytes key = randomBytes(rng, len % 97);
+        ASSERT_EQ(hmacWith(compress(), key, msg),
+                  reference::hmacSha256(key, msg))
+            << "length " << len;
+    }
+}
+
+TEST_P(ShaPathTest, RandomMultiBlockSplitsMatch)
+{
+    Rng rng(0x5b1);
+    for (int i = 0; i < 200; ++i) {
+        const Bytes msg = randomBytes(rng, rng.nextBelow(2000));
+        ASSERT_EQ(hashWith(compress(), msg, &rng),
+                  reference::sha256(msg))
+            << "message " << i << " of " << msg.size() << " bytes";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Paths, ShaPathTest, testing::Bool(), pathName);
+
+/** sealMessage's wire format from one path's CTR and HMAC; it must
+ *  equal the reference and the dispatched seal byte for byte, and
+ *  openMessage must return the plaintext. */
+class SealPathTest : public testing::TestWithParam<bool>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (GetParam() && !(aesNiAvailable() && shaNiAvailable()))
+            GTEST_SKIP() << "this CPU lacks AES-NI or SHA-NI";
+    }
+};
+
+TEST_P(SealPathTest, RoundTripsByteEqual)
+{
+    const Ctr ctr =
+        GetParam() ? detail::aesCtrAesNi : detail::aesCtrPortable;
+    const Compress compress = GetParam() ? detail::sha256CompressShaNi
+                                         : detail::sha256CompressPortable;
+    Rng rng(0x5ea2);
+    std::vector<size_t> lengths = {0, 1, 15, 16, 17, 63, 64, 65,
+                                   37 * 1024};
+    for (int i = 0; i < 20; ++i)
+        lengths.push_back(rng.nextBelow(3000));
+    for (size_t len : lengths) {
+        const Bytes secret = randomBytes(rng, 32);
+        const uint64_t nonce = distinctNonce(rng);
+        const Bytes plaintext = randomBytes(rng, len);
+
+        Bytes material = toBytes("cronus-aes:");
+        material.insert(material.end(), secret.begin(), secret.end());
+        const Digest key_digest = hashWith(compress, material);
+        AesKey key;
+        std::copy_n(key_digest.begin(), key.size(), key.begin());
+
+        Bytes sealed(8 + len);
+        for (int b = 0; b < 8; ++b)
+            sealed[b] = static_cast<uint8_t>(nonce >> (8 * b));
+        ctr(detail::expandAesKey(key), plaintext.data(), len, nonce,
+            sealed.data() + 8);
+        const Digest tag = hmacWith(compress, secret, sealed);
+        sealed.insert(sealed.end(), tag.begin(), tag.end());
+
+        ASSERT_EQ(sealed,
+                  reference::sealMessage(secret, nonce, plaintext))
+            << "length " << len;
+        ASSERT_EQ(sealed, sealMessage(secret, nonce, plaintext))
+            << "length " << len;
+        auto opened = openMessage(secret, sealed);
+        ASSERT_TRUE(opened.isOk()) << opened.status().toString();
+        ASSERT_EQ(opened.value(), plaintext) << "length " << len;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Paths, SealPathTest, testing::Bool(),
+                         pathName);
 
 } // namespace
 } // namespace cronus::crypto

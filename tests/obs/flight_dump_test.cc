@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "../core/test_fixtures.hh"
+#include "crypto/aes.hh"
+#include "crypto/sha256.hh"
 #include "inject/invariant_auditor.hh"
 #include "obs/trace.hh"
 
@@ -29,7 +31,7 @@ class FlightDumpTest : public CronusTest
 
 TEST_F(FlightDumpTest, SystemWiresComponentMetricSources)
 {
-    /* CronusSystem registers platform/monitor/SPM/TLB/SMMU as
+    /* CronusSystem registers platform/monitor/SPM/TLB/SMMU/crypto as
      * pull-sources at construction; one snapshot covers the whole
      * machine plus any app-added instruments. */
     auto cpu = makeCpuEnclave().value();
@@ -39,8 +41,13 @@ TEST_F(FlightDumpTest, SystemWiresComponentMetricSources)
 
     JsonValue snap = system->metrics().snapshot();
     for (const char *src :
-         {"platform", "monitor", "spm", "tlb", "smmu"})
+         {"platform", "monitor", "spm", "tlb", "smmu", "crypto"})
         EXPECT_TRUE(snap["sources"].has(src)) << src;
+    /* 0/1 gauges: which implementation ran the bulk crypto. */
+    EXPECT_EQ(snap["sources"]["crypto"]["aes.hw"].asInt(),
+              crypto::aesNiAvailable() ? 1 : 0);
+    EXPECT_EQ(snap["sources"]["crypto"]["sha256.hw"].asInt(),
+              crypto::shaNiAvailable() ? 1 : 0);
     EXPECT_GT(snap["sources"]["monitor"]["world_switches"].asInt(),
               0);
     EXPECT_TRUE(snap["sources"]["tlb"].has("hits"));
