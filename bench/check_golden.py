@@ -9,7 +9,10 @@ GOLDEN.txt (normally bench/golden/<bench>.txt). The figure benches
 report virtual time only, so their stdout is a pure function of the
 code: any difference is a real change in a paper-facing number. Lines
 containing "host-time" report wall-clock and are dropped before the
-comparison (ablation_srpc prints one).
+comparison (ablation_srpc prints one). BENCH inherits this script's
+environment, so a toggle that must not move virtual time
+(CRONUS_BACKEND=pmp, CRONUS_TRACE=1, ...) is checked by setting it
+on the same command.
 
 Fails (exit 1) when BENCH exits nonzero or its output differs; a
 unified diff of golden vs. actual is printed. --update rewrites

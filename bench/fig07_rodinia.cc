@@ -7,8 +7,6 @@
  * message encrypted RPC dominates).
  */
 
-#include <cstdlib>
-
 #include "bench_util.hh"
 #include "workloads/rodinia.hh"
 
@@ -17,7 +15,7 @@ using namespace cronus::bench;
 using namespace cronus::workloads;
 
 int
-main(int argc, char **argv)
+main()
 {
     registerRodiniaKernels();
     header("Figure 7: Rodinia computation time (normalized to "
@@ -26,16 +24,6 @@ main(int argc, char **argv)
     RodiniaSize size;
     size.scale = 160;
     size.iterations = 8;
-    /* Usage: fig07_rodinia [scale [iterations]] */
-    if (argc > 1)
-        size.scale = std::strtoull(argv[1], nullptr, 10);
-    if (argc > 2)
-        size.iterations =
-            static_cast<uint32_t>(std::strtoul(argv[2], nullptr, 10));
-    if (size.scale == 0 || size.iterations == 0) {
-        std::printf("usage: %s [scale [iterations]]\n", argv[0]);
-        return 1;
-    }
 
     std::printf("%-11s", "benchmark");
     for (const auto &system : allSystems())

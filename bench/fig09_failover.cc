@@ -14,10 +14,9 @@
  * killed) and must end in deterministic quarantine with the channel
  * reporting GaveUp. The bench exits nonzero on any invariant-audit
  * violation, a failed recovery, or a crash-loop that does not end
- * quarantined. `--smoke` shrinks the matrix and timeline for CI.
+ * quarantined. The stdout is pinned at full scale by
+ * bench/golden/fig09_failover.txt (ctest golden_fig09_failover).
  */
-
-#include <cstring>
 
 #include "bench_util.hh"
 #include "workloads/failover.hh"
@@ -47,23 +46,12 @@ printSeries(const char *name, const std::vector<double> &rates,
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    bool smoke = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-    }
-
     header("Figure 9: supervised failover timeline "
            "(task steps/second)");
 
     FailoverConfig config;
-    if (smoke) {
-        config.matrixDim = 16;
-        config.runForNs = 2 * kNsPerSec;
-        config.crashAtNs = 500 * kNsPerMs;
-    }
     auto timeline = runFailoverTimeline(config);
     if (!timeline.isOk()) {
         std::printf("run failed: %s\n",

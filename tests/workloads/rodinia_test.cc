@@ -20,6 +20,14 @@ struct Case
     std::string benchmark;
 };
 
+/* Without this gtest lists each param as its raw (heap) bytes, so
+ * the test names would change from run to run. */
+void
+PrintTo(const Case &c, std::ostream *os)
+{
+    *os << c.system << "/" << c.benchmark;
+}
+
 class RodiniaTest : public ::testing::TestWithParam<Case>
 {
 };
