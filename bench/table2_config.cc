@@ -73,6 +73,9 @@ main()
                     costs.machineRebootNs / kNsPerSec));
 
     std::printf("\npartitions at boot:\n%s\n",
-                system.statsReport()["partitions"].dump().c_str());
+                system.metrics()
+                    .snapshot()["sources"]["partitions"]
+                    .dump()
+                    .c_str());
     return 0;
 }

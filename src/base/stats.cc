@@ -1,60 +1,7 @@
 #include "stats.hh"
 
-#include <cmath>
-#include <numeric>
-
-#include "logging.hh"
-
 namespace cronus
 {
-
-double
-Distribution::min() const
-{
-    CRONUS_ASSERT(!values.empty(), "Distribution::min on empty");
-    return *std::min_element(values.begin(), values.end());
-}
-
-double
-Distribution::max() const
-{
-    CRONUS_ASSERT(!values.empty(), "Distribution::max on empty");
-    return *std::max_element(values.begin(), values.end());
-}
-
-double
-Distribution::sum() const
-{
-    return std::accumulate(values.begin(), values.end(), 0.0);
-}
-
-double
-Distribution::mean() const
-{
-    CRONUS_ASSERT(!values.empty(), "Distribution::mean on empty");
-    return sum() / values.size();
-}
-
-double
-Distribution::percentile(double p) const
-{
-    CRONUS_ASSERT(p >= 0.0 && p <= 1.0, "percentile out of range");
-    /* An empty distribution has no order statistics; define every
-     * percentile as 0 so snapshot paths (p50/p99/p999 on instruments
-     * that never sampled) need no caller-side guard. */
-    if (values.empty())
-        return 0.0;
-    if (!sortedValid) {
-        sorted = values;
-        std::sort(sorted.begin(), sorted.end());
-        sortedValid = true;
-    }
-    double idx = p * (sorted.size() - 1);
-    size_t lo = static_cast<size_t>(std::floor(idx));
-    size_t hi = static_cast<size_t>(std::ceil(idx));
-    double frac = idx - lo;
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
 
 void
 ThroughputSeries::record(SimTime when, uint64_t count)
@@ -79,10 +26,7 @@ ThroughputSeries::ratesPerSecond(SimTime end) const
 Counter &
 StatGroup::counter(const std::string &name)
 {
-    auto it = counters.find(name);
-    if (it == counters.end())
-        it = counters.emplace(name, Counter(name)).first;
-    return it->second;
+    return counters[name];
 }
 
 uint64_t
@@ -90,13 +34,6 @@ StatGroup::value(const std::string &name) const
 {
     auto it = counters.find(name);
     return it == counters.end() ? 0 : it->second.value();
-}
-
-void
-StatGroup::reset()
-{
-    for (auto &[name, counter] : counters)
-        counter.reset();
 }
 
 JsonValue

@@ -1,12 +1,11 @@
 /**
  * @file
- * Statistics collection: counters, distributions and time series.
+ * Statistics collection: counters and time series.
  */
 
 #ifndef CRONUS_BASE_STATS_HH
 #define CRONUS_BASE_STATS_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -18,57 +17,15 @@
 namespace cronus
 {
 
-/** A named monotonically increasing counter. */
+/** A monotonically increasing counter. */
 class Counter
 {
   public:
-    explicit Counter(std::string counter_name = "")
-        : statName(std::move(counter_name)) {}
-
     void inc(uint64_t delta = 1) { total += delta; }
     uint64_t value() const { return total; }
-    void reset() { total = 0; }
-    const std::string &name() const { return statName; }
 
   private:
-    std::string statName;
     uint64_t total = 0;
-};
-
-/** Samples with min/max/mean/percentile queries. */
-class Distribution
-{
-  public:
-    void
-    sample(double v)
-    {
-        values.push_back(v);
-        sortedValid = false;
-    }
-
-    size_t count() const { return values.size(); }
-    double min() const;
-    double max() const;
-    double mean() const;
-    double sum() const;
-    /** @p p in [0,1]; 0 when no sample was recorded. Sorts lazily
-     *  and caches the order, so bursts of queries (p50/p99/p999 from
-     *  a metrics snapshot) sort once instead of O(n log n) each. */
-    double percentile(double p) const;
-    void
-    reset()
-    {
-        values.clear();
-        sorted.clear();
-        sortedValid = false;
-    }
-
-  private:
-    std::vector<double> values;
-    /** Percentile cache: values sorted, valid while no new sample
-     *  has arrived since the last percentile() call. */
-    mutable std::vector<double> sorted;
-    mutable bool sortedValid = false;
 };
 
 /**
@@ -86,14 +43,6 @@ class ThroughputSeries
     /** Events per second for every bucket in [0, end]. */
     std::vector<double> ratesPerSecond(SimTime end) const;
 
-    SimTime bucketSize() const { return bucketNs; }
-
-    /** Raw per-bucket event counts (metrics snapshots). */
-    const std::map<uint64_t, uint64_t> &bucketCounts() const
-    {
-        return buckets;
-    }
-
   private:
     SimTime bucketNs;
     std::map<uint64_t, uint64_t> buckets;
@@ -105,15 +54,9 @@ class StatGroup
   public:
     Counter &counter(const std::string &name);
     uint64_t value(const std::string &name) const;
-    void reset();
 
-    /** All counters as a JSON object (audit / stats reports). */
+    /** All counters as a JSON object (metrics sources, audits). */
     JsonValue toJson() const;
-
-    const std::map<std::string, Counter> &all() const
-    {
-        return counters;
-    }
 
   private:
     std::map<std::string, Counter> counters;

@@ -19,6 +19,17 @@ moduleStoreForcedOff()
     return env != nullptr && env[0] != '\0';
 }
 
+JsonValue
+tlbJson(const hw::TlbCounters &c)
+{
+    JsonObject o;
+    o["hits"] = static_cast<int64_t>(c.hits);
+    o["misses"] = static_cast<int64_t>(c.misses);
+    o["fills"] = static_cast<int64_t>(c.fills);
+    o["shootdowns"] = static_cast<int64_t>(c.shootdowns);
+    return JsonValue(std::move(o));
+}
+
 } // namespace
 
 CronusSystem::CronusSystem(const CronusConfig &config) : cfg(config)
@@ -124,10 +135,9 @@ CronusSystem::CronusSystem(const CronusConfig &config) : cfg(config)
         records.push_back(std::move(record));
     }
 
-    /* Unified metrics: the scattered component counters become
-     * pull-sources of one registry, snapshotted in one call. The
-     * closures capture `this`; members outlive the registry uses
-     * because the registry is destroyed with the system. */
+    /* One machine-wide report: each component renders its own
+     * counters as a pull-source of the registry. The closures
+     * capture `this`; the registry is destroyed with the system. */
     metricsRegistry.addSource("platform", [this] {
         JsonObject o = plat->stats().toJson().asObject();
         o["virtual_time_ns"] =
@@ -135,24 +145,37 @@ CronusSystem::CronusSystem(const CronusConfig &config) : cfg(config)
         return JsonValue(std::move(o));
     });
     metricsRegistry.addSource("monitor", [this] {
-        JsonObject o;
-        o["world_switches"] =
-            static_cast<int64_t>(sm->worldSwitchCount());
-        o["sel2_rpc_switches"] =
-            static_cast<int64_t>(sm->sel2SwitchCount());
-        return JsonValue(std::move(o));
+        return sm->statistics().toJson();
     });
     metricsRegistry.addSource("spm", [this] {
-        return partitionManager->statistics().toJson();
+        JsonObject o = partitionManager->statistics().toJson().asObject();
+        o["trap_signals"] = static_cast<int64_t>(observedTraps.size());
+        return JsonValue(std::move(o));
     });
     metricsRegistry.addSource("tlb", [this] {
-        hw::TlbCounters c = partitionManager->tlbCounters();
-        JsonObject o;
-        o["hits"] = static_cast<int64_t>(c.hits);
-        o["misses"] = static_cast<int64_t>(c.misses);
-        o["fills"] = static_cast<int64_t>(c.fills);
-        o["shootdowns"] = static_cast<int64_t>(c.shootdowns);
-        return JsonValue(std::move(o));
+        return tlbJson(partitionManager->tlbCounters());
+    });
+    metricsRegistry.addSource("smmu", [this] {
+        return tlbJson(plat->smmu().tlbCounters());
+    });
+    /* Per-partition enclave load, keyed "p<pid>". */
+    metricsRegistry.addSource("partitions", [this] {
+        JsonObject partitions;
+        for (const auto &record : records) {
+            JsonObject entry;
+            entry["device"] = record->os->deviceName();
+            entry["type"] = record->os->deviceType();
+            entry["enclaves"] = static_cast<int64_t>(
+                record->os->enclaveManager().enclaveCount());
+            entry["memory_in_use"] = static_cast<int64_t>(
+                record->os->enclaveManager().memoryInUse());
+            auto incarnation = record->os->incarnation();
+            entry["incarnation"] = static_cast<int64_t>(
+                incarnation.isOk() ? incarnation.value() : 0);
+            partitions["p" + std::to_string(record->pid)] =
+                JsonValue(std::move(entry));
+        }
+        return JsonValue(std::move(partitions));
     });
     if (modStore != nullptr) {
         metricsRegistry.addSource("modstore", [this] {
@@ -166,15 +189,6 @@ CronusSystem::CronusSystem(const CronusConfig &config) : cfg(config)
             return JsonValue(std::move(o));
         });
     }
-    metricsRegistry.addSource("smmu", [this] {
-        hw::TlbCounters c = plat->smmu().tlbCounters();
-        JsonObject o;
-        o["hits"] = static_cast<int64_t>(c.hits);
-        o["misses"] = static_cast<int64_t>(c.misses);
-        o["fills"] = static_cast<int64_t>(c.fills);
-        o["shootdowns"] = static_cast<int64_t>(c.shootdowns);
-        return JsonValue(std::move(o));
-    });
     /* Which host implementation ran the bulk crypto (1 = AES-NI /
      * SHA-NI), so host-time numbers say what produced them. */
     metricsRegistry.addSource("crypto", [] {
@@ -469,52 +483,6 @@ CronusSystem::expectationFor(const AppHandle &handle)
         }
     }
     return expect;
-}
-
-JsonValue
-CronusSystem::statsReport()
-{
-    JsonObject root;
-    root["virtual_time_ns"] =
-        static_cast<int64_t>(plat->clock().now());
-
-    JsonObject monitor_stats;
-    monitor_stats["world_switches"] =
-        static_cast<int64_t>(sm->worldSwitchCount());
-    monitor_stats["sel2_rpc_switches"] =
-        static_cast<int64_t>(sm->sel2SwitchCount());
-    root["monitor"] = JsonValue(std::move(monitor_stats));
-
-    JsonObject spm_stats;
-    for (const auto &[name, counter] :
-         partitionManager->statistics().all())
-        spm_stats[name] = static_cast<int64_t>(counter.value());
-    spm_stats["trap_signals"] =
-        static_cast<int64_t>(observedTraps.size());
-    root["spm"] = JsonValue(std::move(spm_stats));
-
-    JsonObject hw_stats;
-    for (const auto &[name, counter] : plat->stats().all())
-        hw_stats[name] = static_cast<int64_t>(counter.value());
-    root["hardware"] = JsonValue(std::move(hw_stats));
-
-    JsonObject partitions;
-    for (const auto &record : records) {
-        JsonObject entry;
-        entry["device"] = record->os->deviceName();
-        entry["type"] = record->os->deviceType();
-        entry["enclaves"] = static_cast<int64_t>(
-            record->os->enclaveManager().enclaveCount());
-        entry["memory_in_use"] = static_cast<int64_t>(
-            record->os->enclaveManager().memoryInUse());
-        auto incarnation = record->os->incarnation();
-        entry["incarnation"] = static_cast<int64_t>(
-            incarnation.isOk() ? incarnation.value() : 0);
-        partitions["p" + std::to_string(record->pid)] =
-            JsonValue(std::move(entry));
-    }
-    root["partitions"] = JsonValue(std::move(partitions));
-    return JsonValue(std::move(root));
 }
 
 Status

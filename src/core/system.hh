@@ -98,11 +98,9 @@ class CronusSystem
     EnclaveDispatcher &dispatcher() { return enclaveDispatcher; }
 
     /**
-     * The system's metrics registry. Construction wires platform,
-     * SPM, TLB/SMMU and monitor counters in as pull-sources, so
-     * metrics().snapshot() is a superset of statsReport(); app code
-     * and workloads add their own named instruments to the same
-     * registry.
+     * The machine-wide report: snapshot()["sources"] holds one
+     * object per component -- platform, monitor, spm, tlb, smmu,
+     * partitions, crypto, and modstore when the store is enabled.
      */
     obs::MetricsRegistry &metrics() { return metricsRegistry; }
 
@@ -222,14 +220,6 @@ class CronusSystem
     {
         ecallObserver = std::move(observer);
     }
-
-    /**
-     * Operational counters as a JSON document: virtual time, world
-     * switches, partition lifecycle events, shared-memory grants,
-     * traps, hardware-filter faults, and per-partition enclave
-     * loads. Intended for dashboards and debugging.
-     */
-    JsonValue statsReport();
 
   private:
     struct PartitionRecord

@@ -1,42 +1,26 @@
 /**
  * @file
- * Unified metrics registry.
+ * Machine-wide metrics report.
  *
- * Components historically grew ad-hoc Counter / Distribution /
- * ThroughputSeries members plus StatGroup counter maps, each with its
- * own dump path. The registry unifies them under named, labeled
- * handles -- `counter("srpc.bytes", {{"device", "gpu0"}})` -- and one
- * snapshot() call that renders everything (plus any registered
- * pull-sources such as a component's StatGroup) as a single JSON
- * document.
- *
- * Handles are stable references: registering the same name + labels
- * twice returns the same instrument, so call sites can cache the
- * reference or re-resolve it each time, whichever reads better.
- * Registering an existing key as a *different kind* is a collision:
- * the caller gets a private unregistered instrument (so it never
- * aliases someone else's data) and the registry counts the collision
- * for tests and health checks.
+ * Component counters live where they are counted (a StatGroup, a
+ * TlbCounters struct on the hot path). Each component contributes a
+ * pull-source -- a closure that renders its counters as JSON -- and
+ * snapshot() calls every source, so one call reports the whole
+ * machine as `{"sources": {name: {...}, ...}}`.
  */
 
 #ifndef CRONUS_OBS_METRICS_HH
 #define CRONUS_OBS_METRICS_HH
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "base/json.hh"
-#include "base/stats.hh"
 
 namespace cronus::obs
 {
-
-/** Label set attached to an instrument, e.g. {{"device","gpu0"}}. */
-using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 
 class MetricsRegistry
 {
@@ -45,76 +29,29 @@ class MetricsRegistry
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
 
-    /** Process-wide registry (systems may also own private ones). */
-    static MetricsRegistry &global();
-
-    Counter &counter(const std::string &name,
-                     const MetricLabels &labels = {});
-    Distribution &distribution(const std::string &name,
-                               const MetricLabels &labels = {});
-    ThroughputSeries &series(const std::string &name,
-                             const MetricLabels &labels = {},
-                             SimTime bucket_ns = 100 * kNsPerMs);
-
-    /**
-     * Register a pull-source: a component whose stats live elsewhere
-     * (a StatGroup, a TlbCounters struct) contributes a closure that
-     * renders them at snapshot time. Re-registering a name replaces
-     * the previous source; removeSource drops it (components with a
-     * shorter lifetime than the registry must deregister).
-     */
+    /** Register the pull-source @p name; re-registering a name
+     *  replaces the previous source. */
     using Source = std::function<JsonValue()>;
-    void addSource(const std::string &name, Source source);
-    void removeSource(const std::string &name);
+    void
+    addSource(const std::string &name, Source source)
+    {
+        sources[name] = std::move(source);
+    }
 
-    /** Everything -- instruments and sources -- as one JSON doc. */
-    JsonValue snapshot() const;
-
-    /** Kind-mismatch registrations observed (see file comment). */
-    uint64_t collisions() const { return kindCollisions; }
-
-    size_t instrumentCount() const { return instruments.size(); }
-
-    /** Drop all instruments and sources (tests). */
-    void clear();
+    /** Every source rendered now, keyed by name under "sources". */
+    JsonValue
+    snapshot() const
+    {
+        JsonObject out;
+        for (const auto &[name, fn] : sources)
+            out[name] = fn();
+        JsonObject doc;
+        doc["sources"] = JsonValue(std::move(out));
+        return JsonValue(std::move(doc));
+    }
 
   private:
-    enum class Kind
-    {
-        Counter,
-        Distribution,
-        Series,
-    };
-
-    struct Instrument
-    {
-        Kind kind;
-        Counter counter;
-        Distribution distribution;
-        ThroughputSeries series;
-
-        explicit Instrument(Kind k, SimTime bucket_ns = 100 * kNsPerMs)
-            : kind(k), series(bucket_ns)
-        {
-        }
-    };
-
-    /** "name{k1=v1,k2=v2}" with labels sorted by key; duplicate
-     *  label names are deduped (last occurrence wins) so permuted
-     *  duplicates cannot alias distinct instruments. */
-    static std::string key(const std::string &name,
-                           const MetricLabels &labels);
-
-    Instrument &resolve(const std::string &name,
-                        const MetricLabels &labels, Kind kind,
-                        SimTime bucket_ns);
-
-    std::map<std::string, Instrument> instruments;
-    /* Kind-collision escapes live here so their references stay
-     * valid for the registry's lifetime (deque never moves nodes). */
-    std::deque<Instrument> orphans;
     std::map<std::string, Source> sources;
-    uint64_t kindCollisions = 0;
 };
 
 } // namespace cronus::obs

@@ -330,9 +330,10 @@ TEST_P(SrpcInterleavingTest, MatchesDirectExecution)
         for (auto &v : expected)
             v += coeff * v;
         /* Occasionally interleave a sync point. */
-        if (rng.nextBelow(4) == 0)
+        if (rng.nextBelow(4) == 0) {
             ASSERT_TRUE(channel->call("cuCtxSynchronize",
                                       Bytes{}).isOk());
+        }
     }
     auto out = channel->call("cuMemcpyDtoH",
                              CudaRuntime::encodeMemcpyDtoH(va, 16));

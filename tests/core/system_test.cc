@@ -217,29 +217,87 @@ TEST_F(SystemTest, StatsReportCoversTheSystem)
 {
     auto cpu = makeCpuEnclave().value();
     ASSERT_TRUE(system->ecall(cpu, "echo", toBytes("x")).isOk());
+
+    /* A GPU call over sRPC creates the ring grant and moves bytes
+     * through the SMMU. */
+    auto gpu = makeGpuEnclave().value();
+    auto ch = system->connect(cpu, gpu);
+    ASSERT_TRUE(ch.isOk());
+    SrpcChannel &channel = *ch.value();
+    auto va = channel.callSync("cuMemAlloc",
+                               CudaRuntime::encodeMemAlloc(64));
+    ASSERT_TRUE(va.isOk());
+    uint64_t dev_va = CudaRuntime::decodeU64Result(va.value()).value();
+    ASSERT_TRUE(channel
+                    .callSync("cuMemcpyHtoD",
+                              CudaRuntime::encodeMemcpyHtoD(
+                                  dev_va, Bytes(64, 7)))
+                    .isOk());
+
+    /* Panic + recover, then the survivor touches the stale grant
+     * and takes the share trap. */
     ASSERT_TRUE(system->injectPanic("gpu0").isOk());
     ASSERT_TRUE(system->recover("gpu0").isOk());
+    auto trapped = channel.callSync("cuMemAlloc",
+                                    CudaRuntime::encodeMemAlloc(64));
+    EXPECT_EQ(trapped.code(), ErrorCode::PeerFailed);
 
-    JsonValue report = system->statsReport();
-    EXPECT_GT(report["virtual_time_ns"].asInt(), 0);
-    EXPECT_GT(report["monitor"]["world_switches"].asInt(), 0);
-    EXPECT_EQ(report["spm"]["partitions_failed"].asInt(), 1);
-    EXPECT_EQ(report["spm"]["partitions_recovered"].asInt(), 1);
-    EXPECT_EQ(report["spm"]["partitions_created"].asInt(), 3);
+    JsonValue snap = system->metrics().snapshot();
+    const JsonValue &src = snap["sources"];
+
+    /* Every (source, counter) pair the host-time benchmark reads:
+     * a renamed key would silently read as 0 there. */
+    const std::pair<const char *, const char *> benchmark_pairs[] = {
+        {"tlb", "hits"},
+        {"tlb", "misses"},
+        {"smmu", "hits"},
+        {"smmu", "misses"},
+        {"platform", "bus_bytes_copied"},
+        {"monitor", "world_switches"},
+        {"spm", "grants_created"},
+        {"spm", "share_traps"},
+        {"spm", "partitions_recovered"},
+    };
+    for (const auto &[source, counter] : benchmark_pairs) {
+        ASSERT_TRUE(src.has(source)) << source;
+        EXPECT_TRUE(src[source].has(counter)) << source << "." << counter;
+        EXPECT_TRUE(src[source][counter].isNumber())
+            << source << "." << counter;
+    }
+    EXPECT_GT(src["tlb"]["hits"].asInt(), 0);
+    EXPECT_GT(src["smmu"]["hits"].asInt() +
+                  src["smmu"]["misses"].asInt(),
+              0);
+    EXPECT_GT(src["platform"]["bus_bytes_copied"].asInt(), 0);
+    EXPECT_GT(src["spm"]["grants_created"].asInt(), 0);
+    EXPECT_EQ(src["spm"]["share_traps"].asInt(), 1);
+    EXPECT_EQ(src["spm"]["trap_signals"].asInt(), 1);
+
+    EXPECT_GT(src["platform"]["virtual_time_ns"].asInt(), 0);
+    EXPECT_GT(src["monitor"]["world_switches"].asInt(), 0);
+    EXPECT_EQ(src["spm"]["partitions_failed"].asInt(), 1);
+    EXPECT_EQ(src["spm"]["partitions_recovered"].asInt(), 1);
+    EXPECT_EQ(src["spm"]["partitions_created"].asInt(), 3);
+
+    ASSERT_TRUE(src.has("partitions"));
+    ASSERT_EQ(src["partitions"].asObject().size(), 3u);
     bool found_cpu = false;
-    for (const auto &[key, entry] :
-         report["partitions"].asObject()) {
+    for (const auto &[key, entry] : src["partitions"].asObject()) {
+        for (const char *field :
+             {"enclaves", "memory_in_use", "incarnation"})
+            EXPECT_TRUE(entry[field].isNumber()) << key << "." << field;
         if (entry["device"].asString() == "cpu0") {
             found_cpu = true;
             EXPECT_EQ(entry["enclaves"].asInt(), 1);
             EXPECT_GT(entry["memory_in_use"].asInt(), 0);
         }
-        if (entry["device"].asString() == "gpu0")
+        if (entry["device"].asString() == "gpu0") {
             EXPECT_EQ(entry["incarnation"].asInt(), 2);
+        }
     }
     EXPECT_TRUE(found_cpu);
     /* The report is valid JSON end to end. */
-    EXPECT_TRUE(parseJson(report.dump()).isOk());
+    EXPECT_TRUE(parseJson(snap.dump()).isOk());
 }
 
 TEST_F(SystemTest, TimeAdvancesWithWork)

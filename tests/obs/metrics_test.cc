@@ -1,4 +1,4 @@
-/** MetricsRegistry: stable handles, kind collisions, snapshot. */
+/** MetricsRegistry: pull-sources rendered by snapshot. */
 
 #include <gtest/gtest.h>
 
@@ -9,140 +9,40 @@ namespace cronus::obs
 namespace
 {
 
-TEST(MetricsTest, HandlesAreStableAndLabelOrderInsensitive)
-{
-    MetricsRegistry reg;
-    Counter &a = reg.counter(
-        "srpc.bytes", {{"device", "gpu0"}, {"dir", "tx"}});
-    Counter &b = reg.counter(
-        "srpc.bytes", {{"dir", "tx"}, {"device", "gpu0"}});
-    EXPECT_EQ(&a, &b);
-    a.inc(5);
-    EXPECT_EQ(b.value(), 5u);
-    EXPECT_EQ(reg.instrumentCount(), 1u);
-
-    Counter &c = reg.counter(
-        "srpc.bytes", {{"device", "gpu1"}, {"dir", "tx"}});
-    EXPECT_NE(&a, &c);
-    EXPECT_EQ(reg.instrumentCount(), 2u);
-}
-
-TEST(MetricsTest, KindCollisionYieldsPrivateInstrument)
-{
-    MetricsRegistry reg;
-    Counter &c = reg.counter("x");
-    c.inc(3);
-
-    /* Same key, different kind: the caller gets a private orphan so
-     * it never aliases the registered counter's storage. */
-    Distribution &d = reg.distribution("x");
-    d.sample(1.0);
-    EXPECT_EQ(reg.collisions(), 1u);
-    EXPECT_EQ(c.value(), 3u);
-
-    JsonValue snap = reg.snapshot();
-    EXPECT_EQ(snap["counters"]["x"].asInt(), 3);
-    EXPECT_FALSE(snap["distributions"].has("x"));
-    EXPECT_EQ(snap["collisions"].asInt(), 1);
-
-    /* Orphans are address-stable: earlier escapes stay writable
-     * after later collisions. */
-    Distribution &d2 = reg.distribution("x");
-    EXPECT_EQ(reg.collisions(), 2u);
-    EXPECT_NE(&d, &d2);
-    d.sample(2.0);
-    EXPECT_EQ(d.count(), 2u);
-}
-
 TEST(MetricsTest, SnapshotRendersAllKindsAndSources)
 {
     MetricsRegistry reg;
-    reg.counter("ops").inc(2);
+    EXPECT_TRUE(reg.snapshot()["sources"].asObject().empty());
 
-    Distribution &d = reg.distribution("lat");
-    for (int i = 1; i <= 100; ++i)
-        d.sample(i);
-
-    ThroughputSeries &s = reg.series("rate", {}, 1000);
-    s.record(500);
-    s.record(1500);
-    s.record(1600);
-
-    reg.addSource("spm", []() {
+    int64_t grants = 4;
+    reg.addSource("spm", [&grants]() {
         JsonObject o;
-        o["grants"] = int64_t{4};
+        o["grants"] = grants;
+        return JsonValue(std::move(o));
+    });
+    reg.addSource("tlb", []() {
+        JsonObject o;
+        o["hits"] = int64_t{7};
         return JsonValue(std::move(o));
     });
 
     JsonValue snap = reg.snapshot();
-    EXPECT_EQ(snap["counters"]["ops"].asInt(), 2);
-    EXPECT_EQ(snap["distributions"]["lat"]["count"].asInt(), 100);
-    EXPECT_DOUBLE_EQ(snap["distributions"]["lat"]["min"].asDouble(),
-                     1.0);
-    EXPECT_DOUBLE_EQ(snap["distributions"]["lat"]["max"].asDouble(),
-                     100.0);
-    EXPECT_GT(snap["distributions"]["lat"]["p99"].asDouble(),
-              snap["distributions"]["lat"]["p50"].asDouble());
-    EXPECT_EQ(snap["series"]["rate"]["bucketNs"].asInt(), 1000);
-    EXPECT_EQ(snap["series"]["rate"]["buckets"]["0"].asInt(), 1);
-    EXPECT_EQ(snap["series"]["rate"]["buckets"]["1"].asInt(), 2);
     EXPECT_EQ(snap["sources"]["spm"]["grants"].asInt(), 4);
+    EXPECT_EQ(snap["sources"]["tlb"]["hits"].asInt(), 7);
 
-    reg.removeSource("spm");
-    EXPECT_FALSE(reg.snapshot()["sources"].has("spm"));
+    /* Sources are pulled at snapshot time, not at registration. */
+    grants = 5;
+    EXPECT_EQ(reg.snapshot()["sources"]["spm"]["grants"].asInt(), 5);
 
-    reg.clear();
-    EXPECT_EQ(reg.instrumentCount(), 0u);
-    EXPECT_EQ(reg.collisions(), 0u);
-}
-
-TEST(MetricsTest, EmptyDistributionSnapshotsZeroPercentiles)
-{
-    /* count=0 still renders p50/p99/p999 (as 0) so dashboards can
-     * chart percentiles without a per-instrument existence check;
-     * min/max/mean stay omitted -- they have no zero convention. */
-    MetricsRegistry reg;
-    reg.distribution("empty");
-    JsonValue snap = reg.snapshot();
-    EXPECT_EQ(snap["distributions"]["empty"]["count"].asInt(), 0);
-    EXPECT_FALSE(snap["distributions"]["empty"].has("min"));
-    EXPECT_FALSE(snap["distributions"]["empty"].has("mean"));
-    EXPECT_DOUBLE_EQ(snap["distributions"]["empty"]["p50"].asDouble(),
-                     0.0);
-    EXPECT_DOUBLE_EQ(snap["distributions"]["empty"]["p99"].asDouble(),
-                     0.0);
-    EXPECT_DOUBLE_EQ(
-        snap["distributions"]["empty"]["p999"].asDouble(), 0.0);
-}
-
-TEST(MetricsTest, DuplicateLabelNamesCannotAliasInstruments)
-{
-    /* Permuted duplicate label names used to build the raw keys
-     * "m{a=1,a=2}" and "m{a=2,a=1}" -- two spellings, two
-     * instruments, for what sorting alone would then collapse into
-     * one key. Dedupe (last occurrence wins) makes both resolve to
-     * the single instrument "m{a=2}" / "m{a=1}" respectively. */
-    MetricsRegistry reg;
-    Counter &last_two_a = reg.counter("m", {{"a", "1"}, {"a", "2"}});
-    Counter &plain_two = reg.counter("m", {{"a", "2"}});
-    EXPECT_EQ(&last_two_a, &plain_two);
-
-    Counter &last_one_a = reg.counter("m", {{"a", "2"}, {"a", "1"}});
-    Counter &plain_one = reg.counter("m", {{"a", "1"}});
-    EXPECT_EQ(&last_one_a, &plain_one);
-
-    EXPECT_NE(&plain_two, &plain_one);
-    EXPECT_EQ(reg.instrumentCount(), 2u);
-
-    last_two_a.inc(5);
-    last_one_a.inc(9);
-    EXPECT_EQ(plain_two.value(), 5u);
-    EXPECT_EQ(plain_one.value(), 9u);
-}
-
-TEST(MetricsTest, GlobalRegistryIsOneInstance)
-{
-    EXPECT_EQ(&MetricsRegistry::global(), &MetricsRegistry::global());
+    /* Re-registering a name replaces the previous source. */
+    reg.addSource("tlb", []() {
+        JsonObject o;
+        o["hits"] = int64_t{9};
+        return JsonValue(std::move(o));
+    });
+    snap = reg.snapshot();
+    EXPECT_EQ(snap["sources"].asObject().size(), 2u);
+    EXPECT_EQ(snap["sources"]["tlb"]["hits"].asInt(), 9);
 }
 
 } // namespace

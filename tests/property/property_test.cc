@@ -142,8 +142,9 @@ TEST_P(SpmPropertyTest, RandomShareFailRecoverKeepsInvariants)
             if (g.isOk())
                 grants.push_back(g.value());
             /* Double-share of the same page must always fail. */
-            if (g.isOk())
+            if (g.isOk()) {
                 EXPECT_FALSE(spm.sharePages(a, b, page, 1).isOk());
+            }
         } else if (op < 6) {
             /* Random read through stage-2; must never crash, and a
              * PeerFailed result is only legal after a failure. */
@@ -160,8 +161,9 @@ TEST_P(SpmPropertyTest, RandomShareFailRecoverKeepsInvariants)
         } else if (op < 7) {
             /* Fail a random partition. */
             if (spm.partition(a).value()->state ==
-                tee::PartitionState::Ready)
+                tee::PartitionState::Ready) {
                 EXPECT_TRUE(spm.failPartition(a).isOk());
+            }
         } else if (op < 9) {
             /* Recover if failed; its memory must come back zeroed
              * and a fresh incarnation. */
@@ -240,8 +242,9 @@ TEST_P(CrashStreamTest, CrashMidStreamNeverYieldsWrongData)
     int completed = 0;
     bool failed = false;
     for (int i = 0; i < 20; ++i) {
-        if (i == crash_after)
+        if (i == crash_after) {
             ASSERT_TRUE(system->injectPanic("gpu0").isOk());
+        }
         auto r = channel->call(
             "cuLaunchKernel",
             CudaRuntime::encodeLaunchKernel(
