@@ -10,9 +10,8 @@
 #include <vector>
 
 #include "baseline/cronus_backend.hh"
+#include "baseline/direct.hh"
 #include "baseline/hix_tz.hh"
-#include "baseline/monolithic_tz.hh"
-#include "baseline/native.hh"
 #include "obs/trace.hh"
 
 namespace cronus::bench
@@ -33,21 +32,15 @@ makeBackend(const std::string &which,
             const std::vector<std::string> &kernels)
 {
     Logger::instance().setQuiet(true);
-    if (which == "Linux") {
-        baseline::NativeConfig c;
-        c.gpuKernels = kernels;
-        return std::make_unique<baseline::NativeBackend>(c);
-    }
-    if (which == "TrustZone") {
-        baseline::MonolithicConfig c;
-        c.gpuKernels = kernels;
-        return std::make_unique<baseline::MonolithicTzBackend>(c);
-    }
-    if (which == "HIX-TrustZone") {
-        baseline::HixConfig c;
-        c.gpuKernels = kernels;
-        return std::make_unique<baseline::HixTzBackend>(c);
-    }
+    using Kind = baseline::DirectBackend::Kind;
+    if (which == "Linux")
+        return std::make_unique<baseline::DirectBackend>(Kind::Linux,
+                                                         kernels);
+    if (which == "TrustZone")
+        return std::make_unique<baseline::DirectBackend>(
+            Kind::TrustZone, kernels);
+    if (which == "HIX-TrustZone")
+        return std::make_unique<baseline::HixTzBackend>(kernels);
     baseline::CronusBackendConfig c;
     c.gpuKernels = kernels;
     return std::make_unique<baseline::CronusBackend>(c);

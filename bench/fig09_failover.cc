@@ -62,11 +62,11 @@ main()
 
     std::printf("crash scheduled at t=%llu ms into task A's "
                 "partition (seed %llu)\n\n",
-                static_cast<unsigned long long>(config.crashAtNs /
+                static_cast<unsigned long long>(kFailoverCrashAtNs /
                                                 kNsPerMs),
-                static_cast<unsigned long long>(config.faultSeed));
-    printSeries("task A", t.taskARate, config.bucketNs);
-    printSeries("task B", t.taskBRate, config.bucketNs);
+                static_cast<unsigned long long>(kFailoverFaultSeed));
+    printSeries("task A", t.taskARate, kFailoverBucketNs);
+    printSeries("task B", t.taskBRate, kFailoverBucketNs);
 
     std::printf("\n%-34s %14s\n", "recovery strategy",
                 "downtime");

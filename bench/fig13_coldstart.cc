@@ -271,12 +271,6 @@ main()
 
     /* --- warm: module resident in the store --- */
     Rig warm_rig;
-    if (!warm_rig.system->moduleStoreEnabled()) {
-        std::printf("module store disabled "
-                    "(CRONUS_DISABLE_MODSTORE set?) -- figure 13 "
-                    "needs it\n");
-        return 1;
-    }
     /* Untimed admission so every measured request is a hit. */
     auto admitted = warm_rig.system->moduleStore().admit(
         warm_rig.worker.manifestJson, warm_rig.worker.imageName,

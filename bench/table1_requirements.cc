@@ -70,9 +70,8 @@ probeSystem(const std::string &system)
     if (!backend->isProtected()) {
         row.r32 = false;
     } else if (system == "TrustZone") {
-        baseline::MonolithicConfig c;
-        c.gpuKernels = {"vec_add_f32"};
-        baseline::MonolithicTzBackend tz(c);
+        baseline::DirectBackend tz(
+            baseline::DirectBackend::Kind::TrustZone, {"vec_add_f32"});
         auto va = tz.gpuAlloc(64);
         Bytes secret = toBytes("tenant-secret");
         tz.copyToGpu(va.value(), secret);

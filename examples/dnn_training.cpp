@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "baseline/cronus_backend.hh"
-#include "baseline/native.hh"
+#include "baseline/direct.hh"
 #include "workloads/dnn.hh"
 
 using namespace cronus;
@@ -23,9 +23,8 @@ main()
     config.batchSize = 32;
     config.iterations = 6;
 
-    baseline::NativeConfig native_cfg;
-    native_cfg.gpuKernels = dnnKernelNames();
-    baseline::NativeBackend native(native_cfg);
+    baseline::DirectBackend native(baseline::DirectBackend::Kind::Linux,
+                                   dnnKernelNames());
 
     baseline::CronusBackendConfig cronus_cfg;
     cronus_cfg.gpuKernels = dnnKernelNames();

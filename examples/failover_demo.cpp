@@ -50,10 +50,10 @@ main()
 
     std::printf("two matrix tasks, crash of task A's partition at "
                 "t=%llu ms\n\n",
-                static_cast<unsigned long long>(config.crashAtNs /
+                static_cast<unsigned long long>(kFailoverCrashAtNs /
                                                 kNsPerMs));
-    printTimeline("task A", t.taskARate, config.bucketNs);
-    printTimeline("task B", t.taskBRate, config.bucketNs);
+    printTimeline("task A", t.taskARate, kFailoverBucketNs);
+    printTimeline("task B", t.taskBRate, kFailoverBucketNs);
 
     std::printf("\npartition recovery: %.0f ms "
                 "(machine reboot comparator: %.0f s)\n",

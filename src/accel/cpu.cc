@@ -14,7 +14,7 @@ CpuDevice::mmioRead(uint64_t offset)
 {
     switch (offset) {
       case 0x0: return uint64_t(0x43505553);  /* 'CPUS' */
-      case 0x8: return uint64_t(cfg.cores);
+      case 0x8: return uint64_t(kCores);
       default:
         return Status(ErrorCode::AccessFault, "cpu mmio oob read");
     }
@@ -65,7 +65,7 @@ CpuDevice::execute(CpuContextId ctx, uint64_t work_units,
             return s;
     }
     it->second += work_units;
-    return static_cast<SimTime>(work_units * cfg.nsPerWorkUnit);
+    return static_cast<SimTime>(work_units * kNsPerWorkUnit);
 }
 
 crypto::Signature
@@ -74,7 +74,7 @@ CpuDevice::attestConfig(const Bytes &challenge) const
     ByteWriter w;
     w.putString(cfg.name);
     w.putString(devCompatible);
-    w.putU64(cfg.cores);
+    w.putU64(kCores);
     w.putBytes(challenge);
     return crypto::sign(rotKeys, w.take());
 }

@@ -27,9 +27,6 @@ using CpuContextId = uint32_t;
 struct CpuConfig
 {
     std::string name = "cpu0";
-    uint32_t cores = 4;
-    /** Virtual ns charged per abstract work unit. */
-    double nsPerWorkUnit = 1.0;
     Bytes rotSeed = {'c', 'p', 'u', '-', 'r', 'o', 't'};
 };
 
@@ -37,6 +34,10 @@ class CpuDevice : public hw::Device
 {
   public:
     explicit CpuDevice(const CpuConfig &config = CpuConfig());
+
+    static constexpr uint32_t kCores = 4;
+    /** Virtual ns charged per abstract work unit. */
+    static constexpr double kNsPerWorkUnit = 1.0;
 
     Result<uint64_t> mmioRead(uint64_t offset) override;
     Status mmioWrite(uint64_t offset, uint64_t value) override;

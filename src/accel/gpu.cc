@@ -8,6 +8,14 @@
 namespace cronus::accel
 {
 
+namespace
+{
+
+/** Extra per-active-peer contention penalty (Fig. 11a droop). */
+constexpr double kContentionPenalty = 0.06;
+
+} // namespace
+
 /* ------------------------------------------------------------------ */
 /* GpuAccessor                                                         */
 /* ------------------------------------------------------------------ */
@@ -148,7 +156,7 @@ GpuDevice::findContext(GpuContextId ctx)
 Result<GpuContextId>
 GpuDevice::createContext()
 {
-    if (contexts.size() >= cfg.maxContexts)
+    if (contexts.size() >= kMaxContexts)
         return Status(ErrorCode::ResourceExhausted,
                       "GPU context limit reached");
     GpuContextId id = nextCtx++;
@@ -410,7 +418,7 @@ GpuDevice::launch(GpuContextId ctx, const std::string &kernel,
         }
     }
     double dilation = std::max(1.0, total_util) *
-                      (1.0 + cfg.contentionPenalty * peers);
+                      (1.0 + kContentionPenalty * peers);
 
     double busy_ns = info->launchOverheadNs +
                      dims.workItems * info->nsPerItem * dilation;

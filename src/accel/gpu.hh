@@ -138,10 +138,6 @@ struct GpuConfig
 {
     std::string name = "gpu0";
     uint64_t vramBytes = 64ull << 20;
-    /** Max contexts (channels) the device supports. */
-    uint32_t maxContexts = 16;
-    /** Extra per-active-peer contention penalty (Fig. 11a droop). */
-    double contentionPenalty = 0.06;
     Bytes rotSeed = {'g', 'p', 'u', '-', 'r', 'o', 't'};
 };
 
@@ -149,6 +145,9 @@ class GpuDevice : public hw::Device
 {
   public:
     explicit GpuDevice(const GpuConfig &config = GpuConfig());
+
+    /** Max contexts (channels) the device supports. */
+    static constexpr uint32_t kMaxContexts = 16;
 
     /* --- hw::Device interface --- */
     Result<uint64_t> mmioRead(uint64_t offset) override;
@@ -205,14 +204,6 @@ class GpuDevice : public hw::Device
 
     /** Number of contexts with work in flight at time @p now. */
     uint32_t activeContexts(SimTime now) const;
-
-    /* --- peer-to-peer (Fig. 11b) --- */
-    /** Direct VRAM read for P2P DMA; checked against the context. */
-    Status p2pRead(GpuContextId ctx, GpuVa va, uint8_t *out,
-                   uint64_t len)
-    {
-        return read(ctx, va, out, len);
-    }
 
     /* --- attestation --- */
     const crypto::PublicKey &devicePublicKey() const

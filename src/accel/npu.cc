@@ -8,6 +8,18 @@
 namespace cronus::accel
 {
 
+namespace
+{
+
+constexpr uint64_t kAccumElems = 1 << 18;  ///< int32 accumulators
+/** ns per MAC at full throughput. */
+constexpr double kNsPerMac = 0.05;
+/** ns per byte moved between DRAM buffer and SRAM. */
+constexpr double kNsPerByte = 0.25;
+constexpr uint64_t kInsnOverheadNs = 200;
+
+} // namespace
+
 NpuDevice::NpuDevice(const NpuConfig &config)
     : hw::Device(config.name, "tvm,vta-fsim", 0x1000), cfg(config),
       rotKeys(crypto::deriveKeyPair(config.rotSeed))
@@ -20,7 +32,7 @@ NpuDevice::mmioRead(uint64_t offset)
     switch (offset) {
       case 0x0: return uint64_t(0x56544121);  /* 'VTA!' magic */
       case 0x8: return uint64_t(contexts.size());
-      case 0x10: return cfg.sramBytes;
+      case 0x10: return kSramBytes;
       default:
         return Status(ErrorCode::AccessFault, "npu mmio oob read");
     }
@@ -61,9 +73,9 @@ NpuDevice::createContext()
 {
     NpuContextId id = nextCtx++;
     Context context;
-    context.inputSram.assign(cfg.sramBytes, 0);
-    context.weightSram.assign(cfg.sramBytes, 0);
-    context.accum.assign(cfg.accumElems, 0);
+    context.inputSram.assign(kSramBytes, 0);
+    context.weightSram.assign(kSramBytes, 0);
+    context.accum.assign(kAccumElems, 0);
     contexts.emplace(id, std::move(context));
     return id;
 }
@@ -91,7 +103,7 @@ NpuDevice::allocBuffer(NpuContextId ctx, uint64_t bytes)
     Context &context = *c.value();
     if (bytes == 0)
         return Status(ErrorCode::InvalidArgument, "zero buffer");
-    if (context.dramUsed + bytes > cfg.dramBytes)
+    if (context.dramUsed + bytes > kDramBytes)
         return Status(ErrorCode::ResourceExhausted,
                       "NPU DRAM quota exceeded");
     uint32_t id = context.nextBuffer++;
@@ -137,7 +149,7 @@ Status
 NpuDevice::execute(Context &context, const NpuInsn &insn,
                    double &cost_ns)
 {
-    cost_ns = cfg.insnOverheadNs;
+    cost_ns = kInsnOverheadNs;
     switch (insn.op) {
       case NpuOp::Load: {
         auto it = context.buffers.find(insn.buffer);
@@ -160,7 +172,7 @@ NpuDevice::execute(Context &context, const NpuInsn &insn,
                           "LOAD: SRAM range overflow");
         std::memcpy(bank->data() + insn.sramOffset,
                     src.data() + insn.dramOffset, insn.length);
-        cost_ns += insn.length * cfg.nsPerByte;
+        cost_ns += insn.length * kNsPerByte;
         return Status::ok();
       }
       case NpuOp::Gemm: {
@@ -188,7 +200,7 @@ NpuDevice::execute(Context &context, const NpuInsn &insn,
             }
         }
         cost_ns += double(insn.rows) * insn.cols * insn.inner *
-                   cfg.nsPerMac;
+                   kNsPerMac;
         return Status::ok();
       }
       case NpuOp::Alu: {
@@ -205,7 +217,7 @@ NpuDevice::execute(Context &context, const NpuInsn &insn,
               case NpuAluOp::MaxImm: v = std::max(v, insn.imm); break;
             }
         }
-        cost_ns += insn.aluElems * cfg.nsPerMac * 0.5;
+        cost_ns += insn.aluElems * kNsPerMac * 0.5;
         return Status::ok();
       }
       case NpuOp::Store: {
@@ -225,7 +237,7 @@ NpuDevice::execute(Context &context, const NpuInsn &insn,
             dst[insn.dramOffset + i] = static_cast<uint8_t>(
                 static_cast<int8_t>(v));
         }
-        cost_ns += insn.length * cfg.nsPerByte;
+        cost_ns += insn.length * kNsPerByte;
         return Status::ok();
       }
     }
@@ -266,7 +278,7 @@ NpuDevice::attestConfig(const Bytes &challenge) const
     ByteWriter w;
     w.putString(cfg.name);
     w.putString(devCompatible);
-    w.putU64(cfg.sramBytes);
+    w.putU64(kSramBytes);
     w.putBytes(challenge);
     return crypto::sign(rotKeys, w.take());
 }

@@ -92,14 +92,6 @@ struct NpuProgram
 struct NpuConfig
 {
     std::string name = "npu0";
-    uint64_t sramBytes = 1 << 20;     ///< per bank
-    uint64_t accumElems = 1 << 18;    ///< int32 accumulator elements
-    uint64_t dramBytes = 16ull << 20; ///< per-context buffer space
-    /** ns per MAC at full throughput. */
-    double nsPerMac = 0.05;
-    /** ns per byte moved between DRAM buffer and SRAM. */
-    double nsPerByte = 0.25;
-    uint64_t insnOverheadNs = 200;
     Bytes rotSeed = {'n', 'p', 'u', '-', 'r', 'o', 't'};
 };
 
@@ -108,11 +100,14 @@ class NpuDevice : public hw::Device
   public:
     explicit NpuDevice(const NpuConfig &config = NpuConfig());
 
+    static constexpr uint64_t kSramBytes = 1 << 20;     ///< per bank
+    static constexpr uint64_t kDramBytes = 16ull << 20; ///< per context
+
     /* --- hw::Device interface --- */
     Result<uint64_t> mmioRead(uint64_t offset) override;
     Status mmioWrite(uint64_t offset, uint64_t value) override;
     void reset(bool clear_memory) override;
-    uint64_t memoryBytes() const override { return cfg.dramBytes; }
+    uint64_t memoryBytes() const override { return kDramBytes; }
 
     /* --- context management --- */
     Result<NpuContextId> createContext();

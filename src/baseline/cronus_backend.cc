@@ -63,7 +63,6 @@ CronusBackend::CronusBackend(const CronusBackendConfig &config)
         });
 
     core::CronusConfig sc;
-    sc.gpuVramBytes = cfg.gpuVramBytes;
     sc.withNpu = cfg.withNpu;
     sys = std::make_unique<core::CronusSystem>(sc);
 

@@ -17,7 +17,6 @@ namespace cronus::baseline
 
 struct CronusBackendConfig
 {
-    uint64_t gpuVramBytes = 64ull << 20;
     std::vector<std::string> gpuKernels;
     bool withNpu = true;
 };

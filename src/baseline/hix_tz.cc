@@ -6,16 +6,24 @@
 namespace cronus::baseline
 {
 
-HixTzBackend::HixTzBackend(const HixConfig &config) : cfg(config)
+namespace
+{
+
+/** Payload bytes per hardware control message. */
+constexpr uint64_t kMessageBytes = 16 * 1024;
+/** Control messages per kernel launch (submit + doorbell). */
+constexpr uint32_t kMessagesPerLaunch = 2;
+
+} // namespace
+
+HixTzBackend::HixTzBackend(std::vector<std::string> gpu_kernels)
+    : kernels(std::move(gpu_kernels))
 {
     plat = std::make_unique<hw::Platform>();
     accel::registerBuiltinKernels();
 
-    accel::GpuConfig gc;
-    gc.vramBytes = cfg.gpuVramBytes;
-    gpu = static_cast<accel::GpuDevice *>(
-        plat->registerDevice(std::make_unique<accel::GpuDevice>(gc),
-                             40));
+    gpu = static_cast<accel::GpuDevice *>(plat->registerDevice(
+        std::make_unique<accel::GpuDevice>(), 40));
 
     monitor = std::make_unique<tee::SecureMonitor>(*plat);
     hw::DeviceTree dt = plat->buildDeviceTree();
@@ -28,8 +36,8 @@ HixTzBackend::HixTzBackend(const HixConfig &config) : cfg(config)
     CRONUS_ASSERT(booted.isOk(), "HIX boot failed");
 
     gpuCtx = gpu->createContext().value();
-    if (!cfg.gpuKernels.empty()) {
-        accel::GpuModuleImage image{"hix.cubin", cfg.gpuKernels};
+    if (!kernels.empty()) {
+        accel::GpuModuleImage image{"hix.cubin", kernels};
         Status s = gpu->loadModule(gpuCtx, image);
         CRONUS_ASSERT(s.isOk(), "HIX module load failed");
     }
@@ -133,8 +141,8 @@ HixTzBackend::copyToGpu(uint64_t va, const Bytes &data)
     /* Chunked at the control-message payload size, one lock-step
      * round trip per chunk. */
     for (uint64_t off = 0; off < data.size();
-         off += cfg.messageBytes) {
-        uint64_t len = std::min<uint64_t>(cfg.messageBytes,
+         off += kMessageBytes) {
+        uint64_t len = std::min<uint64_t>(kMessageBytes,
                                           data.size() - off);
         Bytes chunk(data.begin() + off, data.begin() + off + len);
         CRONUS_RETURN_IF_ERROR(rpcRoundTrip(chunk));
@@ -155,8 +163,8 @@ HixTzBackend::copyFromGpu(uint64_t va, uint64_t len)
     CRONUS_RETURN_IF_ERROR(gpuSynchronize());
     Bytes out;
     out.reserve(len);
-    for (uint64_t off = 0; off < len; off += cfg.messageBytes) {
-        uint64_t n = std::min<uint64_t>(cfg.messageBytes, len - off);
+    for (uint64_t off = 0; off < len; off += kMessageBytes) {
+        uint64_t n = std::min<uint64_t>(kMessageBytes, len - off);
         Bytes chunk(n);
         plat->clock().advance(plat->costs().gpuCopyCmdNs);
         CRONUS_RETURN_IF_ERROR(
@@ -175,7 +183,7 @@ HixTzBackend::launchKernel(const std::string &kernel,
 {
     CRONUS_RETURN_IF_ERROR(ensureAlive());
     /* Submit + doorbell: one round trip per control message. */
-    for (uint32_t i = 0; i < cfg.messagesPerLaunch; ++i) {
+    for (uint32_t i = 0; i < kMessagesPerLaunch; ++i) {
         ByteWriter w;
         w.putString("launch-msg");
         w.putU32(i);
@@ -258,8 +266,8 @@ HixTzBackend::recoverGpu()
     plat->clock().advance(cost);
     gpu->reset(true);
     gpuCtx = gpu->createContext().value();
-    if (!cfg.gpuKernels.empty()) {
-        accel::GpuModuleImage image{"hix.cubin", cfg.gpuKernels};
+    if (!kernels.empty()) {
+        accel::GpuModuleImage image{"hix.cubin", kernels};
         CRONUS_RETURN_IF_ERROR(gpu->loadModule(gpuCtx, image));
     }
     gpuEnclaveDown = false;

@@ -28,16 +28,6 @@
 namespace cronus::baseline
 {
 
-struct HixConfig
-{
-    uint64_t gpuVramBytes = 64ull << 20;
-    std::vector<std::string> gpuKernels;
-    /** Payload bytes per hardware control message. */
-    uint64_t messageBytes = 16 * 1024;
-    /** Control messages per kernel launch (submit + doorbell). */
-    uint32_t messagesPerLaunch = 2;
-};
-
 /** One observed (encrypted) RPC message, as the normal OS sees it. */
 struct ObservedMessage
 {
@@ -49,7 +39,8 @@ struct ObservedMessage
 class HixTzBackend : public ComputeBackend
 {
   public:
-    explicit HixTzBackend(const HixConfig &config = HixConfig());
+    /** @p gpu_kernels is the module loaded into the one context. */
+    explicit HixTzBackend(std::vector<std::string> gpu_kernels);
 
     std::string name() const override { return "HIX-TrustZone"; }
     bool isProtected() const override { return true; }
@@ -92,7 +83,7 @@ class HixTzBackend : public ComputeBackend
     /** One lock-step round trip carrying @p payload bytes. */
     Status rpcRoundTrip(const Bytes &payload);
 
-    HixConfig cfg;
+    std::vector<std::string> kernels;
     std::unique_ptr<hw::Platform> plat;
     std::unique_ptr<tee::SecureMonitor> monitor;
     accel::GpuDevice *gpu = nullptr;

@@ -70,8 +70,7 @@ migrationStageFromName(const std::string &name)
 }
 
 Cluster::Cluster(const ClusterConfig &config)
-    : cfg(config), fabric(fleetClock, config.link),
-      placer(config.degradedPenalty)
+    : cfg(config), fabric(fleetClock, config.link)
 {
     for (uint32_t i = 0; i < cfg.numNodes; ++i) {
         auto n = std::make_unique<ClusterNode>(

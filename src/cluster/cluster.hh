@@ -58,8 +58,6 @@ struct ClusterConfig
     LinkCostModel link;
     /** Auto-checkpoint after this many acked calls (0 = manual). */
     uint32_t autoCheckpointEvery = 0;
-    /** FleetDispatcher score penalty for Degraded nodes. */
-    uint64_t degradedPenalty = 1ull << 20;
     /** Ignored: the fleet always runs serially. Kept only so that
      *  configurations which still set it keep compiling. */
     int parallelWorkers = -1;

@@ -3,6 +3,15 @@
 namespace cronus::cluster
 {
 
+namespace
+{
+
+/** Score penalty for Degraded nodes: larger than any live-enclave
+ *  count, so they are picked only when nothing else is placeable. */
+constexpr uint64_t kDegradedPenalty = 1ull << 20;
+
+} // namespace
+
 Result<NodeId>
 FleetDispatcher::placeNode(
     const std::vector<std::unique_ptr<ClusterNode>> &nodes,
@@ -16,7 +25,7 @@ FleetDispatcher::placeNode(
             continue;
         uint64_t score = node->liveEnclaves;
         if (node->health() == NodeHealth::Degraded)
-            score += penalty;
+            score += kDegradedPenalty;
         /* Strictly-less keeps the lowest-id winner on ties. */
         if (!found || score < bestScore) {
             found = true;

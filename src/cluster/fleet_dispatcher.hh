@@ -28,12 +28,6 @@ namespace cronus::cluster
 class FleetDispatcher
 {
   public:
-    /** @p degraded_penalty is added to a Degraded node's score. */
-    explicit FleetDispatcher(uint64_t degraded_penalty = 1ull << 20)
-        : penalty(degraded_penalty)
-    {
-    }
-
     /**
      * Choose a placement target among @p nodes (non-owning; the
      * cluster's node table). ResourceExhausted when no node is
@@ -57,7 +51,6 @@ class FleetDispatcher
     }
 
   private:
-    uint64_t penalty;
     PlacementObserver observer;
 };
 

@@ -18,9 +18,7 @@
  * Capacity is bounded: records are evicted LRU when the configured
  * byte budget would be exceeded, releasing their SPM reservation.
  * The store is an opt-in subsystem (CronusConfig::moduleStoreBytes,
- * default off) because hits change virtual time; the ablation
- * toggle CRONUS_DISABLE_MODSTORE forces it off for byte-identity
- * runs.
+ * default off) because hits change virtual time.
  */
 
 #ifndef CRONUS_CORE_MODULE_STORE_HH

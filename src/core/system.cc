@@ -1,7 +1,5 @@
 #include "system.hh"
 
-#include <cstdlib>
-
 #include "base/logging.hh"
 #include "crypto/aes.hh"
 #include "crypto/sha256.hh"
@@ -12,12 +10,11 @@ namespace cronus::core
 namespace
 {
 
-bool
-moduleStoreForcedOff()
-{
-    const char *env = std::getenv("CRONUS_DISABLE_MODSTORE");
-    return env != nullptr && env[0] != '\0';
-}
+/** Machine shape of every node: per-GPU VRAM and the two halves of
+ *  physical memory. */
+constexpr uint64_t kGpuVramBytes = 64ull << 20;
+constexpr uint64_t kNormalMemBytes = 128ull << 20;
+constexpr uint64_t kSecureMemBytes = 192ull << 20;
 
 JsonValue
 tlbJson(const hw::TlbCounters &c)
@@ -35,8 +32,8 @@ tlbJson(const hw::TlbCounters &c)
 CronusSystem::CronusSystem(const CronusConfig &config) : cfg(config)
 {
     hw::PlatformConfig pc;
-    pc.normalMemBytes = cfg.normalMemBytes;
-    pc.secureMemBytes = cfg.secureMemBytes;
+    pc.normalMemBytes = kNormalMemBytes;
+    pc.secureMemBytes = kSecureMemBytes;
     pc.externalClock = cfg.sharedClock;
     /* Named fleet members carry distinct root-of-trust identities;
      * anonymous (single-node) systems keep the default seed. */
@@ -72,7 +69,7 @@ CronusSystem::CronusSystem(const CronusConfig &config) : cfg(config)
     for (uint32_t i = 0; i < cfg.numGpus; ++i) {
         accel::GpuConfig gc;
         gc.name = "gpu" + std::to_string(i);
-        gc.vramBytes = cfg.gpuVramBytes;
+        gc.vramBytes = kGpuVramBytes;
         gc.rotSeed = toBytes("gpu-rot-" + std::to_string(i));
         auto *dev = static_cast<accel::GpuDevice *>(
             plat->registerDevice(std::make_unique<accel::GpuDevice>(gc),
@@ -102,9 +99,8 @@ CronusSystem::CronusSystem(const CronusConfig &config) : cfg(config)
     partitionManager = std::make_unique<tee::Spm>(*sm, cfg.backend);
     nw = std::make_unique<tee::NormalWorld>(*sm, *partitionManager);
 
-    /* Module store: opt-in (cache hits change virtual time), and the
-     * ablation toggle wins over the config. */
-    if (cfg.moduleStoreBytes > 0 && !moduleStoreForcedOff())
+    /* Module store: opt-in (cache hits change virtual time). */
+    if (cfg.moduleStoreBytes > 0)
         modStore = std::make_unique<ModuleStore>(
             *partitionManager, cfg.moduleStoreBytes);
 

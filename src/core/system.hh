@@ -30,16 +30,11 @@ struct CronusConfig
 {
     uint32_t numGpus = 1;
     bool withNpu = true;
-    uint64_t gpuVramBytes = 64ull << 20;
-    uint64_t normalMemBytes = 128ull << 20;
-    uint64_t secureMemBytes = 192ull << 20;
     uint64_t partitionMemBytes = 24ull << 20;
     /**
      * SPM-resident module-store capacity; 0 (the default) disables
      * the store. Opt-in because cache hits change virtual time;
      * figure benches that must stay byte-identical never set it.
-     * The CRONUS_DISABLE_MODSTORE environment toggle (non-empty)
-     * forces the store off even when configured, for ablations.
      */
     uint64_t moduleStoreBytes = 0;
     /**
@@ -122,8 +117,7 @@ class CronusSystem
 
     /* --- module store + warm pool (cold-start amortization) --- */
 
-    /** Whether the module store is active (configured and not
-     *  force-disabled through CRONUS_DISABLE_MODSTORE). */
+    /** Whether the module store is active (moduleStoreBytes > 0). */
     bool moduleStoreEnabled() const { return modStore != nullptr; }
 
     /** The store; only valid when moduleStoreEnabled(). */

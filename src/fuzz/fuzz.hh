@@ -43,7 +43,6 @@ struct FuzzOptions
     bool plantBug = false;
     /** Shrink failing scenarios to a minimal repro. */
     bool shrink = true;
-    uint32_t maxShrinkAttempts = 400;
     /** Emit a flight-recorder dump when an oracle fails. The
      *  shrinker turns this off for its probe runs so a shrink does
      *  not spam hundreds of dumps. */

@@ -6,6 +6,9 @@ namespace cronus::fuzz
 namespace
 {
 
+/** Oracle runs one shrink may spend. */
+constexpr uint32_t kMaxShrinkAttempts = 400;
+
 /** Does @p sc still fail the oracles? Charges one attempt; once the
  *  budget is gone every candidate is treated as passing, which stops
  *  the shrink where it stands. */
@@ -13,7 +16,7 @@ bool
 stillFails(const Scenario &sc, const FuzzOptions &opts,
            uint32_t &attempts)
 {
-    if (attempts >= opts.maxShrinkAttempts)
+    if (attempts >= kMaxShrinkAttempts)
         return false;
     ++attempts;
     FuzzOptions probe = opts;
@@ -35,11 +38,11 @@ shrinkScenario(const Scenario &sc, const FuzzOptions &opts)
     size_t chunk = cur.ops.size() / 2;
     if (chunk == 0)
         chunk = 1;
-    while (attempts < opts.maxShrinkAttempts) {
+    while (attempts < kMaxShrinkAttempts) {
         bool removed = false;
         size_t start = 0;
         while (start < cur.ops.size() &&
-               attempts < opts.maxShrinkAttempts) {
+               attempts < kMaxShrinkAttempts) {
             Scenario cand = cur;
             size_t end = std::min(start + chunk, cand.ops.size());
             cand.ops.erase(cand.ops.begin() + start,

@@ -41,8 +41,6 @@ Platform::busRead(World from, PhysAddr addr, uint8_t *out,
     Status s = classifyAccess(from, addr, len, false);
     if (!s.isOk())
         return s;
-    if (busObserver)
-        busObserver(from, addr, len, false);
     bytesCopied->inc(len);
     return memory.read(addr, out, len);
 }
@@ -54,8 +52,6 @@ Platform::busWrite(World from, PhysAddr addr, const uint8_t *data,
     Status s = classifyAccess(from, addr, len, true);
     if (!s.isOk())
         return s;
-    if (busObserver)
-        busObserver(from, addr, len, true);
     bytesCopied->inc(len);
     return memory.write(addr, data, len);
 }
@@ -75,8 +71,6 @@ Platform::busBorrow(World from, PhysAddr addr, uint64_t len,
             *fault = s;
         return MemSpan{};
     }
-    if (busObserver)
-        busObserver(from, addr, len, is_write);
     return memory.borrow(addr, len);
 }
 

@@ -70,31 +70,24 @@ class Platform
 
     /**
      * Borrow a zero-copy window into DRAM, with the same TZASC
-     * filtering and bus-observer visibility as a copying access.
-     * Returns a null span if the range crosses a page boundary (the
-     * caller falls back to the copy path) or fails the TZASC check.
-     * @p is_write selects the access kind the observer sees; a span
-     * intended for writing must be borrowed with is_write = true.
+     * filtering as a copying access. Returns a null span if the
+     * range crosses a page boundary (the caller falls back to the
+     * copy path) or fails the TZASC check. @p is_write selects the
+     * access kind the filter checks; a span intended for writing
+     * must be borrowed with is_write = true.
      */
     MemSpan busBorrow(World from, PhysAddr addr, uint64_t len,
                       bool is_write, Status *fault = nullptr);
 
     /**
-     * Bookkeeping for a software-TLB fast-path access: fires the bus
-     * observer and byte counter exactly as busRead/busWrite would.
-     * The SPM uses this when a TLB hit with an annotated host page
-     * lets it copy directly; the TZASC check is elided because it is
+     * Bookkeeping for a software-TLB fast-path access: bumps the
+     * byte counter exactly as busRead/busWrite would. The SPM uses
+     * this when a TLB hit with an annotated host page lets it copy
+     * directly; the TZASC check is elided because it is
      * unconditional for secure-world accesses, the only traffic the
      * fast path carries.
      */
-    void
-    noteFastPathAccess(World from, PhysAddr addr, uint64_t len,
-                       bool is_write)
-    {
-        if (busObserver)
-            busObserver(from, addr, len, is_write);
-        bytesCopied->inc(len);
-    }
+    void noteFastPathAccess(uint64_t len) { bytesCopied->inc(len); }
 
     /* --- checked device access (applies TZPC gating) --- */
     Result<Device *> accessDevice(const std::string &name, World from);
@@ -143,20 +136,6 @@ class Platform
     void chargeDma(uint64_t bytes);
 
     /**
-     * Observe every checked bus access that passed TZASC filtering,
-     * before the memory operation executes. Used by the fault
-     * injector (virtual-time triggers, clock skew) and by tracing;
-     * the observer must not issue bus accesses itself.
-     */
-    using BusObserver =
-        std::function<void(World from, PhysAddr addr, uint64_t len,
-                           bool is_write)>;
-    void setBusObserver(BusObserver observer)
-    {
-        busObserver = std::move(observer);
-    }
-
-    /**
      * Replace the TZASC as the bus access classifier. Installed by
      * isolation backends whose substrate has no TZASC (the RISC-V
      * PMP backend classifies untrusted traffic with a locked
@@ -197,7 +176,6 @@ class Platform
     CostModel costModel;
     StatGroup statGroup;
 
-    BusObserver busObserver;
     BusFilter busFilter;
     /* Cached so the hot path skips the StatGroup map lookup. */
     Counter *bytesCopied = nullptr;

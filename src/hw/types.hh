@@ -72,7 +72,6 @@ struct PagePerms
 
     static PagePerms rw() { return {true, true, false}; }
     static PagePerms ro() { return {true, false, false}; }
-    static PagePerms rwx() { return {true, true, true}; }
 };
 
 } // namespace cronus::hw

@@ -64,7 +64,7 @@ CpuHal::attestDevice(const Bytes &challenge)
     ByteWriter w;
     w.putString(cpu->config().name);
     w.putString(cpu->compatible());
-    w.putU64(cpu->config().cores);
+    w.putU64(accel::CpuDevice::kCores);
     w.putBytes(challenge);
     if (!crypto::verify(att.devicePublicKey, w.take(),
                         att.configSignature))

@@ -95,7 +95,7 @@ NpuHal::attestDevice(const Bytes &challenge)
     ByteWriter w;
     w.putString(npu.config().name);
     w.putString(npu.compatible());
-    w.putU64(npu.config().sramBytes);
+    w.putU64(accel::NpuDevice::kSramBytes);
     w.putBytes(challenge);
     if (!crypto::verify(att.devicePublicKey, w.take(),
                         att.configSignature))

@@ -79,7 +79,7 @@ Supervisor::watch(const std::string &device, bool hang_detect)
     if (p.isOk())
         w.lastSeenHeartbeat = p.value()->heartbeat;
     w.nextHangPoll =
-        sys.platform().clock().now() + cfg.pollPeriodNs;
+        sys.platform().clock().now() + kPollPeriodNs;
     watches.emplace(device, w);
     return Status::ok();
 }
@@ -184,7 +184,7 @@ Supervisor::pump()
             if (w.hangDetect && clock.now() >= w.nextHangPoll) {
                 clock.advance(
                     sys.platform().costs().hangPollNs);
-                w.nextHangPoll = clock.now() + cfg.pollPeriodNs;
+                w.nextHangPoll = clock.now() + kPollPeriodNs;
                 if (p.value()->heartbeat == w.lastSeenHeartbeat) {
                     /* No progress since the last poll: hang. Fail
                      * the partition (step 1) and stage recovery
@@ -228,7 +228,7 @@ Supervisor::pump()
             }
             w.health = DeviceHealth::Healthy;
             w.lastSeenHeartbeat = 0;
-            w.nextHangPoll = clock.now() + cfg.pollPeriodNs;
+            w.nextHangPoll = clock.now() + kPollPeriodNs;
             logEvent(device, "recovered", w.restarts);
             noteRecovery("recover.recovered", w.pid,
                          qualified(device), w.restarts);

@@ -53,8 +53,6 @@ struct SupervisorConfig
      *  restart budget (or a hand-tuned factor) overflows SimTime
      *  after ~64 doublings and schedules deadlines in the past. */
     SimTime backoffMaxNs = 10 * kNsPerSec;
-    /** Hang-poll cadence for watches with hang detection. */
-    SimTime pollPeriodNs = 50 * kNsPerMs;
 };
 
 enum class DeviceHealth
@@ -83,10 +81,13 @@ class Supervisor
                         const SupervisorConfig &config =
                             SupervisorConfig());
 
+    /** Hang-poll cadence for watches with hang detection. */
+    static constexpr SimTime kPollPeriodNs = 50 * kNsPerMs;
+
     /**
      * Start supervising @p device. With @p hang_detect the
-     * supervisor also polls the partition's heartbeat at the
-     * configured cadence (only watched devices are polled: an idle
+     * supervisor also polls the partition's heartbeat every
+     * kPollPeriodNs (only watched devices are polled: an idle
      * caller-side CPU partition that never ticks must not be
      * declared hung). Idempotent.
      */

@@ -546,14 +546,13 @@ Spm::fastPath(Partition &p, PhysAddr addr, uint64_t len,
                                   is_write, host) ||
         host == nullptr)
         return nullptr;
-    /* Same externally-visible effects as a bus access: the observer
-     * and byte counter fire; the TZASC check is skipped because the
-     * SPM only issues secure-world traffic, which it passes
-     * unconditionally. Validity is the TLB's tag/epoch discipline:
-     * any stage-2 mutation evicts the entry, so a stale host pointer
-     * can never be reached. */
-    sm.platform().noteFastPathAccess(hw::World::Secure,
-                                     phys_page + off, len, is_write);
+    /* Same externally-visible effect as a bus access: the byte
+     * counter moves; the TZASC check is skipped because the SPM only
+     * issues secure-world traffic, which it passes unconditionally.
+     * Validity is the TLB's tag/epoch discipline: any stage-2
+     * mutation evicts the entry, so a stale host pointer can never
+     * be reached. */
+    sm.platform().noteFastPathAccess(len);
     return host + off;
 }
 
@@ -667,8 +666,8 @@ Spm::readU64(PartitionId pid, PhysAddr addr)
         src = span.value().data;
     } else {
         /* Cross-page run: the borrow above already fired the hook
-         * and observer for this logical access, so go straight to
-         * the bus for the copy. */
+         * for this logical access, so go straight to the bus for
+         * the copy. */
         Partition *p = lastAccessed;
         hw::Translation t = p->stage2.translate(addr, sizeof(buf),
                                                 false);

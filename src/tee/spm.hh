@@ -212,8 +212,8 @@ class Spm
 
     /**
      * Borrow a zero-copy window into the partition's memory. One
-     * logical access: the access hook, stage-2 translation, TZASC
-     * check and bus observer all fire exactly as for read()/write().
+     * logical access: the access hook, stage-2 translation and TZASC
+     * check all apply exactly as for read()/write().
      * Only same-page runs can be borrowed; a null-span success means
      * the caller must fall back to the copy path. The span must not
      * be cached across accesses (translations can be revoked).
@@ -308,7 +308,7 @@ class Spm
                        bool is_write, Partition *&out);
     /** Software-TLB zero-copy fast path: host pointer for a
      *  single-page access whose translation and backing page are
-     *  cached (observer/byte counters fired), or nullptr meaning
+     *  cached (byte counter bumped), or nullptr meaning
      *  "take the full translate + bus path". */
     uint8_t *fastPath(Partition &p, PhysAddr addr, uint64_t len,
                       bool is_write);

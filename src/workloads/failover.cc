@@ -15,6 +15,12 @@ using namespace core;
 namespace
 {
 
+constexpr SimTime kRunForNs = 3 * kNsPerSec;
+/** Matrix dimension per task step. */
+constexpr uint64_t kMatrixDim = 48;
+/** Auto-checkpoint cadence of task A's channel (calls). */
+constexpr uint64_t kCheckpointEvery = 8;
+
 std::string
 gpuManifest(const Bytes &image_bytes)
 {
@@ -160,14 +166,14 @@ runFailoverTimeline(const FailoverConfig &config)
     MatrixTask task_a, task_b;
     CRONUS_RETURN_IF_ERROR(task_a.start(
         system, supervisor, auditor, cpu_handle, "gpu0",
-        config.matrixDim, config.checkpointEvery));
+        kMatrixDim, kCheckpointEvery));
     CRONUS_RETURN_IF_ERROR(task_b.start(
         system, supervisor, auditor, cpu_handle, "gpu1",
-        config.matrixDim, config.checkpointEvery));
+        kMatrixDim, kCheckpointEvery));
 
     hw::Platform &plat = system.platform();
     SimTime origin = plat.clock().now();
-    SimTime end_at = origin + config.runForNs;
+    SimTime end_at = origin + kRunForNs;
 
     /* The crash is scripted, not hand-delivered: the plan kills
      * gpu0's partition on a checked SPM access at or after the crash
@@ -178,21 +184,21 @@ runFailoverTimeline(const FailoverConfig &config)
     if (!gpu0_mos.isOk())
         return gpu0_mos.status();
     tee::PartitionId gpu0_pid = gpu0_mos.value()->partitionId();
-    inject::FaultPlan plan(config.faultSeed);
+    inject::FaultPlan plan(kFailoverFaultSeed);
     if (config.crashLoop) {
         /* Incarnations start at 1; budget restarts reach incarnation
          * budget+1, so budget+1 kills force the quarantine. */
         for (uint64_t k = 1; k <= config.restartBudget + 1; ++k)
-            plan.killIncarnation(k, origin + config.crashAtNs,
+            plan.killIncarnation(k, origin + kFailoverCrashAtNs,
                                  gpu0_pid);
     } else {
-        plan.killAtTime(origin + config.crashAtNs, gpu0_pid);
+        plan.killAtTime(origin + kFailoverCrashAtNs, gpu0_pid);
     }
     inject::FaultInjector injector(system.spm(), plan);
     injector.arm();
 
-    ThroughputSeries series_a(config.bucketNs);
-    ThroughputSeries series_b(config.bucketNs);
+    ThroughputSeries series_a(kFailoverBucketNs);
+    ThroughputSeries series_b(kFailoverBucketNs);
     FailoverTimeline timeline;
 
     bool crashed = false;
@@ -250,8 +256,8 @@ runFailoverTimeline(const FailoverConfig &config)
     task_b.channel.reset();
     injector.disarm();
 
-    timeline.taskARate = series_a.ratesPerSecond(config.runForNs);
-    timeline.taskBRate = series_b.ratesPerSecond(config.runForNs);
+    timeline.taskARate = series_a.ratesPerSecond(kRunForNs);
+    timeline.taskBRate = series_b.ratesPerSecond(kRunForNs);
     timeline.machineRebootNs = plat.costs().machineRebootNs;
     timeline.supervisorReport = supervisor.report().dump();
     timeline.injectionReport = injector.report().dump();

@@ -28,23 +28,21 @@
 namespace cronus::workloads
 {
 
+/** Crash time of task A's partition, from the start of the run. */
+inline constexpr SimTime kFailoverCrashAtNs = 1 * kNsPerSec;
+/** Width of one throughput bucket of the timeline. */
+inline constexpr SimTime kFailoverBucketNs = 100 * kNsPerMs;
+/** Seed of the deterministic fault plan (src/inject/). */
+inline constexpr uint64_t kFailoverFaultSeed = 1;
+
 struct FailoverConfig
 {
-    SimTime runForNs = 3 * kNsPerSec;
-    SimTime crashAtNs = 1 * kNsPerSec;
-    SimTime bucketNs = 100 * kNsPerMs;
-    /** Matrix dimension per task step. */
-    uint64_t matrixDim = 48;
-    /** Seed of the deterministic fault plan (src/inject/). */
-    uint64_t faultSeed = 1;
     /** Kill every new incarnation of task A's partition until the
      *  restart budget is exhausted (quarantine path). */
     bool crashLoop = false;
     /* Supervisor policy (src/recover/). */
     uint32_t restartBudget = 3;
     SimTime backoffBaseNs = 20 * kNsPerMs;
-    /** Auto-checkpoint cadence of task A's channel (calls). */
-    uint64_t checkpointEvery = 8;
 };
 
 struct FailoverTimeline

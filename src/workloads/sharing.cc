@@ -12,6 +12,9 @@ using namespace core;
 namespace
 {
 
+/** Fig. 11b keeps the global batch fixed as GPUs are added. */
+constexpr uint32_t kGlobalBatch = 256;
+
 std::string
 gpuManifest(const Bytes &image_bytes)
 {
@@ -247,7 +250,7 @@ runDataParallel(const DistributedConfig &config)
     const CostModel &costs = plat.costs();
     uint64_t grad_bytes = model.totalParamBytes();
     uint32_t local_batch =
-        std::max<uint32_t>(config.globalBatch / config.gpus, 1);
+        std::max<uint32_t>(kGlobalBatch / config.gpus, 1);
 
     /* For P2P, establish real trusted shared memory between
      * neighbouring GPU partitions (the paper: "CRONUS supports

@@ -58,7 +58,6 @@ struct DistributedConfig
     uint32_t gpus = 2;
     GradTransport transport = GradTransport::P2pPcie;
     uint32_t iterations = 6;
-    uint32_t globalBatch = 256;
 };
 
 struct DistributedResult

@@ -32,7 +32,7 @@ TEST(CpuTest, ExecuteRunsBodyAndCharges)
     ASSERT_TRUE(cost.isOk());
     EXPECT_TRUE(ran);
     EXPECT_EQ(cost.value(),
-              static_cast<SimTime>(1000 * cpu.config().nsPerWorkUnit));
+              static_cast<SimTime>(1000 * CpuDevice::kNsPerWorkUnit));
 }
 
 TEST(CpuTest, ExecutePropagatesBodyError)
@@ -50,7 +50,7 @@ TEST(CpuTest, ExecutePropagatesBodyError)
 TEST(CpuTest, MmioAndAttestation)
 {
     CpuDevice cpu;
-    EXPECT_EQ(cpu.mmioRead(0x8).value(), cpu.config().cores);
+    EXPECT_EQ(cpu.mmioRead(0x8).value(), CpuDevice::kCores);
     EXPECT_FALSE(cpu.mmioRead(0x999).isOk());
 
     Bytes challenge = {5};
@@ -58,7 +58,7 @@ TEST(CpuTest, MmioAndAttestation)
     ByteWriter w;
     w.putString(cpu.config().name);
     w.putString("arm,cortex-a53-sim");
-    w.putU64(cpu.config().cores);
+    w.putU64(CpuDevice::kCores);
     w.putBytes(challenge);
     EXPECT_TRUE(crypto::verify(cpu.devicePublicKey(), w.take(), sig));
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "accel/builtin_kernels.hh"
@@ -174,6 +175,41 @@ TEST_F(GpuTest, DestroyContextScrubsVram)
                          8).isOk());
     EXPECT_EQ(out, (std::vector<float>{0.0f, 0.0f}));
     ctx = fresh;  /* keep TearDown happy */
+}
+
+TEST_F(GpuTest, ResetWithClearZeroesAllVram)
+{
+    const uint64_t vram = gpu.config().vramBytes;
+    GpuVa va = gpu.malloc(ctx, vram).value();
+    Bytes pattern(vram, 0xa5);
+    ASSERT_TRUE(gpu.write(ctx, va, pattern.data(), vram).isOk());
+
+    gpu.reset(true);
+    EXPECT_EQ(gpu.contextCount(), 0u);
+
+    /* A fresh context covering the same VRAM must see only zeros. */
+    ctx = gpu.createContext().value();
+    GpuVa nva = gpu.malloc(ctx, vram).value();
+    Bytes out(vram, 0xff);
+    ASSERT_TRUE(gpu.read(ctx, nva, out.data(), vram).isOk());
+    EXPECT_EQ(uint64_t(std::count(out.begin(), out.end(), 0)), vram);
+}
+
+TEST_F(GpuTest, ContextLimitIsEnforced)
+{
+    /* The fixture already holds one context. */
+    std::vector<GpuContextId> extra;
+    for (uint32_t i = 1; i < GpuDevice::kMaxContexts; ++i)
+        extra.push_back(gpu.createContext().value());
+    EXPECT_EQ(gpu.contextCount(), GpuDevice::kMaxContexts);
+    EXPECT_EQ(gpu.createContext().code(),
+              ErrorCode::ResourceExhausted);
+
+    /* Destroying one context frees a slot. */
+    ASSERT_TRUE(gpu.destroyContext(extra.back(), false).isOk());
+    EXPECT_TRUE(gpu.createContext().isOk());
+    EXPECT_EQ(gpu.createContext().code(),
+              ErrorCode::ResourceExhausted);
 }
 
 TEST_F(GpuTest, AsyncTimingAccumulatesOnStream)

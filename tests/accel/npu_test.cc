@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "accel/npu.hh"
 
 namespace cronus::accel
@@ -215,8 +217,27 @@ TEST_F(NpuTest, ContextIsolation)
 
 TEST_F(NpuTest, DramQuotaEnforced)
 {
-    EXPECT_EQ(npu.allocBuffer(ctx, npu.config().dramBytes + 1).code(),
+    EXPECT_EQ(npu.allocBuffer(ctx, NpuDevice::kDramBytes + 1).code(),
               ErrorCode::ResourceExhausted);
+}
+
+TEST_F(NpuTest, ResetWithClearZeroesBuffers)
+{
+    const uint64_t bytes = NpuDevice::kDramBytes;
+    uint32_t buf = npu.allocBuffer(ctx, bytes).value();
+    std::vector<uint8_t> pattern(bytes, 0xa5);
+    ASSERT_TRUE(
+        npu.writeBuffer(ctx, buf, 0, pattern.data(), bytes).isOk());
+
+    npu.reset(true);
+    EXPECT_EQ(npu.contextCount(), 0u);
+
+    /* A fresh context's whole-quota buffer must read all zero. */
+    ctx = npu.createContext().value();
+    uint32_t nbuf = npu.allocBuffer(ctx, bytes).value();
+    std::vector<uint8_t> out(bytes, 0xff);
+    ASSERT_TRUE(npu.readBuffer(ctx, nbuf, 0, out.data(), bytes).isOk());
+    EXPECT_EQ(uint64_t(std::count(out.begin(), out.end(), 0)), bytes);
 }
 
 TEST_F(NpuTest, TimingScalesWithWork)
@@ -247,7 +268,7 @@ TEST_F(NpuTest, AttestationSignatureVerifies)
     ByteWriter w;
     w.putString(npu.config().name);
     w.putString("tvm,vta-fsim");
-    w.putU64(npu.config().sramBytes);
+    w.putU64(NpuDevice::kSramBytes);
     w.putBytes(challenge);
     EXPECT_TRUE(crypto::verify(npu.devicePublicKey(), w.take(), sig));
 }

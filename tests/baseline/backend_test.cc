@@ -5,9 +5,8 @@
 #include <functional>
 
 #include "baseline/cronus_backend.hh"
+#include "baseline/direct.hh"
 #include "baseline/hix_tz.hh"
-#include "baseline/monolithic_tz.hh"
-#include "baseline/native.hh"
 
 namespace cronus::baseline
 {
@@ -23,21 +22,14 @@ std::unique_ptr<ComputeBackend>
 makeBackend(const std::string &which)
 {
     Logger::instance().setQuiet(true);
-    if (which == "native") {
-        NativeConfig c;
-        c.gpuKernels = kKernels;
-        return std::make_unique<NativeBackend>(c);
-    }
-    if (which == "tz") {
-        MonolithicConfig c;
-        c.gpuKernels = kKernels;
-        return std::make_unique<MonolithicTzBackend>(c);
-    }
-    if (which == "hix") {
-        HixConfig c;
-        c.gpuKernels = kKernels;
-        return std::make_unique<HixTzBackend>(c);
-    }
+    if (which == "native")
+        return std::make_unique<DirectBackend>(DirectBackend::Kind::Linux,
+                                               kKernels);
+    if (which == "tz")
+        return std::make_unique<DirectBackend>(
+            DirectBackend::Kind::TrustZone, kKernels);
+    if (which == "hix")
+        return std::make_unique<HixTzBackend>(kKernels);
     CronusBackendConfig c;
     c.gpuKernels = kKernels;
     return std::make_unique<CronusBackend>(c);
@@ -149,11 +141,31 @@ TEST(BaselineContrast, OnlyCronusKeepsOthersAliveThroughGpuFault)
     EXPECT_FALSE(native->othersAlive());
 }
 
+TEST(BaselineContrast, DirectRebootScrubsGpuMemory)
+{
+    for (const char *which : {"native", "tz"}) {
+        auto b = makeBackend(which);
+        Bytes secret(4096, 0x5a);
+        auto va = b->gpuAlloc(secret.size());
+        ASSERT_TRUE(va.isOk());
+        ASSERT_TRUE(b->copyToGpu(va.value(), secret).isOk());
+
+        ASSERT_TRUE(b->injectGpuFault().isOk());
+        ASSERT_TRUE(b->recoverGpu().isOk());
+
+        /* The reboot cleared VRAM: the next tenant's allocation
+         * (same physical pages) reads zero. */
+        auto fresh = b->gpuAlloc(secret.size());
+        ASSERT_TRUE(fresh.isOk()) << which;
+        auto out = b->copyFromGpu(fresh.value(), secret.size());
+        ASSERT_TRUE(out.isOk()) << which;
+        EXPECT_EQ(out.value(), Bytes(secret.size(), 0)) << which;
+    }
+}
+
 TEST(BaselineContrast, HixTrafficIsVisibleButEncrypted)
 {
-    HixConfig c;
-    c.gpuKernels = kKernels;
-    HixTzBackend hix(c);
+    HixTzBackend hix(kKernels);
     Bytes plaintext = toBytes(
         "super-secret-model-weights-0123456789abcdef");
     auto va = hix.gpuAlloc(plaintext.size());
@@ -173,9 +185,7 @@ TEST(BaselineContrast, HixTrafficIsVisibleButEncrypted)
 
 TEST(BaselineContrast, MonolithicTrustsAllDrivers)
 {
-    MonolithicConfig c;
-    c.gpuKernels = kKernels;
-    MonolithicTzBackend tz(c);
+    DirectBackend tz(DirectBackend::Kind::TrustZone, kKernels);
     Bytes secret = toBytes("tenant-a-data!!!");
     auto va = tz.gpuAlloc(secret.size());
     ASSERT_TRUE(va.isOk());
@@ -192,9 +202,7 @@ TEST(BaselineContrast, MonolithicTrustsAllDrivers)
 TEST(BaselineContrast, CronusStreamsWithFewerRoundTrips)
 {
     auto cronus_b = makeBackend("cronus");
-    HixConfig c;
-    c.gpuKernels = kKernels;
-    HixTzBackend hix(c);
+    HixTzBackend hix(kKernels);
 
     auto run = [](ComputeBackend &b) {
         /* Warm up (builds channels, boots mOSes), then measure the

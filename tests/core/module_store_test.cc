@@ -1,7 +1,5 @@
 /** Module store, enclave shells + bind, and the warm pool. */
 
-#include <cstdlib>
-
 #include "core/warm_pool.hh"
 #include "test_fixtures.hh"
 
@@ -34,8 +32,6 @@ class ModuleStoreTest : public ::testing::Test
         Logger::instance().setQuiet(true);
         testing::registerTestCpuFunctions();
         accel::registerBuiltinKernels();
-        /* A stale ablation toggle must not leak into these tests. */
-        unsetenv("CRONUS_DISABLE_MODSTORE");
         system = std::make_unique<CronusSystem>(
             storeConfig(16ull << 20));
     }
@@ -471,22 +467,19 @@ TEST_F(ModuleStoreTest, WarmPoolAcquireBeforePrefillIsNotFound)
     EXPECT_EQ(lease.status().code(), ErrorCode::NotFound);
 }
 
-/* ---------------- ablation toggle ---------------- */
+/* ---------------- store-less system ---------------- */
 
-TEST_F(ModuleStoreTest, DisableToggleForcesTheLegacyPath)
+TEST_F(ModuleStoreTest, StorelessSystemUsesTheLegacyPath)
 {
-    setenv("CRONUS_DISABLE_MODSTORE", "1", 1);
-    CronusSystem disabled(storeConfig(16ull << 20));
-    unsetenv("CRONUS_DISABLE_MODSTORE");
-
-    EXPECT_FALSE(disabled.moduleStoreEnabled());
+    CronusSystem storeless(storeConfig(0));
+    EXPECT_FALSE(storeless.moduleStoreEnabled());
 
     /* createEnclaveCached degrades to the legacy pipeline. */
-    auto enclave = disabled.createEnclaveCached(
+    auto enclave = storeless.createEnclaveCached(
         cpuManifest(), "app.so", cpuImageBytes());
     ASSERT_TRUE(enclave.isOk());
-    auto out = disabled.ecall(enclave.value(), "echo",
-                              toBytes("z"));
+    auto out = storeless.ecall(enclave.value(), "echo",
+                               toBytes("z"));
     ASSERT_TRUE(out.isOk());
     EXPECT_EQ(out.value(), toBytes("z"));
 }

@@ -190,7 +190,7 @@ TEST(SupervisorTest, BornHungPartitionCaughtWithinOnePoll)
     /* gpu0's mOS never heartbeats after boot. Advancing past one
      * poll period must fail it and stage recovery. */
     SimClock &clock = sys->platform().clock();
-    clock.advance(sup.config().pollPeriodNs + 1);
+    clock.advance(Supervisor::kPollPeriodNs + 1);
     sup.pump();
     EXPECT_EQ(sup.healthOf("gpu0"), DeviceHealth::BackingOff);
 

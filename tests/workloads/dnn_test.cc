@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/cronus_backend.hh"
-#include "baseline/native.hh"
+#include "baseline/direct.hh"
 #include "workloads/dnn.hh"
 #include "workloads/tvm.hh"
 #include "workloads/vta_bench.hh"
@@ -18,9 +18,8 @@ makeNative()
 {
     Logger::instance().setQuiet(true);
     registerDnnKernels();
-    baseline::NativeConfig c;
-    c.gpuKernels = dnnKernelNames();
-    return std::make_unique<baseline::NativeBackend>(c);
+    return std::make_unique<baseline::DirectBackend>(
+        baseline::DirectBackend::Kind::Linux, dnnKernelNames());
 }
 
 std::unique_ptr<baseline::ComputeBackend>

@@ -4,9 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "baseline/cronus_backend.hh"
+#include "baseline/direct.hh"
 #include "baseline/hix_tz.hh"
-#include "baseline/monolithic_tz.hh"
-#include "baseline/native.hh"
 #include "workloads/rodinia.hh"
 
 namespace cronus::workloads
@@ -37,21 +36,16 @@ makeBackend(const std::string &which)
 {
     Logger::instance().setQuiet(true);
     registerRodiniaKernels();
-    if (which == "native") {
-        baseline::NativeConfig c;
-        c.gpuKernels = rodiniaKernelNames();
-        return std::make_unique<baseline::NativeBackend>(c);
-    }
-    if (which == "tz") {
-        baseline::MonolithicConfig c;
-        c.gpuKernels = rodiniaKernelNames();
-        return std::make_unique<baseline::MonolithicTzBackend>(c);
-    }
-    if (which == "hix") {
-        baseline::HixConfig c;
-        c.gpuKernels = rodiniaKernelNames();
-        return std::make_unique<baseline::HixTzBackend>(c);
-    }
+    using Kind = baseline::DirectBackend::Kind;
+    if (which == "native")
+        return std::make_unique<baseline::DirectBackend>(
+            Kind::Linux, rodiniaKernelNames());
+    if (which == "tz")
+        return std::make_unique<baseline::DirectBackend>(
+            Kind::TrustZone, rodiniaKernelNames());
+    if (which == "hix")
+        return std::make_unique<baseline::HixTzBackend>(
+            rodiniaKernelNames());
     baseline::CronusBackendConfig c;
     c.gpuKernels = rodiniaKernelNames();
     return std::make_unique<baseline::CronusBackend>(c);

@@ -99,7 +99,7 @@ TEST(FailoverTimelineTest, RecoversFastAndIsolatesTaskB)
     EXPECT_GT(t.taskBStepsDuringOutage, 0u);
 
     /* Task A served before the crash and after recovery. */
-    size_t crash_bucket = cfg.crashAtNs / cfg.bucketNs;
+    size_t crash_bucket = kFailoverCrashAtNs / kFailoverBucketNs;
     double before = 0, after = 0;
     for (size_t i = 0; i < t.taskARate.size(); ++i) {
         if (i < crash_bucket)
