@@ -129,7 +129,8 @@ attackNormalWorldTampersSmem()
     tee::PhysAddr smem = grant.value()->base;
     /* Try to bump Rid to forge a request. */
     Status w = s.system.normalWorld().write(
-        smem + 0x08, Bytes{0xff, 0xff, 0xff, 0xff});
+        smem + SharedRegion::kHeadOff,
+        Bytes{0xff, 0xff, 0xff, 0xff});
     bool blocked = w.code() == ErrorCode::AccessFault;
     return outcome("normal-world-tampers-smem", blocked,
                    blocked ? "TZASC faulted the write"

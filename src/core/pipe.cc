@@ -8,214 +8,95 @@ namespace cronus::core
 namespace
 {
 
-constexpr uint64_t kMagicOff = 0x00;
-constexpr uint64_t kHeadOff = 0x08;
-constexpr uint64_t kTailOff = 0x10;
-constexpr uint64_t kClosedOff = 0x18;
-constexpr uint64_t kDcheckOff = 0x20;
-constexpr uint64_t kDataOff = 0x40;
+using End = SharedRegion::End;
 constexpr uint64_t kPipeMagic = 0x50495045e3e3e3e3ull;
-
-Bytes
-u64Bytes(uint64_t v)
-{
-    ByteWriter w;
-    w.putU64(v);
-    return w.take();
-}
-
-uint64_t
-u64From(const Bytes &b)
-{
-    ByteReader r(b);
-    return r.getU64().value();
-}
 
 } // namespace
 
 Result<std::unique_ptr<SharedPipe>>
-SharedPipe::create(MicroOS &writer_os, Eid writer_eid,
+SharedPipe::create(MicroOS &writer_os, Eid /*writer_eid*/,
                    MicroOS &reader_os, Eid reader_eid,
                    const Bytes &secret, const PipeConfig &config)
 {
-    std::unique_ptr<SharedPipe> pipe(
-        new SharedPipe(writer_os, reader_os, config));
-    CRONUS_RETURN_IF_ERROR(
-        pipe->setup(writer_eid, reader_eid, secret));
-    return pipe;
-}
-
-Status
-SharedPipe::setup(Eid writer_eid, Eid reader_eid,
-                  const Bytes &secret)
-{
-    (void)writer_eid;
-    tee::Spm &spm = writerOs.spm();
-
-    uint64_t bytes = hw::pageAlignUp(kDataOff + cfg.capacity);
-    cfg.capacity = bytes - kDataOff;
-    auto region =
-        writerOs.shimKernel().allocPages(bytes / hw::kPageSize);
-    if (!region.isOk())
-        return region.status();
-    base = region.value();
-
-    auto grant_id = spm.sharePages(writerOs.partitionId(),
-                                   readerOs.partitionId(), base,
-                                   bytes / hw::kPageSize);
-    if (!grant_id.isOk())
-        return grant_id.status();
-    grant = grant_id.value();
-
-    CRONUS_RETURN_IF_ERROR(spm.write(writerOs.partitionId(),
-                                     base + kMagicOff,
-                                     u64Bytes(kPipeMagic)));
-    CRONUS_RETURN_IF_ERROR(spm.write(writerOs.partitionId(),
-                                     base + kHeadOff, u64Bytes(0)));
-    CRONUS_RETURN_IF_ERROR(spm.write(writerOs.partitionId(),
-                                     base + kTailOff, u64Bytes(0)));
-    CRONUS_RETURN_IF_ERROR(spm.write(writerOs.partitionId(),
-                                     base + kClosedOff, Bytes{0}));
+    std::unique_ptr<SharedPipe> pipe(new SharedPipe(writer_os, reader_os));
+    SharedRegion &region = pipe->region;
+    CRONUS_RETURN_IF_ERROR(region.establish(config.capacity, kPipeMagic));
+    pipe->capacity = region.payloadBytes();
 
     /* dCheck through the pipe itself: the reader enclave proves it
      * holds secret_dhke (same defense as sRPC setup). */
-    auto reader = readerOs.enclaveManager().enclave(reader_eid);
+    auto reader = reader_os.enclaveManager().enclave(reader_eid);
     if (!reader.isOk())
         return reader.status();
     ByteWriter input;
     input.putString("pipe-dcheck");
-    input.putU64(grant);
+    input.putU64(region.grantId());
     input.putU32(reader_eid);
-    Bytes reader_tag = crypto::digestToBytes(crypto::hmacSha256(
-        reader.value()->secret(), input.data()));
-    CRONUS_RETURN_IF_ERROR(spm.write(readerOs.partitionId(),
-                                     base + kDcheckOff, reader_tag));
-
-    Bytes expected = crypto::digestToBytes(
-        crypto::hmacSha256(secret, input.data()));
-    auto observed =
-        spm.read(writerOs.partitionId(), base + kDcheckOff, 32);
-    if (!observed.isOk())
-        return observed.status();
-    if (!constantTimeEqual(observed.value(), expected))
-        return Status(ErrorCode::AuthFailed, "pipe dCheck failed");
-    return Status::ok();
-}
-
-Result<uint64_t>
-SharedPipe::readCounter(uint64_t off, bool reader_side)
-{
-    tee::Spm &spm = writerOs.spm();
-    auto pid = reader_side ? readerOs.partitionId()
-                           : writerOs.partitionId();
-    auto v = spm.read(pid, base + off, 8);
-    if (!v.isOk()) {
-        if (v.code() == ErrorCode::PeerFailed ||
-            v.code() == ErrorCode::InvalidState) {
-            peerFailed = true;
-            return Status(ErrorCode::PeerFailed,
-                          "pipe peer partition down");
-        }
-        return v.status();
-    }
-    return u64From(v.value());
-}
-
-Status
-SharedPipe::writeCounter(uint64_t off, uint64_t value,
-                         bool reader_side)
-{
-    tee::Spm &spm = writerOs.spm();
-    auto pid = reader_side ? readerOs.partitionId()
-                           : writerOs.partitionId();
-    Status s = spm.write(pid, base + off, u64Bytes(value));
-    if (s.code() == ErrorCode::PeerFailed ||
-        s.code() == ErrorCode::InvalidState) {
-        peerFailed = true;
-        return Status(ErrorCode::PeerFailed,
-                      "pipe peer partition down");
-    }
-    return s;
+    CRONUS_RETURN_IF_ERROR(
+        region.dcheck(reader.value()->secret(), secret, input.data()));
+    return pipe;
 }
 
 Result<uint64_t>
 SharedPipe::write(const Bytes &data)
 {
-    if (peerFailed)
+    if (region.failed())
         return Status(ErrorCode::PeerFailed, "pipe peer failed");
     if (writeClosed)
         return Status(ErrorCode::InvalidState, "write end closed");
 
-    auto remote_tail = readCounter(kTailOff, false);
+    auto remote_tail = region.readU64(End::Owner, SharedRegion::kTailOff);
     if (!remote_tail.isOk())
         return remote_tail.status();
     tail = remote_tail.value();
 
-    uint64_t free_bytes = cfg.capacity - (head - tail);
+    uint64_t free_bytes = capacity - (head - tail);
     uint64_t n = std::min<uint64_t>(free_bytes, data.size());
-    tee::Spm &spm = writerOs.spm();
-    hw::Platform &plat = spm.monitor().platform();
     for (uint64_t i = 0; i < n;) {
-        uint64_t pos = (head + i) % cfg.capacity;
-        uint64_t run = std::min(n - i, cfg.capacity - pos);
-        Bytes piece(data.begin() + i, data.begin() + i + run);
-        Status s = spm.write(writerOs.partitionId(),
-                             base + kDataOff + pos, piece);
-        if (!s.isOk()) {
-            if (s.code() == ErrorCode::PeerFailed ||
-                s.code() == ErrorCode::InvalidState)
-                peerFailed = true;
-            return s;
-        }
+        uint64_t pos = (head + i) % capacity;
+        uint64_t run = std::min(n - i, capacity - pos);
+        CRONUS_RETURN_IF_ERROR(
+            region.write(End::Owner, SharedRegion::kPayloadOff + pos,
+                         data.data() + i, run));
         i += run;
     }
-    plat.chargeMemcpy(n);
+    platform.chargeMemcpy(n);
     head += n;
-    CRONUS_RETURN_IF_ERROR(writeCounter(kHeadOff, head, false));
+    CRONUS_RETURN_IF_ERROR(
+        region.writeU64(End::Owner, SharedRegion::kHeadOff, head));
     return n;
 }
 
 Result<Bytes>
 SharedPipe::read(uint64_t max)
 {
-    if (peerFailed)
+    if (region.failed())
         return Status(ErrorCode::PeerFailed, "pipe peer failed");
-    auto remote_head = readCounter(kHeadOff, true);
-    if (!remote_head.isOk())
-        return remote_head.status();
-    uint64_t visible_head = remote_head.value();
+    auto visible_head = available();
+    if (!visible_head.isOk())
+        return visible_head.status();
 
-    uint64_t pending = visible_head - tail;
-    uint64_t n = std::min(pending, max);
-    Bytes out;
-    out.reserve(n);
-    tee::Spm &spm = readerOs.spm();
-    hw::Platform &plat = spm.monitor().platform();
+    uint64_t n = std::min(visible_head.value(), max);
+    Bytes out(n);
     for (uint64_t i = 0; i < n;) {
-        uint64_t pos = (tail + i) % cfg.capacity;
-        uint64_t run = std::min(n - i, cfg.capacity - pos);
-        auto piece = spm.read(readerOs.partitionId(),
-                              base + kDataOff + pos, run);
-        if (!piece.isOk()) {
-            if (piece.code() == ErrorCode::PeerFailed ||
-                piece.code() == ErrorCode::InvalidState)
-                peerFailed = true;
-            return piece.status();
-        }
-        out.insert(out.end(), piece.value().begin(),
-                   piece.value().end());
+        uint64_t pos = (tail + i) % capacity;
+        uint64_t run = std::min(n - i, capacity - pos);
+        CRONUS_RETURN_IF_ERROR(
+            region.read(End::Peer, SharedRegion::kPayloadOff + pos,
+                        out.data() + i, run));
         i += run;
     }
-    plat.chargeMemcpy(n);
+    platform.chargeMemcpy(n);
     tail += n;
-    CRONUS_RETURN_IF_ERROR(writeCounter(kTailOff, tail, true));
+    CRONUS_RETURN_IF_ERROR(
+        region.writeU64(End::Peer, SharedRegion::kTailOff, tail));
     return out;
 }
 
 Result<uint64_t>
 SharedPipe::available()
 {
-    auto remote_head = readCounter(kHeadOff, true);
+    auto remote_head = region.readU64(End::Peer, SharedRegion::kHeadOff);
     if (!remote_head.isOk())
         return remote_head.status();
     return remote_head.value() - tail;
@@ -227,24 +108,18 @@ SharedPipe::closeWrite()
     if (writeClosed)
         return Status(ErrorCode::InvalidState, "already closed");
     writeClosed = true;
-    tee::Spm &spm = writerOs.spm();
-    return spm.write(writerOs.partitionId(), base + kClosedOff,
-                     Bytes{1});
+    const uint8_t closed_flag = 1;
+    return region.write(End::Owner, SharedRegion::kClosedOff,
+                        &closed_flag, 1);
 }
 
 Result<bool>
 SharedPipe::endOfStream()
 {
-    tee::Spm &spm = readerOs.spm();
-    auto closed =
-        spm.read(readerOs.partitionId(), base + kClosedOff, 1);
-    if (!closed.isOk()) {
-        if (closed.code() == ErrorCode::PeerFailed ||
-            closed.code() == ErrorCode::InvalidState)
-            peerFailed = true;
-        return closed.status();
-    }
-    if (closed.value()[0] == 0)
+    uint8_t closed_flag = 0;
+    CRONUS_RETURN_IF_ERROR(region.read(End::Peer, SharedRegion::kClosedOff,
+                                       &closed_flag, 1));
+    if (closed_flag == 0)
         return false;
     auto pending = available();
     if (!pending.isOk())

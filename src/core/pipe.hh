@@ -6,12 +6,13 @@
  * §IV-C notes that, beyond RPC, trusted shared memory supports other
  * inter-enclave communication (pipes, peer-to-peer transfers). This
  * is that pipe: a single-producer single-consumer ring whose ends
- * live in different partitions. It shares sRPC's security
- * foundations -- the region is an SPM grant (share-once),
- * authenticated by a dCheck derived from the consumer enclave's
- * ownership secret, and a partition failure turns the next access
- * into a trap that surfaces as PeerFailed (crash safety per §IV-D;
- * the *application* handles data recovery, e.g. via checkpoints).
+ * live in different partitions. It stands on sRPC's foundation, a
+ * SharedRegion: an SPM grant (share-once), authenticated by a dCheck
+ * derived from the consumer enclave's ownership secret, where a
+ * partition failure turns the next access into a trap that surfaces
+ * as PeerFailed (crash safety per §IV-D; the *application* handles
+ * data recovery, e.g. via checkpoints). Destroying the pipe revokes
+ * its grant and frees its pages.
  */
 
 #ifndef CRONUS_CORE_PIPE_HH
@@ -19,7 +20,7 @@
 
 #include <memory>
 
-#include "micro_enclave.hh"
+#include "shared_region.hh"
 
 namespace cronus::core
 {
@@ -61,29 +62,21 @@ class SharedPipe
     /** True once the writer closed and the buffer drained. */
     Result<bool> endOfStream();
 
-    uint64_t grantId() const { return grant; }
-    bool failed() const { return peerFailed; }
+    uint64_t grantId() const { return region.grantId(); }
+    bool failed() const { return region.failed(); }
 
   private:
-    SharedPipe(MicroOS &writer_os, MicroOS &reader_os,
-               const PipeConfig &config)
-        : writerOs(writer_os), readerOs(reader_os), cfg(config) {}
+    SharedPipe(MicroOS &writer_os, MicroOS &reader_os)
+        : platform(writer_os.spm().monitor().platform()),
+          region(writer_os, reader_os) {}
 
-    Status setup(Eid writer_eid, Eid reader_eid,
-                 const Bytes &secret);
-    Result<uint64_t> readCounter(uint64_t off, bool reader_side);
-    Status writeCounter(uint64_t off, uint64_t value,
-                        bool reader_side);
-
-    MicroOS &writerOs;
-    MicroOS &readerOs;
-    PipeConfig cfg;
-    tee::PhysAddr base = 0;
-    uint64_t grant = 0;
+    hw::Platform &platform;
+    /** Owned by the writer's partition, shared to the reader's. */
+    SharedRegion region;
+    uint64_t capacity = 0;  ///< data bytes (whole pages less header)
     uint64_t head = 0;  ///< writer position (bytes, monotonic)
     uint64_t tail = 0;  ///< reader position (bytes, monotonic)
     bool writeClosed = false;
-    bool peerFailed = false;
 };
 
 } // namespace cronus::core

@@ -9,21 +9,8 @@ namespace cronus::core
 namespace
 {
 
-constexpr uint64_t kMagicOff = 0x00;
-constexpr uint64_t kRidOff = 0x08;
-constexpr uint64_t kSidOff = 0x10;
-constexpr uint64_t kClosedOff = 0x18;
-constexpr uint64_t kDcheckOff = 0x20;   /* 32 bytes */
-constexpr uint64_t kSlotsOff = 0x40;
+using End = SharedRegion::End;
 constexpr uint64_t kSrpcMagic = 0x5352504353525043ull;
-
-Bytes
-u64Bytes(uint64_t v)
-{
-    ByteWriter w;
-    w.putU64(v);
-    return w.take();
-}
 
 /* Little-endian, matching ByteWriter::putU32 — the in-ring fast
  * path serializes the same wire format the Bytes path produced. */
@@ -51,182 +38,33 @@ SrpcChannel::SrpcChannel(MicroOS &caller_os, Eid caller_eid,
                          const SrpcConfig &config)
     : callerOs(caller_os), callerEid(caller_eid), calleeOs(callee_os),
       calleeEid(callee_eid), secretDhke(std::move(secret)),
-      normalWorld(nw), cfg(config)
+      normalWorld(nw), cfg(config), region(caller_os, callee_os)
 {
+    region.setFailureCallback([this] { markFailed(); });
 }
 
 SrpcChannel::~SrpcChannel()
 {
-    if (open || peerFailed)
+    /* A partially set-up channel is never open; its region gives
+     * back whatever it acquired when it is destroyed. */
+    if (open || failed())
         close();
-    /* Covers partially-set-up channels: close() is unreachable for
-     * them, but any grant/pages acquired must still go back. */
-    releaseSmem();
-}
-
-Result<uint64_t>
-SrpcChannel::headerFieldOffset(const std::string &field)
-{
-    if (field == "magic")
-        return kMagicOff;
-    if (field == "rid")
-        return kRidOff;
-    if (field == "sid")
-        return kSidOff;
-    if (field == "closed")
-        return kClosedOff;
-    if (field == "dcheck")
-        return kDcheckOff;
-    return Status(ErrorCode::InvalidArgument,
-                  "unknown ring-header field '" + field + "'");
 }
 
 uint64_t
 SrpcChannel::slotOffset(uint64_t index) const
 {
-    return kSlotsOff + (index % cfg.slots) * cfg.slotBytes;
-}
-
-Status
-SrpcChannel::writeCaller(uint64_t off, const Bytes &data)
-{
-    Status s = callerOs.spm().write(callerOs.partitionId(),
-                                    smemBase + off, data);
-    if (s.code() == ErrorCode::PeerFailed)
-        markFailed();
-    return s;
-}
-
-Result<Bytes>
-SrpcChannel::readCaller(uint64_t off, uint64_t len)
-{
-    auto r = callerOs.spm().read(callerOs.partitionId(),
-                                 smemBase + off, len);
-    if (r.code() == ErrorCode::PeerFailed)
-        markFailed();
-    return r;
-}
-
-Status
-SrpcChannel::writeCallee(uint64_t off, const Bytes &data)
-{
-    Status s = calleeOs.spm().write(calleeOs.partitionId(),
-                                    smemBase + off, data);
-    /* InvalidState means the callee's own partition is failed or
-     * rebooting -- from the channel's perspective, the peer died. */
-    if (s.code() == ErrorCode::PeerFailed ||
-        s.code() == ErrorCode::InvalidState) {
-        markFailed();
-        return Status(ErrorCode::PeerFailed, "callee partition down");
-    }
-    return s;
-}
-
-Result<Bytes>
-SrpcChannel::readCallee(uint64_t off, uint64_t len)
-{
-    auto r = calleeOs.spm().read(calleeOs.partitionId(),
-                                 smemBase + off, len);
-    if (r.code() == ErrorCode::PeerFailed ||
-        r.code() == ErrorCode::InvalidState) {
-        markFailed();
-        return Status(ErrorCode::PeerFailed, "callee partition down");
-    }
-    return r;
-}
-
-Status
-SrpcChannel::writeCallerRaw(uint64_t off, const uint8_t *data,
-                            uint64_t len)
-{
-    Status s = callerOs.spm().write(callerOs.partitionId(),
-                                    smemBase + off, data, len);
-    if (s.code() == ErrorCode::PeerFailed)
-        markFailed();
-    return s;
-}
-
-Status
-SrpcChannel::readCallerRaw(uint64_t off, uint8_t *out, uint64_t len)
-{
-    Status s = callerOs.spm().readInto(callerOs.partitionId(),
-                                       smemBase + off, out, len);
-    if (s.code() == ErrorCode::PeerFailed)
-        markFailed();
-    return s;
-}
-
-Status
-SrpcChannel::writeCalleeRaw(uint64_t off, const uint8_t *data,
-                            uint64_t len)
-{
-    Status s = calleeOs.spm().write(calleeOs.partitionId(),
-                                    smemBase + off, data, len);
-    if (s.code() == ErrorCode::PeerFailed ||
-        s.code() == ErrorCode::InvalidState) {
-        markFailed();
-        return Status(ErrorCode::PeerFailed, "callee partition down");
-    }
-    return s;
-}
-
-Status
-SrpcChannel::readCalleeRaw(uint64_t off, uint8_t *out, uint64_t len)
-{
-    Status s = calleeOs.spm().readInto(calleeOs.partitionId(),
-                                       smemBase + off, out, len);
-    if (s.code() == ErrorCode::PeerFailed ||
-        s.code() == ErrorCode::InvalidState) {
-        markFailed();
-        return Status(ErrorCode::PeerFailed, "callee partition down");
-    }
-    return s;
-}
-
-Result<uint64_t>
-SrpcChannel::readCounter(uint64_t off, bool callee_side)
-{
-    MicroOS &os = callee_side ? calleeOs : callerOs;
-    auto r = os.spm().readU64(os.partitionId(), smemBase + off);
-    if (r.code() == ErrorCode::PeerFailed ||
-        (callee_side && r.code() == ErrorCode::InvalidState)) {
-        markFailed();
-        if (callee_side)
-            return Status(ErrorCode::PeerFailed,
-                          "callee partition down");
-    }
-    if (r.isOk())
-        ++channelStats.counterFastOps;
-    return r;
-}
-
-Status
-SrpcChannel::writeCounter(uint64_t off, uint64_t value,
-                          bool callee_side)
-{
-    MicroOS &os = callee_side ? calleeOs : callerOs;
-    Status s = os.spm().writeU64(os.partitionId(), smemBase + off,
-                                 value);
-    if (s.code() == ErrorCode::PeerFailed ||
-        (callee_side && s.code() == ErrorCode::InvalidState)) {
-        markFailed();
-        if (callee_side)
-            return Status(ErrorCode::PeerFailed,
-                          "callee partition down");
-    }
-    if (s.isOk())
-        ++channelStats.counterFastOps;
-    return s;
+    return SharedRegion::kPayloadOff +
+           (index % cfg.slots) * cfg.slotBytes;
 }
 
 void
 SrpcChannel::markFailed()
 {
     /* sRPC automatically clears state when getting the fault signal
-     * (§IV-D): cached indices are reset and the channel refuses
-     * further traffic. The smem grant is released by close() or the
-     * destructor, whichever runs first. */
-    peerFailed = true;
+     * (§IV-D): the region latched the failure and the channel
+     * refuses further traffic. The smem grant is released by close()
+     * or the destructor, whichever runs first. */
     open = false;
     if (auto &trc = obs::Tracer::instance(); trc.active()) {
         JsonObject targs;
@@ -237,27 +75,6 @@ SrpcChannel::markFailed()
     }
     if (observer)
         observer->onFailed(*this);
-}
-
-bool
-SrpcChannel::releaseSmem()
-{
-    bool revoked = false;
-    if (grant != 0) {
-        /* After a peer failure the SPM may already have retired the
-         * grant through the trap path; revoke is then a no-op. */
-        revoked = callerOs.spm()
-                      .revokeGrant(grant, callerOs.partitionId())
-                      .isOk();
-        grant = 0;
-    }
-    if (smemBase != 0) {
-        callerOs.shimKernel().freePages(smemBase,
-                                        smemBytes / hw::kPageSize);
-        smemBase = 0;
-        smemBytes = 0;
-    }
-    return revoked;
 }
 
 Result<std::unique_ptr<SrpcChannel>>
@@ -276,20 +93,7 @@ SrpcChannel::connect(MicroOS &caller_os, Eid caller_eid,
 Status
 SrpcChannel::setup()
 {
-    Status s = setupInner();
-    if (!s.isOk()) {
-        /* Error-path cleanup: anything acquired before the failure
-         * (smem pages, the SPM grant) must not leak. */
-        releaseSmem();
-    }
-    return s;
-}
-
-Status
-SrpcChannel::setupInner()
-{
-    tee::Spm &spm = callerOs.spm();
-    tee::SecureMonitor &monitor = spm.monitor();
+    tee::SecureMonitor &monitor = callerOs.spm().monitor();
     hw::Platform &plat = monitor.platform();
 
     auto &trc = obs::Tracer::instance();
@@ -341,39 +145,20 @@ SrpcChannel::setupInner()
     channelStats.setupAttestNs = plat.clock().now() - phase_start;
     phase_start = plat.clock().now();
 
-    /* 2. Allocate smem from the caller's partition and share it. */
-    smemBytes = hw::pageAlignUp(kSlotsOff +
-                                cfg.slots * cfg.slotBytes);
-    auto base = callerOs.shimKernel().allocPages(smemBytes /
-                                                 hw::kPageSize);
-    if (!base.isOk())
-        return base.status();
-    smemBase = base.value();
-
-    auto grant_id = spm.sharePages(callerOs.partitionId(),
-                                   calleeOs.partitionId(), smemBase,
-                                   smemBytes / hw::kPageSize);
-    if (!grant_id.isOk())
-        return grant_id.status();
-    grant = grant_id.value();
-
-    /* 3. Initialize the ring header. */
-    CRONUS_RETURN_IF_ERROR(writeCaller(kMagicOff,
-                                       u64Bytes(kSrpcMagic)));
-    CRONUS_RETURN_IF_ERROR(writeCaller(kRidOff, u64Bytes(0)));
-    CRONUS_RETURN_IF_ERROR(writeCaller(kSidOff, u64Bytes(0)));
-    CRONUS_RETURN_IF_ERROR(writeCaller(kClosedOff, Bytes{0}));
+    /* 2. Allocate smem from the caller's partition, share it and
+     * initialize the ring header. */
+    CRONUS_RETURN_IF_ERROR(
+        region.establish(cfg.slots * cfg.slotBytes, kSrpcMagic));
     channelStats.setupGrantNs = plat.clock().now() - phase_start;
     phase_start = plat.clock().now();
 
-    /* 4. dCheck: the callee proves ownership of secret_dhke through
-     * the shared memory itself. The callee computes its tag from
-     * *its own* copy of the secret (held since creation); the caller
-     * independently computes the expected tag from its copy. A
-     * substituted enclave/mOS cannot forge it. */
+    /* 3. dCheck: the callee proves ownership of secret_dhke through
+     * the shared memory itself. The callee's tag comes from *its own*
+     * copy of the secret (held since creation); the caller
+     * independently computes the expected tag from its copy. */
     ByteWriter dcheck_input;
     dcheck_input.putString("dcheck");
-    dcheck_input.putU64(grant);
+    dcheck_input.putU64(region.grantId());
     dcheck_input.putU32(calleeEid);
     dcheck_input.putU64(report.value().partitionIncarnation);
 
@@ -381,44 +166,36 @@ SrpcChannel::setupInner()
         calleeOs.enclaveManager().enclave(calleeEid);
     if (!callee_enclave.isOk())
         return callee_enclave.status();
-    Bytes callee_tag = crypto::digestToBytes(crypto::hmacSha256(
-        callee_enclave.value()->secret(), dcheck_input.data()));
-    CRONUS_RETURN_IF_ERROR(writeCallee(kDcheckOff, callee_tag));
-
-    Bytes expected_tag = crypto::digestToBytes(
-        crypto::hmacSha256(secretDhke, dcheck_input.data()));
-    auto observed = readCaller(kDcheckOff, 32);
-    if (!observed.isOk())
-        return observed.status();
-    if (!constantTimeEqual(observed.value(), expected_tag))
-        return Status(ErrorCode::AuthFailed, "dCheck failed");
+    CRONUS_RETURN_IF_ERROR(region.dcheck(callee_enclave.value()->secret(),
+                                         secretDhke,
+                                         dcheck_input.data()));
     channelStats.setupDcheckNs = plat.clock().now() - phase_start;
     phase_start = plat.clock().now();
 
-    /* 5. Ask the normal world for an executor thread (one switch,
+    /* 4. Ask the normal world for an executor thread (one switch,
      * once per stream -- not per call). */
     monitor.worldSwitch();
     ++channelStats.setupWorldSwitches;
     normalWorld.spawnThread([this] {
-        if (peerFailed || !open)
+        if (failed() || !open)
             return false;
         pump(4);
-        return open && !peerFailed;
+        return open && !failed();
     });
 
     channelStats.setupExecutorNs = plat.clock().now() - phase_start;
 
     open = true;
-    setup_span.arg("grant", static_cast<int64_t>(grant));
+    setup_span.arg("grant", static_cast<int64_t>(grantId()));
     if (observer)
-        observer->onSetup(*this, grant);
+        observer->onSetup(*this, grantId());
     return Status::ok();
 }
 
 Result<uint64_t>
 SrpcChannel::callAsync(const std::string &fn, const Bytes &args)
 {
-    if (peerFailed)
+    if (failed())
         return Status(ErrorCode::PeerFailed, "channel failed");
     if (!open)
         return Status(ErrorCode::InvalidState, "channel closed");
@@ -428,7 +205,7 @@ SrpcChannel::callAsync(const std::string &fn, const Bytes &args)
     /* Flow control: if the ring is full, let the executor drain. */
     while (rid - sid >= cfg.slots) {
         uint64_t done = pump(1);
-        if (peerFailed)
+        if (failed())
             return Status(ErrorCode::PeerFailed, "channel failed");
         if (done == 0)
             return Status(ErrorCode::ResourceExhausted,
@@ -447,23 +224,24 @@ SrpcChannel::callAsync(const std::string &fn, const Bytes &args)
     uint8_t hdr[8];
     encodeU32(hdr, static_cast<uint32_t>(request_size));
     encodeU32(hdr + 4, static_cast<uint32_t>(fn.size()));
-    CRONUS_RETURN_IF_ERROR(writeCallerRaw(slot, hdr, 8));
+    CRONUS_RETURN_IF_ERROR(region.write(End::Owner, slot, hdr, 8));
     if (!fn.empty())
-        CRONUS_RETURN_IF_ERROR(writeCallerRaw(
-            slot + 8, reinterpret_cast<const uint8_t *>(fn.data()),
-            fn.size()));
+        CRONUS_RETURN_IF_ERROR(region.write(
+            End::Owner, slot + 8,
+            reinterpret_cast<const uint8_t *>(fn.data()), fn.size()));
     encodeU32(hdr, static_cast<uint32_t>(args.size()));
-    CRONUS_RETURN_IF_ERROR(writeCallerRaw(slot + 8 + fn.size(), hdr,
-                                          4));
+    CRONUS_RETURN_IF_ERROR(
+        region.write(End::Owner, slot + 8 + fn.size(), hdr, 4));
     if (!args.empty())
-        CRONUS_RETURN_IF_ERROR(writeCallerRaw(slot + 12 + fn.size(),
-                                              args.data(),
-                                              args.size()));
+        CRONUS_RETURN_IF_ERROR(region.write(End::Owner,
+                                            slot + 12 + fn.size(),
+                                            args.data(), args.size()));
     plat.chargeMemcpy(request_size);
     plat.clock().advance(plat.costs().ringBufferOpNs);
 
     uint64_t this_rid = rid++;
-    CRONUS_RETURN_IF_ERROR(writeCounter(kRidOff, rid, false));
+    CRONUS_RETURN_IF_ERROR(
+        region.writeU64(End::Owner, SharedRegion::kHeadOff, rid));
     ++channelStats.asyncCalls;
     channelStats.bytesTransferred += request_size;
     if (auto &trc = obs::Tracer::instance(); trc.active()) {
@@ -482,7 +260,7 @@ SrpcChannel::callAsync(const std::string &fn, const Bytes &args)
 uint64_t
 SrpcChannel::pump(uint64_t max)
 {
-    if (peerFailed)
+    if (failed())
         return 0;
     uint64_t executed = 0;
     hw::Platform &plat = calleeOs.spm().monitor().platform();
@@ -490,7 +268,7 @@ SrpcChannel::pump(uint64_t max)
     while (executed < max) {
         /* Executor view of the ring: fetch Rid from smem. This is
          * the poll — one in-place counter read, no allocation. */
-        auto rid_now = readCounter(kRidOff, true);
+        auto rid_now = region.readU64(End::Peer, SharedRegion::kHeadOff);
         if (!rid_now.isOk())
             return executed;
         uint64_t remote_rid = rid_now.value();
@@ -503,7 +281,7 @@ SrpcChannel::pump(uint64_t max)
          * before the bytes it promises are read. */
         uint64_t slot = slotOffset(sid);
         uint8_t hdr[8];
-        if (!readCalleeRaw(slot, hdr, 8).isOk())
+        if (!region.read(End::Peer, slot, hdr, 8).isOk())
             return executed;
         uint32_t req_len = decodeU32(hdr);
         uint32_t fn_len = decodeU32(hdr + 4);
@@ -518,12 +296,12 @@ SrpcChannel::pump(uint64_t max)
         } else {
             execFn.resize(fn_len);
             if (fn_len > 0 &&
-                !readCalleeRaw(
-                     slot + 8,
-                     reinterpret_cast<uint8_t *>(execFn.data()),
-                     fn_len).isOk())
+                !region.read(End::Peer, slot + 8,
+                             reinterpret_cast<uint8_t *>(execFn.data()),
+                             fn_len).isOk())
                 return executed;
-            if (!readCalleeRaw(slot + 8 + fn_len, hdr, 4).isOk())
+            if (!region.read(End::Peer, slot + 8 + fn_len, hdr, 4)
+                     .isOk())
                 return executed;
             uint32_t args_len = decodeU32(hdr);
             if (4 + uint64_t(fn_len) + 4 + args_len > req_len) {
@@ -532,9 +310,8 @@ SrpcChannel::pump(uint64_t max)
             } else {
                 execArgs.resize(args_len);
                 if (args_len > 0 &&
-                    !readCalleeRaw(slot + 12 + fn_len,
-                                   execArgs.data(),
-                                   args_len).isOk())
+                    !region.read(End::Peer, slot + 12 + fn_len,
+                                 execArgs.data(), args_len).isOk())
                     return executed;
                 obs::Span exec_span;
                 if (auto &trc = obs::Tracer::instance();
@@ -570,11 +347,11 @@ SrpcChannel::pump(uint64_t max)
         encodeU32(hdr, static_cast<uint32_t>(resp_status.code()));
         encodeU32(hdr + 4,
                   static_cast<uint32_t>(resp_payload.size()));
-        if (!writeCalleeRaw(resp_off, hdr, 8).isOk())
+        if (!region.write(End::Peer, resp_off, hdr, 8).isOk())
             return executed;
         if (!resp_payload.empty() &&
-            !writeCalleeRaw(resp_off + 8, resp_payload.data(),
-                            resp_payload.size()).isOk())
+            !region.write(End::Peer, resp_off + 8, resp_payload.data(),
+                          resp_payload.size()).isOk())
             return executed;
         uint64_t resp_frame_size = 8 + resp_payload.size();
         plat.chargeMemcpy(resp_frame_size);
@@ -582,7 +359,8 @@ SrpcChannel::pump(uint64_t max)
         channelStats.bytesTransferred += resp_frame_size;
 
         ++sid;
-        if (!writeCounter(kSidOff, sid, true).isOk())
+        if (!region.writeU64(End::Peer, SharedRegion::kTailOff, sid)
+                 .isOk())
             return executed;
         ++executed;
         ++channelStats.executed;
@@ -614,15 +392,17 @@ SrpcChannel::resultOf(uint64_t request_id)
         observer->onResultRead(*this, request_id, rid, sid);
     uint64_t slot = slotOffset(request_id) + cfg.slotBytes / 2;
     uint8_t header[8];
-    CRONUS_RETURN_IF_ERROR(readCallerRaw(slot, header, 8));
+    CRONUS_RETURN_IF_ERROR(region.read(End::Owner, slot, header, 8));
     uint32_t code = decodeU32(header);
     uint32_t len = decodeU32(header + 4);
     if (code != uint32_t(ErrorCode::Ok))
         return Status(static_cast<ErrorCode>(code),
                       "remote mECall failed");
-    if (len == 0)
-        return Bytes{};
-    return readCaller(slot + 8, len);
+    Bytes payload(len);
+    if (len > 0)
+        CRONUS_RETURN_IF_ERROR(
+            region.read(End::Owner, slot + 8, payload.data(), len));
+    return payload;
 }
 
 Result<Bytes>
@@ -642,7 +422,7 @@ SrpcChannel::callSync(const std::string &fn, const Bytes &args)
     /* The caller needs the result: check progress now (§IV-C). */
     while (sid <= request_id.value()) {
         uint64_t done = pump(1);
-        if (peerFailed)
+        if (failed())
             return Status(ErrorCode::PeerFailed, "channel failed");
         if (done == 0)
             return Status(ErrorCode::Timeout, "executor stalled");
@@ -680,15 +460,15 @@ SrpcChannel::drain()
     }
     while (sid < rid) {
         uint64_t done = pump(1);
-        if (peerFailed)
+        if (failed())
             return Status(ErrorCode::PeerFailed, "channel failed");
         if (done == 0)
             return Status(ErrorCode::Timeout, "executor stalled");
     }
     /* streamCheck: Sid == Rid, cross-checked against smem. Each
      * check is one in-place counter read — no allocation. */
-    auto rid_mem = readCounter(kRidOff, false);
-    auto sid_mem = readCounter(kSidOff, false);
+    auto rid_mem = region.readU64(End::Owner, SharedRegion::kHeadOff);
+    auto sid_mem = region.readU64(End::Owner, SharedRegion::kTailOff);
     if (!rid_mem.isOk() || !sid_mem.isOk())
         return Status(ErrorCode::PeerFailed, "channel failed");
     if (rid_mem.value() != sid_mem.value())
@@ -700,7 +480,7 @@ SrpcChannel::drain()
 Status
 SrpcChannel::close()
 {
-    if (closed || (!open && !peerFailed))
+    if (closed || (!open && !failed()))
         return Status(ErrorCode::InvalidState, "channel not open");
 
     obs::Span close_span;
@@ -709,15 +489,18 @@ SrpcChannel::close()
             trc.partitionTrack(callerOs.partitionId(),
                                callerOs.deviceName()),
             "srpc.close", "srpc");
-        close_span.arg("grant", static_cast<int64_t>(grant));
+        close_span.arg("grant", static_cast<int64_t>(grantId()));
     }
     Status drained = Status::ok();
-    if (!peerFailed) {
+    if (!failed()) {
         drained = drain();
         /* drain() may itself discover the peer failure; only touch
          * smem again when the channel is still healthy. */
-        if (!peerFailed)
-            writeCaller(kClosedOff, Bytes{1});
+        if (!failed()) {
+            const uint8_t closed_flag = 1;
+            region.write(End::Owner, SharedRegion::kClosedOff,
+                         &closed_flag, 1);
+        }
     }
     open = false;
     closed = true;
@@ -725,8 +508,8 @@ SrpcChannel::close()
      * died -- otherwise every failed channel leaks its smem grant
      * and pages (the SPM may already have retired the grant through
      * the trap path, in which case only the pages come back). */
-    uint64_t grant_id = grant;
-    bool revoked = releaseSmem();
+    uint64_t grant_id = grantId();
+    bool revoked = region.release();
     if (observer)
         observer->onClosed(*this, grant_id, revoked);
     return drained;

@@ -40,7 +40,7 @@
 
 #include <memory>
 
-#include "micro_enclave.hh"
+#include "shared_region.hh"
 
 namespace cronus::core
 {
@@ -63,9 +63,6 @@ struct SrpcStats
     /** Request and response bytes moved through the ring. */
     uint64_t bytesTransferred = 0;
     uint64_t setupWorldSwitches = 0;
-    /** Ring-counter reads/writes served by the zero-copy fast path
-     *  (in-place u64 accesses, no intermediate Bytes). */
-    uint64_t counterFastOps = 0;
     /* Per-phase virtual time of channel setup (pure bookkeeping:
      * clock deltas observed around the existing steps, charging
      * nothing extra). fig13 reports these as the cold-start
@@ -155,9 +152,9 @@ class SrpcChannel
     /** Close the stream and stop the executor thread. */
     Status close();
 
-    bool failed() const { return peerFailed; }
+    bool failed() const { return region.failed(); }
     const SrpcStats &stats() const { return channelStats; }
-    uint64_t grantId() const { return grant; }
+    uint64_t grantId() const { return region.grantId(); }
 
     /* --- introspection (injection / audit tooling) --- */
 
@@ -165,17 +162,9 @@ class SrpcChannel
     void setObserver(SrpcObserver *obs) { observer = obs; }
     const SrpcConfig &config() const { return cfg; }
     /** Physical base of the ring in the caller's partition. */
-    tee::PhysAddr ringBase() const { return smemBase; }
+    tee::PhysAddr ringBase() const { return region.base(); }
     uint64_t requestIndex() const { return rid; }
     uint64_t progressIndex() const { return sid; }
-    /**
-     * Byte offset of a named ring-header field ("magic", "rid",
-     * "sid", "closed", "dcheck") from ringBase(). Lets the fault
-     * injector corrupt a specific field without replicating the
-     * layout.
-     */
-    static Result<uint64_t> headerFieldOffset(
-        const std::string &field);
 
     /**
      * Executor step: process up to @p max pending requests in the
@@ -191,25 +180,6 @@ class SrpcChannel
                 tee::NormalWorld &nw, const SrpcConfig &config);
 
     Status setup();
-    Status setupInner();
-    /** Revoke the grant and free the smem pages; idempotent. Returns
-     *  true when the grant was revoked by this call. */
-    bool releaseSmem();
-    Status writeCaller(uint64_t off, const Bytes &data);
-    Result<Bytes> readCaller(uint64_t off, uint64_t len);
-    Status writeCallee(uint64_t off, const Bytes &data);
-    Result<Bytes> readCallee(uint64_t off, uint64_t len);
-    /* Non-allocating variants: headers/payloads move between the
-     * ring and caller-provided buffers. */
-    Status writeCallerRaw(uint64_t off, const uint8_t *data,
-                          uint64_t len);
-    Status readCallerRaw(uint64_t off, uint8_t *out, uint64_t len);
-    Status writeCalleeRaw(uint64_t off, const uint8_t *data,
-                          uint64_t len);
-    Status readCalleeRaw(uint64_t off, uint8_t *out, uint64_t len);
-    Result<uint64_t> readCounter(uint64_t off, bool callee_side);
-    Status writeCounter(uint64_t off, uint64_t value,
-                        bool callee_side);
     uint64_t slotOffset(uint64_t index) const;
     void markFailed();
 
@@ -221,9 +191,9 @@ class SrpcChannel
     tee::NormalWorld &normalWorld;
     SrpcConfig cfg;
 
-    tee::PhysAddr smemBase = 0;
-    uint64_t smemBytes = 0;
-    uint64_t grant = 0;
+    /** The ring: owned by the caller's partition, shared to the
+     *  callee's. */
+    SharedRegion region;
     uint64_t rid = 0;  ///< caller-side cached request index
     uint64_t sid = 0;  ///< executor-side cached progress index
     /* Executor scratch: reused across pump() iterations so the
@@ -233,7 +203,6 @@ class SrpcChannel
     Bytes execArgs;
     bool open = false;
     bool closed = false;  ///< close() already ran (resources gone)
-    bool peerFailed = false;
     SrpcStats channelStats;
     SrpcObserver *observer = nullptr;
 };

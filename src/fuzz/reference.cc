@@ -3,6 +3,7 @@
 #include <cstring>
 #include <deque>
 
+#include "core/shared_region.hh"
 #include "hw/types.hh"
 
 namespace cronus::fuzz
@@ -139,12 +140,14 @@ referenceRun(const Scenario &sc)
      * churn enclave shows up as an output mismatch. */
     std::vector<uint64_t> churnLive(sc.enclaves.size(), 0);
 
-    /* Pipe: same effective capacity as SharedPipe::setup, which
-     * page-aligns header + capacity and gives the remainder to
-     * data. */
+    /* Pipe: same effective capacity as SharedPipe::create, whose
+     * region page-aligns header + capacity and gives the remainder
+     * to data. */
     uint64_t pipeCap = 0;
     if (sc.withPipe)
-        pipeCap = hw::pageAlignUp(0x40 + sc.pipeCapacity) - 0x40;
+        pipeCap = hw::pageAlignUp(core::SharedRegion::kPayloadOff +
+                                  sc.pipeCapacity) -
+                  core::SharedRegion::kPayloadOff;
     std::deque<uint8_t> pipeFifo;
 
     std::vector<ExpectedOp> out;

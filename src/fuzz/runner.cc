@@ -835,7 +835,8 @@ class Run
             }
             /* Normal world pokes the ring's Rid field. */
             Status w = sys->normalWorld().write(
-                states[op.enclave].channel->ringBase() + 0x08,
+                states[op.enclave].channel->ringBase() +
+                    SharedRegion::kHeadOff,
                 Bytes{0xff, 0xff, 0xff, 0xff});
             rec.code = errorCodeName(w.code());
             rec.blocked = w.code() == ErrorCode::AccessFault;
@@ -1013,14 +1014,7 @@ class Run
                 sys->destroyEnclave(ce.handle);
             }
         }
-        if (pipe && driver.host != nullptr) {
-            /* SharedPipe has no close(); revoke its grant so the
-             * auditor's teardown accounting stays clean. Ignore the
-             * status: a retired grant (dead reader) is fine. */
-            sys->spm().revokeGrant(pipe->grantId(),
-                                   driver.host->partitionId());
-            pipe.reset();
-        }
+        pipe.reset();
         for (EnclaveState &st : states)
             sys->destroyEnclave(st.handle);
         sys->destroyEnclave(driver);

@@ -76,16 +76,12 @@ PhysicalMemory::write(PhysAddr addr, const Bytes &data)
     return write(addr, data.data(), data.size());
 }
 
-MemSpan
-PhysicalMemory::borrow(PhysAddr addr, uint64_t len)
+uint8_t *
+PhysicalMemory::hostPage(PhysAddr addr)
 {
-    if (len == 0 || !inRange(addr, len))
-        return MemSpan{};
-    uint64_t off = addr & (kPageSize - 1);
-    if (off + len > kPageSize)
-        return MemSpan{};
-    uint8_t *page = pageFor(addr, true);
-    return MemSpan{page + off, len};
+    if (!inRange(addr, 1))
+        return nullptr;
+    return pageFor(addr, true);
 }
 
 Status

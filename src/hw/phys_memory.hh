@@ -43,12 +43,12 @@ class PhysicalMemory
     Status clear(PhysAddr addr, uint64_t len);
 
     /**
-     * Borrow a direct pointer to @p len bytes at @p addr for
-     * zero-copy access. Fails (null span) if the run crosses a page
-     * boundary or is out of range. Always materializes the backing
-     * page, so the span is valid for reads and writes alike.
+     * Host pointer to the start of the page holding @p addr, for the
+     * SPM's software-TLB fast path; nullptr if out of range. Always
+     * materializes the page, and pages are never freed, so the
+     * pointer stays valid for the memory's lifetime.
      */
-    MemSpan borrow(PhysAddr addr, uint64_t len);
+    uint8_t *hostPage(PhysAddr addr);
 
     /** Count of pages actually materialized (test introspection). */
     size_t residentPages() const { return pages.size(); }

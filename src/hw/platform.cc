@@ -56,24 +56,6 @@ Platform::busWrite(World from, PhysAddr addr, const uint8_t *data,
     return memory.write(addr, data, len);
 }
 
-MemSpan
-Platform::busBorrow(World from, PhysAddr addr, uint64_t len,
-                    bool is_write, Status *fault)
-{
-    if (fault)
-        *fault = Status::ok();
-    uint64_t off = addr & (kPageSize - 1);
-    if (len == 0 || off + len > kPageSize)
-        return MemSpan{};
-    Status s = classifyAccess(from, addr, len, is_write);
-    if (!s.isOk()) {
-        if (fault)
-            *fault = s;
-        return MemSpan{};
-    }
-    return memory.borrow(addr, len);
-}
-
 Result<Bytes>
 Platform::busRead(World from, PhysAddr addr, uint64_t len)
 {

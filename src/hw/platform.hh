@@ -69,17 +69,6 @@ class Platform
     Status busWrite(World from, PhysAddr addr, const Bytes &data);
 
     /**
-     * Borrow a zero-copy window into DRAM, with the same TZASC
-     * filtering as a copying access. Returns a null span if the
-     * range crosses a page boundary (the caller falls back to the
-     * copy path) or fails the TZASC check. @p is_write selects the
-     * access kind the filter checks; a span intended for writing
-     * must be borrowed with is_write = true.
-     */
-    MemSpan busBorrow(World from, PhysAddr addr, uint64_t len,
-                      bool is_write, Status *fault = nullptr);
-
-    /**
      * Bookkeeping for a software-TLB fast-path access: bumps the
      * byte counter exactly as busRead/busWrite would. The SPM uses
      * this when a TLB hit with an annotated host page lets it copy

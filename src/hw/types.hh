@@ -45,24 +45,6 @@ constexpr PartitionId kSpmPartition = 0;
 /** SMMU stream id assigned to a DMA-capable device. */
 using StreamId = uint32_t;
 
-/**
- * A borrowed window into simulated DRAM (zero-copy fast path).
- *
- * Only ever spans a single physical page: backing pages are
- * allocated independently, so cross-page runs are not contiguous in
- * host memory. Pointers stay valid for the lifetime of the
- * PhysicalMemory (pages are never freed), but the *translation* that
- * produced them can be revoked at any time — callers must re-borrow
- * per logical access, never cache a span across accesses.
- */
-struct MemSpan
-{
-    uint8_t *data = nullptr;
-    uint64_t len = 0;
-
-    bool ok() const { return data != nullptr; }
-};
-
 /** Page permissions. */
 struct PagePerms
 {

@@ -152,7 +152,7 @@ FaultInjector::execute(const FaultEvent &e,
                           std::to_string(e.action.channelIndex));
         core::SrpcChannel *ch = channels[e.action.channelIndex];
         auto off =
-            core::SrpcChannel::headerFieldOffset(e.action.headerField);
+            core::SharedRegion::headerFieldOffset(e.action.headerField);
         if (!off.isOk())
             return off.status();
         ByteWriter w;

@@ -81,24 +81,6 @@ ShimKernel::readInto(PhysAddr addr, uint8_t *out, uint64_t len)
     return partitionManager.readInto(pid, addr, out, len);
 }
 
-Result<hw::MemSpan>
-ShimKernel::borrow(PhysAddr addr, uint64_t len, bool is_write)
-{
-    return partitionManager.borrow(pid, addr, len, is_write);
-}
-
-Result<uint64_t>
-ShimKernel::readU64(PhysAddr addr)
-{
-    return partitionManager.readU64(pid, addr);
-}
-
-Status
-ShimKernel::writeU64(PhysAddr addr, uint64_t value)
-{
-    return partitionManager.writeU64(pid, addr, value);
-}
-
 Status
 ShimKernel::spinLock(PhysAddr addr)
 {

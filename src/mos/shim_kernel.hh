@@ -63,12 +63,8 @@ class ShimKernel
     Status write(PhysAddr addr, const Bytes &data);
     Status write(PhysAddr addr, const uint8_t *data, uint64_t len);
 
-    /** Non-allocating variants (memory fast path). */
+    /** Non-allocating read (memory fast path). */
     Status readInto(PhysAddr addr, uint8_t *out, uint64_t len);
-    Result<hw::MemSpan> borrow(PhysAddr addr, uint64_t len,
-                               bool is_write);
-    Result<uint64_t> readU64(PhysAddr addr);
-    Status writeU64(PhysAddr addr, uint64_t value);
 
     /* --- synchronization --- */
 

@@ -585,10 +585,8 @@ Spm::readInto(PartitionId pid, PhysAddr addr, uint8_t *out,
     Status s =
         sm.platform().busRead(hw::World::Secure, t.phys, out, len);
     if (s.isOk() && ((addr ^ (addr + len - 1)) >> hw::kPageShift) == 0)
-        p->stage2.cacheHostPage(
-            addr >> hw::kPageShift,
-            sm.platform().dram().borrow(
-                t.phys & ~PhysAddr(hw::kPageSize - 1), 1).data);
+        p->stage2.cacheHostPage(addr >> hw::kPageShift,
+                                sm.platform().dram().hostPage(t.phys));
     return s;
 }
 
@@ -611,10 +609,8 @@ Spm::write(PartitionId pid, PhysAddr addr, const uint8_t *data,
     Status s = sm.platform().busWrite(hw::World::Secure, t.phys,
                                       data, len);
     if (s.isOk() && ((addr ^ (addr + len - 1)) >> hw::kPageShift) == 0)
-        p->stage2.cacheHostPage(
-            addr >> hw::kPageShift,
-            sm.platform().dram().borrow(
-                t.phys & ~PhysAddr(hw::kPageSize - 1), 1).data);
+        p->stage2.cacheHostPage(addr >> hw::kPageShift,
+                                sm.platform().dram().hostPage(t.phys));
     return s;
 }
 
@@ -622,89 +618,6 @@ Status
 Spm::write(PartitionId pid, PhysAddr addr, const Bytes &data)
 {
     return write(pid, addr, data.data(), data.size());
-}
-
-Result<hw::MemSpan>
-Spm::borrow(PartitionId pid, PhysAddr addr, uint64_t len,
-            bool is_write)
-{
-    Partition *p = nullptr;
-    CRONUS_RETURN_IF_ERROR(accessCheck(pid, addr, len, is_write, p));
-    if (uint8_t *hp = fastPath(*p, addr, len, is_write))
-        return hw::MemSpan{hp, len};
-    hw::Translation t = p->stage2.translate(addr, len, is_write);
-    if (t.fault == hw::FaultKind::Invalidated)
-        return handleInvalidatedAccess(*p, t.faultVa);
-    if (!t.ok())
-        return Status(ErrorCode::AccessFault,
-                      "stage-2 fault on borrow");
-    Status fault = Status::ok();
-    hw::MemSpan span = sm.platform().busBorrow(
-        hw::World::Secure, t.phys, len, is_write, &fault);
-    if (!fault.isOk())
-        return fault;
-    if (span.ok())
-        p->stage2.cacheHostPage(
-            addr >> hw::kPageShift,
-            span.data - (addr & (hw::kPageSize - 1)));
-    /* A null span with no fault means cross-page: the caller falls
-     * back to the copying path. */
-    return span;
-}
-
-Result<uint64_t>
-Spm::readU64(PartitionId pid, PhysAddr addr)
-{
-    /* Little-endian on the wire, matching ByteWriter::putU64, so
-     * counters written either way read back identically. */
-    uint8_t buf[8];
-    const uint8_t *src = buf;
-    auto span = borrow(pid, addr, sizeof(buf), false);
-    if (!span.isOk())
-        return span.status();
-    if (span.value().ok()) {
-        src = span.value().data;
-    } else {
-        /* Cross-page run: the borrow above already fired the hook
-         * for this logical access, so go straight to the bus for
-         * the copy. */
-        Partition *p = lastAccessed;
-        hw::Translation t = p->stage2.translate(addr, sizeof(buf),
-                                                false);
-        if (!t.ok())
-            return Status(ErrorCode::AccessFault,
-                          "stage-2 fault on read");
-        Status s = sm.platform().busRead(hw::World::Secure, t.phys,
-                                         buf, sizeof(buf));
-        if (!s.isOk())
-            return s;
-    }
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= uint64_t(src[i]) << (8 * i);
-    return v;
-}
-
-Status
-Spm::writeU64(PartitionId pid, PhysAddr addr, uint64_t value)
-{
-    uint8_t buf[8];
-    for (int i = 0; i < 8; ++i)
-        buf[i] = (value >> (8 * i)) & 0xff;
-    auto span = borrow(pid, addr, sizeof(buf), true);
-    if (!span.isOk())
-        return span.status();
-    if (span.value().ok()) {
-        std::memcpy(span.value().data, buf, sizeof(buf));
-        return Status::ok();
-    }
-    Partition *p = lastAccessed;
-    hw::Translation t = p->stage2.translate(addr, sizeof(buf), true);
-    if (!t.ok())
-        return Status(ErrorCode::AccessFault,
-                      "stage-2 fault on write");
-    return sm.platform().busWrite(hw::World::Secure, t.phys, buf,
-                                  sizeof(buf));
 }
 
 hw::TlbCounters

@@ -210,21 +210,6 @@ class Spm
     Status readInto(PartitionId pid, PhysAddr addr, uint8_t *out,
                     uint64_t len);
 
-    /**
-     * Borrow a zero-copy window into the partition's memory. One
-     * logical access: the access hook, stage-2 translation and TZASC
-     * check all apply exactly as for read()/write().
-     * Only same-page runs can be borrowed; a null-span success means
-     * the caller must fall back to the copy path. The span must not
-     * be cached across accesses (translations can be revoked).
-     */
-    Result<hw::MemSpan> borrow(PartitionId pid, PhysAddr addr,
-                               uint64_t len, bool is_write);
-
-    /** 8-byte accesses on the fast path (ring counters). */
-    Result<uint64_t> readU64(PartitionId pid, PhysAddr addr);
-    Status writeU64(PartitionId pid, PhysAddr addr, uint64_t value);
-
     /* ---------------- shared memory (Fig. 6) ---------------- */
 
     /**

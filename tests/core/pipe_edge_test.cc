@@ -85,6 +85,18 @@ TEST_F(PipeEdgeTest, ReaderCrashFailsSubsequentWrites)
     EXPECT_TRUE(pipe->failed());
 }
 
+TEST_F(PipeEdgeTest, CloseWriteAfterReaderCrashLatchesFailure)
+{
+    auto pipe = makePipe();
+    ASSERT_TRUE(system->injectPanic("gpu0").isOk());
+
+    /* The writer's first access after the crash is the close flag:
+     * it traps, and the pipe must remember that its peer is gone. */
+    EXPECT_EQ(pipe->closeWrite().code(), ErrorCode::PeerFailed);
+    EXPECT_TRUE(pipe->failed());
+    EXPECT_EQ(pipe->write(Bytes{0x01}).code(), ErrorCode::PeerFailed);
+}
+
 TEST_F(PipeEdgeTest, DegenerateTransfersAreWellDefined)
 {
     auto pipe = makePipe();

@@ -119,6 +119,28 @@ TEST_F(PipeTest, DcheckRejectsWrongSecret)
     EXPECT_EQ(bad.code(), ErrorCode::AuthFailed);
 }
 
+TEST_F(PipeTest, FailedDcheckReleasesItsGrant)
+{
+    tee::PartitionId writer = cpu.host->partitionId();
+    size_t before = system->spm().grantsOf(writer).size();
+    auto bad = SharedPipe::create(*cpu.host, cpu.eid, *gpu.host,
+                                  gpu.eid, Bytes(32, 0x9),
+                                  PipeConfig());
+    ASSERT_EQ(bad.code(), ErrorCode::AuthFailed);
+    EXPECT_EQ(system->spm().grantsOf(writer).size(), before);
+}
+
+TEST_F(PipeTest, DestroyedPipeReleasesItsGrant)
+{
+    tee::PartitionId writer = cpu.host->partitionId();
+    size_t before = system->spm().grantsOf(writer).size();
+    auto pipe = makePipe();
+    ASSERT_TRUE(pipe->write(toBytes("bye")).isOk());
+    EXPECT_EQ(system->spm().grantsOf(writer).size(), before + 1);
+    pipe.reset();
+    EXPECT_EQ(system->spm().grantsOf(writer).size(), before);
+}
+
 TEST_F(PipeTest, PeerFailureTrapsInsteadOfStaleData)
 {
     auto pipe = makePipe();

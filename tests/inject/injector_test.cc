@@ -84,7 +84,7 @@ TEST_P(InjectorTest, CorruptHeaderPokesTheNamedField)
     /* Any caller read pulls the trigger; the poke lands before the
      * read proceeds. */
     uint64_t off =
-        core::SrpcChannel::headerFieldOffset("magic").value();
+        core::SharedRegion::headerFieldOffset("magic").value();
     auto observed =
         system->spm().read(cpuPid, channel->ringBase() + off, 8);
     injector.disarm();
