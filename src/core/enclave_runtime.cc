@@ -6,6 +6,32 @@ namespace cronus::core
 {
 
 /* ------------------------------------------------------------------ */
+/* Device context (all execution models)                               */
+/* ------------------------------------------------------------------ */
+
+Status
+EnclaveRuntime::meCreate()
+{
+    if (created)
+        return Status(ErrorCode::InvalidState, "already created");
+    auto ctx = deviceHal.createDeviceContext();
+    if (!ctx.isOk())
+        return ctx.status();
+    deviceCtx = ctx.value();
+    created = true;
+    return Status::ok();
+}
+
+Status
+EnclaveRuntime::meDestroy(bool scrub)
+{
+    if (!created)
+        return Status(ErrorCode::InvalidState, "not created");
+    created = false;
+    return deviceHal.destroyDeviceContext(deviceCtx, scrub);
+}
+
+/* ------------------------------------------------------------------ */
 /* CPU                                                                 */
 /* ------------------------------------------------------------------ */
 
@@ -67,44 +93,6 @@ CpuImage::deserialize(const Bytes &data)
         image.exports.push_back(name.value());
     }
     return image;
-}
-
-Status
-CpuRuntime::meCreate(const Bytes &image)
-{
-    if (created)
-        return Status(ErrorCode::InvalidState, "already created");
-    auto parsed = CpuImage::deserialize(image);
-    if (!parsed.isOk())
-        return parsed.status();
-    for (const auto &name : parsed.value().exports) {
-        if (!CpuFunctionRegistry::instance().has(name))
-            return Status(ErrorCode::NotFound,
-                          "image exports unknown function '" + name +
-                          "'");
-        exports.insert(name);
-    }
-    auto ctx = cpuHal.createDeviceContext();
-    if (!ctx.isOk())
-        return ctx.status();
-    deviceCtx = ctx.value();
-    created = true;
-    moduleBound = true;
-    return Status::ok();
-}
-
-Status
-CpuRuntime::meCreateShell()
-{
-    if (created)
-        return Status(ErrorCode::InvalidState, "already created");
-    auto ctx = cpuHal.createDeviceContext();
-    if (!ctx.isOk())
-        return ctx.status();
-    deviceCtx = ctx.value();
-    created = true;
-    moduleBound = false;
-    return Status::ok();
 }
 
 Status
@@ -191,17 +179,6 @@ CpuRuntime::meRestore(const Bytes &snapshot)
     return Status::ok();
 }
 
-Status
-CpuRuntime::meDestroy(bool scrub)
-{
-    if (!created)
-        return Status(ErrorCode::InvalidState, "not created");
-    if (scrub)
-        store.clear();
-    created = false;
-    return cpuHal.destroyDeviceContext(deviceCtx, scrub);
-}
-
 /* ------------------------------------------------------------------ */
 /* CUDA                                                                */
 /* ------------------------------------------------------------------ */
@@ -214,42 +191,6 @@ CudaRuntime::apiSurface()
         "cuMemcpyDtoH", "cuLaunchKernel",   "cuCtxSynchronize",
     };
     return api;
-}
-
-Status
-CudaRuntime::meCreate(const Bytes &image)
-{
-    if (created)
-        return Status(ErrorCode::InvalidState, "already created");
-    auto module = accel::GpuModuleImage::deserialize(image);
-    if (!module.isOk())
-        return module.status();
-    auto ctx = gpuHal.createDeviceContext();
-    if (!ctx.isOk())
-        return ctx.status();
-    deviceCtx = ctx.value();
-    Status s = gpuHal.loadModule(deviceCtx, module.value());
-    if (!s.isOk()) {
-        gpuHal.destroyDeviceContext(deviceCtx, false);
-        return s;
-    }
-    created = true;
-    moduleBound = true;
-    return Status::ok();
-}
-
-Status
-CudaRuntime::meCreateShell()
-{
-    if (created)
-        return Status(ErrorCode::InvalidState, "already created");
-    auto ctx = gpuHal.createDeviceContext();
-    if (!ctx.isOk())
-        return ctx.status();
-    deviceCtx = ctx.value();
-    created = true;
-    moduleBound = false;
-    return Status::ok();
 }
 
 Status
@@ -411,8 +352,9 @@ CudaRuntime::meSnapshot()
 {
     if (!created)
         return Status(ErrorCode::InvalidState, "not created");
-    /* Loaded kernels are not part of the snapshot: meCreate reloads
-     * the module, so only device memory needs capturing. */
+    /* Loaded kernels are not part of the snapshot: a restore targets
+     * an enclave whose meBind already loaded the module, so only
+     * device memory needs capturing. */
     return gpuHal.snapshotContext(deviceCtx);
 }
 
@@ -422,15 +364,6 @@ CudaRuntime::meRestore(const Bytes &snapshot)
     if (!created)
         return Status(ErrorCode::InvalidState, "not created");
     return gpuHal.restoreContext(deviceCtx, snapshot);
-}
-
-Status
-CudaRuntime::meDestroy(bool scrub)
-{
-    if (!created)
-        return Status(ErrorCode::InvalidState, "not created");
-    created = false;
-    return gpuHal.destroyDeviceContext(deviceCtx, scrub);
 }
 
 /* ------------------------------------------------------------------ */
@@ -521,27 +454,6 @@ NpuRuntime::apiSurface()
         "vtaAllocBuffer", "vtaWriteBuffer", "vtaReadBuffer", "vtaRun",
     };
     return api;
-}
-
-Status
-NpuRuntime::meCreate(const Bytes &image)
-{
-    (void)image;  /* NPU programs arrive per-call; image may be null */
-    if (created)
-        return Status(ErrorCode::InvalidState, "already created");
-    auto ctx = npuHal.createDeviceContext();
-    if (!ctx.isOk())
-        return ctx.status();
-    deviceCtx = ctx.value();
-    created = true;
-    return Status::ok();
-}
-
-Status
-NpuRuntime::meCreateShell()
-{
-    /* NPU programs arrive per call; a shell is a full create. */
-    return meCreate(Bytes{});
 }
 
 Status
@@ -649,15 +561,6 @@ NpuRuntime::meCall(const std::string &fn, const Bytes &args)
     }
     return Status(ErrorCode::NotFound,
                   "unknown NPU mECall '" + fn + "'");
-}
-
-Status
-NpuRuntime::meDestroy(bool scrub)
-{
-    if (!created)
-        return Status(ErrorCode::InvalidState, "not created");
-    created = false;
-    return npuHal.destroyDeviceContext(deviceCtx, scrub);
 }
 
 } // namespace cronus::core

@@ -32,51 +32,36 @@ namespace cronus::core
 class EnclaveRuntime
 {
   public:
+    explicit EnclaveRuntime(mos::Hal &hal) : deviceHal(hal) {}
     virtual ~EnclaveRuntime() = default;
 
     /** "cpu-libos" | "cuda" | "vta" */
     virtual std::string executionModel() const = 0;
 
-    /** Parse and load the mEnclave image (me_create). */
-    virtual Status meCreate(const Bytes &image) = 0;
+    /**
+     * Allocate the device context (me_create). The enclave is an
+     * unbound shell until meBind() attaches a module: mECalls fail
+     * with InvalidState. Warm pools pre-create shells so a
+     * request-time instantiation is a bind, not a full create
+     * (§IV-A cold-start amortization).
+     */
+    Status meCreate();
 
     /**
-     * Create an *unbound shell*: allocate the device context (the
-     * expensive part of me_create) without loading a module. mECalls
-     * fail with InvalidState until meBind() attaches an image. Warm
-     * pools pre-create shells so instantiation is a bind, not a
-     * full create (§IV-A cold-start amortization).
+     * Parse and load a module image onto the created context (bind
+     * or rebind). Rebind is allowed within one owner's trust domain:
+     * the manager swaps the manifest at the same time, so only the
+     * newly bound module's mECalls remain callable.
      */
-    virtual Status
-    meCreateShell()
-    {
-        return Status(ErrorCode::Unsupported,
-                      "execution model has no shell support");
-    }
-
-    /**
-     * Bind (or rebind) a module image onto a created shell. Rebind
-     * is allowed within one owner's trust domain: the manager swaps
-     * the manifest at the same time, so only the newly bound
-     * module's mECalls remain callable.
-     */
-    virtual Status
-    meBind(const Bytes &image)
-    {
-        (void)image;
-        return Status(ErrorCode::Unsupported,
-                      "execution model has no bind support");
-    }
-
-    /** Whether a module is currently bound (shells start unbound). */
-    virtual bool bound() const { return true; }
+    virtual Status meBind(const Bytes &image) = 0;
 
     /** Execute one mECall against internal state. */
     virtual Result<Bytes> meCall(const std::string &fn,
                                  const Bytes &args) = 0;
 
-    /** Tear down; @p scrub additionally clears device state. */
-    virtual Status meDestroy(bool scrub) = 0;
+    /** Release the device context; @p scrub also clears device
+     *  state. */
+    Status meDestroy(bool scrub);
 
     /**
      * Serialize the executor's internal state (checkpointing
@@ -99,6 +84,13 @@ class EnclaveRuntime
         return Status(ErrorCode::Unsupported,
                       "execution model has no restore support");
     }
+
+  protected:
+    uint64_t deviceCtx = 0;
+    bool created = false;
+
+  private:
+    mos::Hal &deviceHal;
 };
 
 /* ------------------------------------------------------------------ */
@@ -155,23 +147,18 @@ struct CpuImage
 class CpuRuntime : public EnclaveRuntime
 {
   public:
-    explicit CpuRuntime(mos::CpuHal &hal) : cpuHal(hal) {}
+    explicit CpuRuntime(mos::CpuHal &hal)
+        : EnclaveRuntime(hal), cpuHal(hal) {}
 
     std::string executionModel() const override { return "cpu-libos"; }
-    Status meCreate(const Bytes &image) override;
-    Status meCreateShell() override;
     Status meBind(const Bytes &image) override;
-    bool bound() const override { return moduleBound; }
     Result<Bytes> meCall(const std::string &fn,
                          const Bytes &args) override;
-    Status meDestroy(bool scrub) override;
     Result<Bytes> meSnapshot() override;
     Status meRestore(const Bytes &snapshot) override;
 
   private:
     mos::CpuHal &cpuHal;
-    uint64_t deviceCtx = 0;
-    bool created = false;
     bool moduleBound = false;
     std::set<std::string> exports;
     std::map<std::string, Bytes> store;
@@ -190,16 +177,13 @@ class CpuRuntime : public EnclaveRuntime
 class CudaRuntime : public EnclaveRuntime
 {
   public:
-    explicit CudaRuntime(mos::GpuHal &hal) : gpuHal(hal) {}
+    explicit CudaRuntime(mos::GpuHal &hal)
+        : EnclaveRuntime(hal), gpuHal(hal) {}
 
     std::string executionModel() const override { return "cuda"; }
-    Status meCreate(const Bytes &image) override;
-    Status meCreateShell() override;
     Status meBind(const Bytes &image) override;
-    bool bound() const override { return moduleBound; }
     Result<Bytes> meCall(const std::string &fn,
                          const Bytes &args) override;
-    Status meDestroy(bool scrub) override;
     Result<Bytes> meSnapshot() override;
     Status meRestore(const Bytes &snapshot) override;
 
@@ -218,8 +202,6 @@ class CudaRuntime : public EnclaveRuntime
 
   private:
     mos::GpuHal &gpuHal;
-    uint64_t deviceCtx = 0;
-    bool created = false;
     bool moduleBound = false;
 };
 
@@ -234,15 +216,13 @@ Result<accel::NpuProgram> deserializeNpuProgram(const Bytes &data);
 class NpuRuntime : public EnclaveRuntime
 {
   public:
-    explicit NpuRuntime(mos::NpuHal &hal) : npuHal(hal) {}
+    explicit NpuRuntime(mos::NpuHal &hal)
+        : EnclaveRuntime(hal), npuHal(hal) {}
 
     std::string executionModel() const override { return "vta"; }
-    Status meCreate(const Bytes &image) override;
-    Status meCreateShell() override;
     Status meBind(const Bytes &image) override;
     Result<Bytes> meCall(const std::string &fn,
                          const Bytes &args) override;
-    Status meDestroy(bool scrub) override;
 
     /* --- argument codecs --- */
     static Bytes encodeAllocBuffer(uint64_t bytes);
@@ -256,8 +236,6 @@ class NpuRuntime : public EnclaveRuntime
 
   private:
     mos::NpuHal &npuHal;
-    uint64_t deviceCtx = 0;
-    bool created = false;
 };
 
 } // namespace cronus::core

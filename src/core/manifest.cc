@@ -168,4 +168,39 @@ Manifest::isAsync(const std::string &name) const
     return false;
 }
 
+crypto::Digest
+measureEnclave(const Manifest &manifest, const crypto::Digest &image_hash)
+{
+    crypto::Sha256 ctx;
+    ctx.update(crypto::digestToBytes(manifest.measure()));
+    ctx.update(crypto::digestToBytes(image_hash));
+    return ctx.finalize();
+}
+
+Result<VerifiedModule>
+verifyModule(const std::string &manifest_json,
+             const std::string &image_name, const Bytes &image)
+{
+    auto manifest = Manifest::fromJson(manifest_json);
+    if (!manifest.isOk())
+        return manifest.status();
+    VerifiedModule verified{std::move(manifest.value())};
+    if (!image.empty() || !image_name.empty()) {
+        const auto &images = verified.manifest.images;
+        auto declared = images.find(image_name);
+        if (declared == images.end())
+            return Status(ErrorCode::InvalidArgument,
+                          "image '" + image_name +
+                          "' not declared in manifest");
+        verified.imageHash = crypto::sha256(image);
+        if (crypto::digestHex(verified.imageHash) != declared->second)
+            return Status(ErrorCode::IntegrityViolation,
+                          "image hash mismatch for '" + image_name +
+                          "'");
+    }
+    verified.measurement =
+        measureEnclave(verified.manifest, verified.imageHash);
+    return verified;
+}
+
 } // namespace cronus::core

@@ -60,6 +60,33 @@ class Manifest
     static Result<uint64_t> parseMemorySize(const std::string &text);
 };
 
+/**
+ * Enclave measurement: sha256(manifest.measure() || image_hash). A
+ * shell (no module bound yet) passes the zero image hash.
+ */
+crypto::Digest measureEnclave(const Manifest &manifest,
+                              const crypto::Digest &image_hash);
+
+/** A (manifest, image) pair that passed verifyModule(). */
+struct VerifiedModule
+{
+    Manifest manifest;
+    /** sha256(image); zero for a null image. */
+    crypto::Digest imageHash{};
+    crypto::Digest measurement{};
+};
+
+/**
+ * Parse @p manifest_json, check @p image against the manifest entry
+ * named @p image_name and derive the enclave measurement. A null
+ * image under no name is allowed for fixed-function devices (§IV-A).
+ * Pure (charges no virtual time): EnclaveManager::create and
+ * ModuleStore::admit both verify through it.
+ */
+Result<VerifiedModule> verifyModule(const std::string &manifest_json,
+                                    const std::string &image_name,
+                                    const Bytes &image);
+
 } // namespace cronus::core
 
 #endif // CRONUS_CORE_MANIFEST_HH

@@ -61,33 +61,45 @@ EnclaveManager::EnclaveManager(MicroOS &os) : mos(os)
 {
 }
 
-Result<std::unique_ptr<EnclaveRuntime>>
-EnclaveManager::makeRuntime(const std::string &device_type)
+Status
+EnclaveManager::checkDeviceType(const std::string &device_type) const
 {
-    if (device_type != mos.deviceType())
-        return Status(ErrorCode::InvalidArgument,
-                      "manifest device_type '" + device_type +
-                      "' does not match this mOS ('" +
-                      mos.deviceType() + "')");
+    if (device_type == mos.deviceType())
+        return Status::ok();
+    return Status(ErrorCode::InvalidArgument,
+                  "device_type '" + device_type +
+                  "' does not match this mOS ('" + mos.deviceType() +
+                  "')");
+}
+
+Status
+EnclaveManager::admitMemory(uint64_t released, uint64_t claimed) const
+{
+    auto partition = mos.spm().partition(mos.partitionId());
+    if (!partition.isOk())
+        return partition.status();
+    if (memUsed - released + claimed > partition.value()->memBytes)
+        return Status(ErrorCode::ResourceExhausted,
+                      "memory quota exceeds partition budget");
+    return Status::ok();
+}
+
+std::unique_ptr<EnclaveRuntime>
+EnclaveManager::makeRuntime()
+{
     mos::Hal &hal = mos.hal();
-    if (device_type == "cpu")
-        return std::unique_ptr<EnclaveRuntime>(
-            new CpuRuntime(static_cast<mos::CpuHal &>(hal)));
-    if (device_type == "gpu")
-        return std::unique_ptr<EnclaveRuntime>(
-            new CudaRuntime(static_cast<mos::GpuHal &>(hal)));
-    if (device_type == "npu")
-        return std::unique_ptr<EnclaveRuntime>(
-            new NpuRuntime(static_cast<mos::NpuHal &>(hal)));
-    return Status(ErrorCode::Unsupported,
-                  "no execution model for '" + device_type + "'");
+    if (mos.deviceType() == "cpu")
+        return std::make_unique<CpuRuntime>(
+            static_cast<mos::CpuHal &>(hal));
+    if (mos.deviceType() == "gpu")
+        return std::make_unique<CudaRuntime>(
+            static_cast<mos::GpuHal &>(hal));
+    return std::make_unique<NpuRuntime>(static_cast<mos::NpuHal &>(hal));
 }
 
 Result<EnclaveCreated>
-EnclaveManager::create(const std::string &manifest_json,
-                       const std::string &image_name,
-                       const Bytes &image,
-                       const crypto::PublicKey &owner_pub)
+EnclaveManager::instantiate(const crypto::PublicKey &owner_pub,
+                            const std::function<Result<Module>()> &load)
 {
     if (!mos.spm().validateMosId(mos.partitionId()))
         return Status(ErrorCode::InvalidState,
@@ -100,40 +112,14 @@ EnclaveManager::create(const std::string &manifest_json,
         return Status(ErrorCode::ResourceExhausted,
                       "enclave id space exhausted on partition " +
                       std::to_string(mos.partitionId()));
-    auto manifest = Manifest::fromJson(manifest_json);
-    if (!manifest.isOk())
-        return manifest.status();
-    Manifest &mf = manifest.value();
+    auto module = load();
+    if (!module.isOk())
+        return module.status();
+    Module &m = module.value();
 
-    /* Verify the image hash against the manifest (integrity of the
-     * code the client attested). A null image is allowed for
-     * devices with fixed functions (§IV-A). */
-    crypto::Digest image_hash{};
-    if (!image.empty() || !image_name.empty()) {
-        auto declared = mf.images.find(image_name);
-        if (declared == mf.images.end())
-            return Status(ErrorCode::InvalidArgument,
-                          "image '" + image_name +
-                          "' not declared in manifest");
-        image_hash = crypto::sha256(image);
-        if (crypto::digestHex(image_hash) != declared->second)
-            return Status(ErrorCode::IntegrityViolation,
-                          "image hash mismatch for '" + image_name +
-                          "'");
-    }
-
-    /* Resource admission. */
-    auto partition = mos.spm().partition(mos.partitionId());
-    if (!partition.isOk())
-        return partition.status();
-    if (memUsed + mf.memoryBytes > partition.value()->memBytes)
-        return Status(ErrorCode::ResourceExhausted,
-                      "manifest memory quota exceeds partition "
-                      "budget");
-
-    auto runtime = makeRuntime(mf.deviceType);
-    if (!runtime.isOk())
-        return runtime.status();
+    CRONUS_RETURN_IF_ERROR(admitMemory(0, m.manifest.memoryBytes));
+    CRONUS_RETURN_IF_ERROR(checkDeviceType(m.manifest.deviceType));
+    std::unique_ptr<EnclaveRuntime> runtime = makeRuntime();
 
     /* Ownership: Diffie-Hellman with the creator (§IV-A). */
     hw::Platform &plat = mos.spm().monitor().platform();
@@ -147,192 +133,89 @@ EnclaveManager::create(const std::string &manifest_json,
                                           owner_pub);
     plat.clock().advance(plat.costs().dhNs);
 
-    Status created = runtime.value()->meCreate(image);
-    if (!created.isOk())
-        return created;
+    CRONUS_RETURN_IF_ERROR(runtime->meCreate());
+    if (m.image != nullptr) {
+        Status bound = runtime->meBind(*m.image);
+        if (!bound.isOk()) {
+            /* A rejected image leaves no device context behind. */
+            (void)runtime->meDestroy(false);
+            return bound;
+        }
+    }
+    plat.clock().advance(static_cast<SimTime>(
+        m.measuredBytes * plat.costs().shaNsPerByte));
 
     Eid eid = makeEid(mos.partitionId(), nextEnclaveId++);
-    crypto::Sha256 measurement;
-    measurement.update(crypto::digestToBytes(mf.measure()));
-    measurement.update(crypto::digestToBytes(image_hash));
-    plat.clock().advance(static_cast<SimTime>(
-        (manifest_json.size() + image.size()) *
-        plat.costs().shaNsPerByte));
-
-    enclaves[eid] = std::make_unique<MicroEnclave>(
-        eid, mf, measurement.finalize(), std::move(runtime.value()),
-        secret, owner_pub);
-    memQuota[eid] = mf.memoryBytes;
-    memUsed += mf.memoryBytes;
+    memUsed += m.manifest.memoryBytes;
     lastNonce[eid] = 0;
+    enclaves[eid] = std::make_unique<MicroEnclave>(
+        eid, std::move(m.manifest), m.measurement, std::move(runtime),
+        std::move(secret), owner_pub);
     return EnclaveCreated{eid, enclave_keys.pub};
+}
+
+Result<EnclaveCreated>
+EnclaveManager::create(const std::string &manifest_json,
+                       const std::string &image_name,
+                       const Bytes &image,
+                       const crypto::PublicKey &owner_pub)
+{
+    return instantiate(owner_pub, [&]() -> Result<Module> {
+        auto verified = verifyModule(manifest_json, image_name, image);
+        if (!verified.isOk())
+            return verified.status();
+        return Module{std::move(verified.value().manifest),
+                      verified.value().measurement, &image,
+                      manifest_json.size() + image.size()};
+    });
 }
 
 Result<EnclaveCreated>
 EnclaveManager::createFromRecord(const ModuleRecord &record,
                                  const crypto::PublicKey &owner_pub)
 {
-    if (!mos.spm().validateMosId(mos.partitionId()))
-        return Status(ErrorCode::InvalidState,
-                      "partition not ready (failed or rebooting)");
-    mos.tick();
-    if (nextEnclaveId > kEnclaveIdMask)
-        return Status(ErrorCode::ResourceExhausted,
-                      "enclave id space exhausted on partition " +
-                      std::to_string(mos.partitionId()));
-
-    const Manifest &mf = record.manifest;
-    auto partition = mos.spm().partition(mos.partitionId());
-    if (!partition.isOk())
-        return partition.status();
-    if (memUsed + mf.memoryBytes > partition.value()->memBytes)
-        return Status(ErrorCode::ResourceExhausted,
-                      "manifest memory quota exceeds partition "
-                      "budget");
-
-    auto runtime = makeRuntime(mf.deviceType);
-    if (!runtime.isOk())
-        return runtime.status();
-
-    hw::Platform &plat = mos.spm().monitor().platform();
-    Bytes seed = toBytes("enclave-dh:");
-    Bytes owner_bytes = owner_pub.toBytes();
-    seed.insert(seed.end(), owner_bytes.begin(), owner_bytes.end());
-    seed.push_back(static_cast<uint8_t>(nextEnclaveId));
-    seed.push_back(static_cast<uint8_t>(mos.partitionId()));
-    crypto::KeyPair enclave_keys = crypto::deriveKeyPair(seed);
-    Bytes secret = crypto::dhSharedSecret(enclave_keys.priv,
-                                          owner_pub);
-    plat.clock().advance(plat.costs().dhNs);
-
-    Status created = runtime.value()->meCreate(record.image);
-    if (!created.isOk())
-        return created;
-
-    /* The record's measurement was derived at store admission over
-     * the same bytes; reusing it skips the per-create SHA. */
-    Eid eid = makeEid(mos.partitionId(), nextEnclaveId++);
-    enclaves[eid] = std::make_unique<MicroEnclave>(
-        eid, mf, record.measurement, std::move(runtime.value()),
-        secret, owner_pub);
-    memQuota[eid] = mf.memoryBytes;
-    memUsed += mf.memoryBytes;
-    lastNonce[eid] = 0;
-    return EnclaveCreated{eid, enclave_keys.pub};
+    return instantiate(owner_pub, [&]() -> Result<Module> {
+        return Module{record.manifest, record.measurement, &record.image,
+                      0};
+    });
 }
 
 Result<EnclaveCreated>
 EnclaveManager::createShell(const crypto::PublicKey &owner_pub,
                             uint64_t mem_bytes)
 {
-    if (!mos.spm().validateMosId(mos.partitionId()))
-        return Status(ErrorCode::InvalidState,
-                      "partition not ready (failed or rebooting)");
-    mos.tick();
-    if (nextEnclaveId > kEnclaveIdMask)
-        return Status(ErrorCode::ResourceExhausted,
-                      "enclave id space exhausted on partition " +
-                      std::to_string(mos.partitionId()));
-
-    /* A shell's manifest declares nothing: no mECall is callable
-     * until a module is bound and the manifest swapped. */
-    Manifest mf;
-    mf.deviceType = mos.deviceType();
-    mf.memoryBytes = mem_bytes;
-
-    auto partition = mos.spm().partition(mos.partitionId());
-    if (!partition.isOk())
-        return partition.status();
-    if (memUsed + mf.memoryBytes > partition.value()->memBytes)
-        return Status(ErrorCode::ResourceExhausted,
-                      "shell memory quota exceeds partition budget");
-
-    auto runtime = makeRuntime(mf.deviceType);
-    if (!runtime.isOk())
-        return runtime.status();
-
-    hw::Platform &plat = mos.spm().monitor().platform();
-    Bytes seed = toBytes("enclave-dh:");
-    Bytes owner_bytes = owner_pub.toBytes();
-    seed.insert(seed.end(), owner_bytes.begin(), owner_bytes.end());
-    seed.push_back(static_cast<uint8_t>(nextEnclaveId));
-    seed.push_back(static_cast<uint8_t>(mos.partitionId()));
-    crypto::KeyPair enclave_keys = crypto::deriveKeyPair(seed);
-    Bytes secret = crypto::dhSharedSecret(enclave_keys.priv,
-                                          owner_pub);
-    plat.clock().advance(plat.costs().dhNs);
-
-    Status created = runtime.value()->meCreateShell();
-    if (!created.isOk())
-        return created;
-
-    /* Shell measurement: the empty manifest plus a zero image hash.
-     * Attesting a shell proves "pre-attested empty executor on this
-     * mOS"; the module's identity is pinned later by bindModule. */
-    std::string shell_json = mf.toJson();
-    crypto::Sha256 measurement;
-    measurement.update(crypto::digestToBytes(mf.measure()));
-    measurement.update(crypto::digestToBytes(crypto::Digest{}));
-    plat.clock().advance(static_cast<SimTime>(
-        shell_json.size() * plat.costs().shaNsPerByte));
-
-    Eid eid = makeEid(mos.partitionId(), nextEnclaveId++);
-    enclaves[eid] = std::make_unique<MicroEnclave>(
-        eid, mf, measurement.finalize(), std::move(runtime.value()),
-        secret, owner_pub);
-    memQuota[eid] = mf.memoryBytes;
-    memUsed += mf.memoryBytes;
-    lastNonce[eid] = 0;
-    return EnclaveCreated{eid, enclave_keys.pub};
+    return instantiate(owner_pub, [&]() -> Result<Module> {
+        /* An empty manifest: nothing is callable until bindModule
+         * swaps in a module's. Attesting the shell proves "empty
+         * executor on this mOS" (zero image hash). */
+        Manifest mf;
+        mf.deviceType = mos.deviceType();
+        mf.memoryBytes = mem_bytes;
+        crypto::Digest measurement = measureEnclave(mf, crypto::Digest{});
+        return Module{mf, measurement, nullptr, mf.toJson().size()};
+    });
 }
 
 Status
 EnclaveManager::bindModule(Eid eid, const ModuleRecord &record,
                            uint64_t nonce, const Bytes &tag)
 {
-    if (!mos.spm().validateMosId(mos.partitionId()))
-        return Status(ErrorCode::InvalidState,
-                      "partition not ready (failed or rebooting)");
     mos.tick();
-    auto it = enclaves.find(eid);
-    if (it == enclaves.end())
-        return Status(ErrorCode::NotFound, "no such mEnclave");
-
     /* Only the owner may change what this enclave runs. */
-    Bytes expected = authTag(it->second->secret(), eid, nonce,
-                             "bind",
+    auto enclave = ownerGate(eid, nonce, tag, "bind",
                              crypto::digestToBytes(record.digest));
-    if (!constantTimeEqual(expected, tag))
-        return Status(ErrorCode::AuthFailed,
-                      "bind authentication failed");
-    if (nonce <= lastNonce[eid])
-        return Status(ErrorCode::IntegrityViolation,
-                      "bind replay detected");
-    lastNonce[eid] = nonce;
+    if (!enclave.isOk())
+        return enclave.status();
 
-    if (record.manifest.deviceType != mos.deviceType())
-        return Status(ErrorCode::InvalidArgument,
-                      "module device_type '" +
-                      record.manifest.deviceType +
-                      "' does not match this mOS ('" +
-                      mos.deviceType() + "')");
+    CRONUS_RETURN_IF_ERROR(checkDeviceType(record.manifest.deviceType));
 
-    /* Re-admission: the module's quota replaces the shell's. */
-    auto partition = mos.spm().partition(mos.partitionId());
-    if (!partition.isOk())
-        return partition.status();
-    uint64_t old_quota = memQuota[eid];
-    if (memUsed - old_quota + record.manifest.memoryBytes >
-        partition.value()->memBytes)
-        return Status(ErrorCode::ResourceExhausted,
-                      "module memory quota exceeds partition budget");
-
-    Status bound = it->second->bind(record.manifest,
-                                    record.measurement, record.image);
-    if (!bound.isOk())
-        return bound;
-    memUsed = memUsed - old_quota + record.manifest.memoryBytes;
-    memQuota[eid] = record.manifest.memoryBytes;
+    /* Re-admission: the module's quota replaces the current one. */
+    uint64_t old_quota = enclave.value()->manifestOf().memoryBytes;
+    uint64_t new_quota = record.manifest.memoryBytes;
+    CRONUS_RETURN_IF_ERROR(admitMemory(old_quota, new_quota));
+    CRONUS_RETURN_IF_ERROR(enclave.value()->bind(
+        record.manifest, record.measurement, record.image));
+    memUsed = memUsed - old_quota + new_quota;
     return Status::ok();
 }
 
@@ -348,12 +231,14 @@ EnclaveManager::authTag(const Bytes &secret, Eid eid, uint64_t nonce,
     return crypto::digestToBytes(crypto::hmacSha256(secret, w.take()));
 }
 
-Result<Bytes>
-EnclaveManager::ecall(Eid eid, const std::string &fn,
-                      const Bytes &args, uint64_t nonce,
-                      const Bytes &tag)
+Result<MicroEnclave *>
+EnclaveManager::ownerGate(Eid eid, uint64_t nonce, const Bytes &tag,
+                          const std::string &fn, const Bytes &payload,
+                          SimTime verify_ns)
 {
-    mos.tick();
+    if (!mos.spm().validateMosId(mos.partitionId()))
+        return Status(ErrorCode::InvalidState,
+                      "partition not ready (failed or rebooting)");
     /* The SPM validates the mOS part of cross-mOS eids; a request
      * dispatched to the wrong partition is rejected here (malicious
      * dispatch defense, §III-B). */
@@ -365,23 +250,37 @@ EnclaveManager::ecall(Eid eid, const std::string &fn,
     auto it = enclaves.find(eid);
     if (it == enclaves.end())
         return Status(ErrorCode::NotFound, "no such mEnclave");
+    mos.spm().monitor().platform().clock().advance(verify_ns);
 
-    hw::Platform &plat = mos.spm().monitor().platform();
-    plat.clock().advance(static_cast<SimTime>(
-        args.size() * plat.costs().hmacNsPerByte) + kNsPerUs);
-
-    /* Only the owner (holder of secret_dhke) can invoke (§IV-A). */
+    /* Only the owner (holder of secret_dhke) passes (§IV-A). */
     Bytes expected = authTag(it->second->secret(), eid, nonce, fn,
-                             args);
+                             payload);
     if (!constantTimeEqual(expected, tag))
         return Status(ErrorCode::AuthFailed,
-                      "mECall authentication failed");
+                      "'" + fn + "' authentication failed");
     /* Strictly increasing nonce: replayed requests rejected. */
-    if (nonce <= lastNonce[eid])
+    uint64_t &last = lastNonce[eid];
+    if (nonce <= last)
         return Status(ErrorCode::IntegrityViolation,
-                      "mECall replay detected");
-    lastNonce[eid] = nonce;
-    return it->second->invoke(fn, args);
+                      "'" + fn + "' replay detected");
+    last = nonce;
+    return it->second.get();
+}
+
+Result<Bytes>
+EnclaveManager::ecall(Eid eid, const std::string &fn,
+                      const Bytes &args, uint64_t nonce,
+                      const Bytes &tag)
+{
+    mos.tick();
+    hw::Platform &plat = mos.spm().monitor().platform();
+    auto enclave = ownerGate(
+        eid, nonce, tag, fn, args,
+        static_cast<SimTime>(args.size() * plat.costs().hmacNsPerByte) +
+            kNsPerUs);
+    if (!enclave.isOk())
+        return enclave.status();
+    return enclave.value()->invoke(fn, args);
 }
 
 Result<Bytes>
@@ -441,53 +340,34 @@ EnclaveManager::verifyLocalReport(const LocalAttestationReport &report,
 Status
 EnclaveManager::destroy(Eid eid, uint64_t nonce, const Bytes &tag)
 {
-    auto it = enclaves.find(eid);
-    if (it == enclaves.end())
-        return Status(ErrorCode::NotFound, "no such mEnclave");
-    Bytes expected = authTag(it->second->secret(), eid, nonce,
-                             "destroy", Bytes{});
-    if (!constantTimeEqual(expected, tag))
-        return Status(ErrorCode::AuthFailed,
-                      "destroy authentication failed");
-    if (nonce <= lastNonce[eid])
-        return Status(ErrorCode::IntegrityViolation,
-                      "destroy replay detected");
+    auto enclave = ownerGate(eid, nonce, tag, "destroy", Bytes{});
+    if (!enclave.isOk())
+        return enclave.status();
     /* The books are cleaned regardless -- a runtime that failed to
      * scrub must not leak quota -- but the caller learns about it:
      * swallowing the status here hid device-context teardown
      * failures from create/destroy churn. */
-    Status destroyed = it->second->destroy(true);
-    memUsed -= memQuota[eid];
-    memQuota.erase(eid);
+    Status destroyed = enclave.value()->destroy(true);
+    memUsed -= enclave.value()->manifestOf().memoryBytes;
     lastNonce.erase(eid);
-    enclaves.erase(it);
+    enclaves.erase(eid);
     return destroyed;
 }
 
 Result<Bytes>
 EnclaveManager::checkpoint(Eid eid, uint64_t nonce, const Bytes &tag)
 {
-    auto it = enclaves.find(eid);
-    if (it == enclaves.end())
-        return Status(ErrorCode::NotFound, "no such mEnclave");
-    Bytes expected = authTag(it->second->secret(), eid, nonce,
-                             "checkpoint", Bytes{});
-    if (!constantTimeEqual(expected, tag))
-        return Status(ErrorCode::AuthFailed,
-                      "checkpoint authentication failed");
-    if (nonce <= lastNonce[eid])
-        return Status(ErrorCode::IntegrityViolation,
-                      "checkpoint replay detected");
-    lastNonce[eid] = nonce;
-
-    auto snapshot = it->second->snapshot();
+    auto enclave = ownerGate(eid, nonce, tag, "checkpoint", Bytes{});
+    if (!enclave.isOk())
+        return enclave.status();
+    auto snapshot = enclave.value()->snapshot();
     if (!snapshot.isOk())
         return snapshot.status();
     hw::Platform &plat = mos.spm().monitor().platform();
     plat.clock().advance(static_cast<SimTime>(
         snapshot.value().size() *
         (plat.costs().aesNsPerByte + plat.costs().hmacNsPerByte)));
-    return crypto::sealMessage(it->second->secret(), nonce,
+    return crypto::sealMessage(enclave.value()->secret(), nonce,
                                snapshot.value());
 }
 
@@ -495,20 +375,10 @@ Status
 EnclaveManager::restore(Eid eid, uint64_t nonce, const Bytes &tag,
                         const Bytes &sealed)
 {
-    auto it = enclaves.find(eid);
-    if (it == enclaves.end())
-        return Status(ErrorCode::NotFound, "no such mEnclave");
-    Bytes expected = authTag(it->second->secret(), eid, nonce,
-                             "restore", sealed);
-    if (!constantTimeEqual(expected, tag))
-        return Status(ErrorCode::AuthFailed,
-                      "restore authentication failed");
-    if (nonce <= lastNonce[eid])
-        return Status(ErrorCode::IntegrityViolation,
-                      "restore replay detected");
-    lastNonce[eid] = nonce;
-
-    auto snapshot = crypto::openMessage(it->second->secret(),
+    auto enclave = ownerGate(eid, nonce, tag, "restore", sealed);
+    if (!enclave.isOk())
+        return enclave.status();
+    auto snapshot = crypto::openMessage(enclave.value()->secret(),
                                         sealed);
     if (!snapshot.isOk())
         return snapshot.status();
@@ -516,7 +386,7 @@ EnclaveManager::restore(Eid eid, uint64_t nonce, const Bytes &tag,
     plat.clock().advance(static_cast<SimTime>(
         snapshot.value().size() *
         (plat.costs().aesNsPerByte + plat.costs().hmacNsPerByte)));
-    return it->second->restoreState(snapshot.value());
+    return enclave.value()->restoreState(snapshot.value());
 }
 
 Result<const MicroEnclave *>
@@ -526,15 +396,6 @@ EnclaveManager::enclave(Eid eid) const
     if (it == enclaves.end())
         return Status(ErrorCode::NotFound, "no such mEnclave");
     return const_cast<const MicroEnclave *>(it->second.get());
-}
-
-Result<MicroEnclave *>
-EnclaveManager::enclaveMutable(Eid eid)
-{
-    auto it = enclaves.find(eid);
-    if (it == enclaves.end())
-        return Status(ErrorCode::NotFound, "no such mEnclave");
-    return it->second.get();
 }
 
 /* ------------------------------------------------------------------ */
@@ -547,15 +408,20 @@ MicroOS::MicroOS(tee::Spm &spm, tee::PartitionId partition_id,
     : partitionManager(spm), pid(partition_id), devType(device_type),
       devName(device_name), shim(spm, partition_id)
 {
-    if (device_type == "cpu") {
-        halImpl = std::make_unique<mos::CpuHal>(shim, device_name);
-    } else if (device_type == "gpu") {
-        halImpl = std::make_unique<mos::GpuHal>(shim, device_name);
-    } else if (device_type == "npu") {
-        halImpl = std::make_unique<mos::NpuHal>(shim, device_name);
-    } else {
-        fatal("unknown device type '" + device_type + "'");
-    }
+    loadHalAndManager();
+}
+
+void
+MicroOS::loadHalAndManager()
+{
+    if (devType == "cpu")
+        halImpl = std::make_unique<mos::CpuHal>(shim, devName);
+    else if (devType == "gpu")
+        halImpl = std::make_unique<mos::GpuHal>(shim, devName);
+    else if (devType == "npu")
+        halImpl = std::make_unique<mos::NpuHal>(shim, devName);
+    else
+        fatal("unknown device type '" + devType + "'");
     manager = std::make_unique<EnclaveManager>(*this);
 }
 
@@ -590,13 +456,7 @@ MicroOS::onReboot()
      * HAL (drivers re-probe, DMA staging remapped), fresh enclave
      * manager. */
     shim.resetAllocator();
-    if (devType == "cpu")
-        halImpl = std::make_unique<mos::CpuHal>(shim, devName);
-    else if (devType == "gpu")
-        halImpl = std::make_unique<mos::GpuHal>(shim, devName);
-    else
-        halImpl = std::make_unique<mos::NpuHal>(shim, devName);
-    manager = std::make_unique<EnclaveManager>(*this);
+    loadHalAndManager();
 }
 
 } // namespace cronus::core

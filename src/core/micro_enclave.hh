@@ -5,9 +5,12 @@
  * The Enclave Manager runs inside each mOS: it loads and initializes
  * mEnclaves from manifests (verifying image hashes), allocates eids
  * (8-bit mOS id + 24-bit enclave id), derives the per-enclave
- * ownership secret via Diffie-Hellman, authenticates mECall
- * invocations arriving over the untrusted path, keeps resource
- * books, and answers local-attestation requests.
+ * ownership secret via Diffie-Hellman, authenticates owner requests
+ * (mECalls over the untrusted path, bind, checkpoint, restore,
+ * destroy) through one owner gate that refuses them while the
+ * partition is not Ready, keeps resource books, and answers
+ * local-attestation requests. Legacy, cached and shell creates share
+ * one creation routine.
  *
  * MicroOS aggregates the Enclave Manager with the HAL and the shim
  * kernel for one partition.
@@ -16,6 +19,7 @@
 #ifndef CRONUS_CORE_MICRO_ENCLAVE_HH
 #define CRONUS_CORE_MICRO_ENCLAVE_HH
 
+#include <functional>
 #include <memory>
 
 #include "eid.hh"
@@ -63,9 +67,6 @@ class MicroEnclave
      */
     Status bind(const Manifest &mf, const crypto::Digest &meas,
                 const Bytes &image);
-
-    /** Whether a module is bound (shells start unbound). */
-    bool isBound() const { return runtime->bound(); }
 
     /** Raw state snapshot/restore (sealed by the EnclaveManager). */
     Result<Bytes> snapshot() { return runtime->meSnapshot(); }
@@ -130,12 +131,10 @@ class EnclaveManager
                                   const crypto::PublicKey &owner_pub);
 
     /**
-     * Create an mEnclave from a module-store record. The record's
-     * manifest was parsed and its image verified and measured at
-     * admission, so this path skips the parse, the hash check and
-     * the measurement SHA -- the cache win the module store exists
-     * for. Everything else (admission, DH ownership, runtime
-     * creation, books) matches create() exactly.
+     * Create an mEnclave from a module-store record. The record was
+     * verified and measured at admission, so this skips the parse,
+     * the hash check and the measurement SHA -- the cache win the
+     * module store exists for. Everything else matches create().
      */
     Result<EnclaveCreated> createFromRecord(
         const ModuleRecord &record,
@@ -205,20 +204,55 @@ class EnclaveManager
                    const Bytes &sealed);
 
     Result<const MicroEnclave *> enclave(Eid eid) const;
-    Result<MicroEnclave *> enclaveMutable(Eid eid);
     size_t enclaveCount() const { return enclaves.size(); }
 
     /** Memory bookkeeping. */
     uint64_t memoryInUse() const { return memUsed; }
 
   private:
-    Result<std::unique_ptr<EnclaveRuntime>> makeRuntime(
-        const std::string &device_type);
+    /** What instantiate() loads. A null image leaves a shell;
+     *  measuredBytes is 0 when the store measured at admission. */
+    struct Module
+    {
+        Manifest manifest;
+        crypto::Digest measurement{};
+        const Bytes *image = nullptr;
+        uint64_t measuredBytes = 0;
+    };
+
+    /**
+     * The one creation routine: readiness, id space, @p load (so its
+     * errors rank behind those two), admission, DH ownership,
+     * meCreate, meBind when there is an image, the measurement SHA
+     * over measuredBytes, then the books.
+     */
+    Result<EnclaveCreated> instantiate(
+        const crypto::PublicKey &owner_pub,
+        const std::function<Result<Module>()> &load);
+
+    /**
+     * The owner gate every owner request passes: a Ready partition,
+     * an eid of this partition that exists, @p tag =
+     * HMAC(secret_dhke, eid||nonce||fn||payload) in constant time,
+     * and a strictly increasing @p nonce. @p verify_ns is charged
+     * after the lookup, before the tag compare.
+     */
+    Result<MicroEnclave *> ownerGate(Eid eid, uint64_t nonce,
+                                     const Bytes &tag,
+                                     const std::string &fn,
+                                     const Bytes &payload,
+                                     SimTime verify_ns = 0);
+
+    /** InvalidArgument unless @p device_type is this mOS's. */
+    Status checkDeviceType(const std::string &device_type) const;
+    /** ResourceExhausted unless trading @p released bytes of quota
+     *  for @p claimed fits the partition budget. */
+    Status admitMemory(uint64_t released, uint64_t claimed) const;
+    std::unique_ptr<EnclaveRuntime> makeRuntime();
 
     MicroOS &mos;
     std::map<Eid, std::unique_ptr<MicroEnclave>> enclaves;
     std::map<Eid, uint64_t> lastNonce;
-    std::map<Eid, uint64_t> memQuota;
     uint32_t nextEnclaveId = 1;
     uint64_t memUsed = 0;
 };
@@ -264,6 +298,10 @@ class MicroOS
     tee::Spm &spm() { return partitionManager; }
 
   private:
+    /** Build a fresh HAL for the device type and a fresh Enclave
+     *  Manager (boot and every reboot). */
+    void loadHalAndManager();
+
     tee::Spm &partitionManager;
     tee::PartitionId pid;
     std::string devType;

@@ -78,42 +78,19 @@ ModuleStore::admit(const std::string &manifest_json,
      * the bytes yields the digest, and the virtual clock is charged
      * once below -- exactly what a legacy create() charges. */
     crypto::Digest digest = digestOf(manifest_json, image);
-    auto hit = records.find(digest);
-    if (hit != records.end()) {
-        touch(hit->second);
-        ++hit->second.record.hits;
-        stats.counter("hits").inc();
-        return const_cast<const ModuleRecord *>(&hit->second.record);
-    }
+    if (records.count(digest) != 0)
+        return lookup(digest);
 
-    auto manifest = Manifest::fromJson(manifest_json);
-    if (!manifest.isOk())
-        return manifest.status();
-    Manifest &mf = manifest.value();
-
-    /* Image-hash verification mirrors EnclaveManager::create: the
-     * store only vouches for pairs it checked itself. */
-    crypto::Digest image_hash{};
-    if (!image.empty() || !image_name.empty()) {
-        auto declared = mf.images.find(image_name);
-        if (declared == mf.images.end())
-            return Status(ErrorCode::InvalidArgument,
-                          "image '" + image_name +
-                          "' not declared in manifest");
-        image_hash = crypto::sha256(image);
-        if (crypto::digestHex(image_hash) != declared->second)
-            return Status(ErrorCode::IntegrityViolation,
-                          "image hash mismatch for '" + image_name +
-                          "'");
-    }
+    /* The store only vouches for pairs it verified itself, through
+     * the same verifier EnclaveManager::create uses. */
+    auto verified = verifyModule(manifest_json, image_name, image);
+    if (!verified.isOk())
+        return verified.status();
 
     uint64_t bytes = manifest_json.size() + image.size();
     CRONUS_RETURN_IF_ERROR(evictFor(bytes));
     CRONUS_RETURN_IF_ERROR(spm.reserveStoreBytes(bytes));
 
-    crypto::Sha256 measurement;
-    measurement.update(crypto::digestToBytes(mf.measure()));
-    measurement.update(crypto::digestToBytes(image_hash));
     hw::Platform &plat = spm.monitor().platform();
     plat.clock().advance(static_cast<SimTime>(
         bytes * plat.costs().shaNsPerByte));
@@ -121,11 +98,11 @@ ModuleStore::admit(const std::string &manifest_json,
     Node node;
     node.record.digest = digest;
     node.record.manifestJson = manifest_json;
-    node.record.manifest = mf;
+    node.record.manifest = std::move(verified.value().manifest);
     node.record.imageName = image_name;
     node.record.image = image;
-    node.record.imageHash = image_hash;
-    node.record.measurement = measurement.finalize();
+    node.record.imageHash = verified.value().imageHash;
+    node.record.measurement = verified.value().measurement;
     lru.push_front(digest);
     auto [it, inserted] = records.emplace(digest, std::move(node));
     CRONUS_ASSERT(inserted, "digest raced into the store");

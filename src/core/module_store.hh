@@ -2,18 +2,20 @@
  * @file
  * Enclave module store (cold-start amortization).
  *
- * Every legacy create() re-parses the manifest, re-hashes the image
- * and re-derives the enclave measurement -- per enclave, even when a
- * fleet of workers loads the same payload. The module store turns
- * mOS payloads into content-addressed *modules*: admit() verifies
- * and measures a (manifest, image) pair exactly once, pins the bytes
- * in SPM-resident storage, and hands back a ModuleRecord whose
- * measurement is reused by every subsequent instantiation. A cache
- * hit -- lookup() by digest -- skips the manifest parse, the image
- * hash check and the measurement SHA entirely; the trust argument is
- * that the record's measurement was computed *inside* the store at
- * admission over the exact bytes it still holds, so binding a cached
- * record is attestation-equivalent to a fresh load (DESIGN.md §10).
+ * An uncached create() parses the manifest, hashes the image and
+ * derives the enclave measurement on every call -- per enclave, even
+ * when a fleet of workers loads the same payload. The module store
+ * turns mOS payloads into content-addressed *modules*: admit() runs
+ * the same verifier (verifyModule(), manifest.hh) exactly once, pins
+ * the bytes in SPM-resident storage, and hands back a ModuleRecord
+ * whose measurement every later instantiation reuses. A cache hit --
+ * lookup() by digest -- skips the parse, the hash check and the
+ * measurement SHA; the Enclave Manager's one creation pipeline then
+ * loads the record exactly as it loads a verified pair, charging the
+ * SHA over zero bytes. The trust argument is that the record's
+ * measurement was computed *inside* the store at admission over the
+ * exact bytes it still holds, so binding a cached record is
+ * attestation-equivalent to a fresh load (DESIGN.md §10).
  *
  * Capacity is bounded: records are evicted LRU when the configured
  * byte budget would be exceeded, releasing their SPM reservation.
@@ -44,8 +46,8 @@ struct ModuleRecord
     Bytes image;
     /** sha256(image), verified against the manifest at admission. */
     crypto::Digest imageHash{};
-    /** sha256(manifest.measure() || imageHash): exactly the
-     *  measurement create() would derive for this pair. */
+    /** measureEnclave(manifest, imageHash): exactly the
+     *  measurement create() derives for this pair. */
     crypto::Digest measurement{};
     uint64_t hits = 0;
 
@@ -67,12 +69,14 @@ class ModuleStore
     ModuleStore &operator=(const ModuleStore &) = delete;
 
     /**
-     * Verify, measure and cache a module. Charges the same
-     * measurement SHA a legacy create() charges for this pair, so
-     * the miss path costs what the un-cached pipeline costs. On
-     * re-admission of an already-resident module this degrades to a
-     * lookup() (no re-verification). The returned pointer stays
-     * valid until the record is evicted.
+     * Verify (verifyModule()), measure and cache a module. Charges
+     * the measurement SHA an uncached create() charges for this
+     * pair, so the miss path costs what the uncached pipeline costs.
+     * ResourceExhausted when the module cannot fit (larger than the
+     * capacity, or no SPM room); nothing is charged then. On
+     * re-admission of an already-resident module this is a lookup()
+     * (no re-verification). The returned pointer stays valid until
+     * the record is evicted.
      */
     Result<const ModuleRecord *> admit(const std::string &manifest_json,
                                        const std::string &image_name,

@@ -225,18 +225,11 @@ CronusSystem::allMos()
 }
 
 Result<AppHandle>
-CronusSystem::createEnclave(const std::string &manifest_json,
-                            const std::string &image_name,
-                            const Bytes &image,
-                            const std::string &device_name)
+CronusSystem::createOn(const std::string &device_type,
+                       const std::string &device_name,
+                       const CreateStep &step)
 {
-    /* Peek at the manifest to pick a partition (the dispatcher is
-     * allowed to read it; it is untrusted data anyway). */
-    auto manifest = Manifest::fromJson(manifest_json);
-    if (!manifest.isOk())
-        return manifest.status();
-    auto os = enclaveDispatcher.partitionFor(
-        manifest.value().deviceType, device_name);
+    auto os = enclaveDispatcher.partitionFor(device_type, device_name);
     if (!os.isOk())
         return os.status();
 
@@ -247,8 +240,8 @@ CronusSystem::createEnclave(const std::string &manifest_json,
     AppHandle handle;
     handle.ownerKeys = crypto::deriveKeyPair(
         toBytes("app-owner-" + std::to_string(ownerCounter++)));
-    auto created = os.value()->enclaveManager().create(
-        manifest_json, image_name, image, handle.ownerKeys.pub);
+    auto created =
+        step(os.value()->enclaveManager(), handle.ownerKeys.pub);
     sm->worldSwitch();
     if (!created.isOk())
         return created.status();
@@ -259,6 +252,24 @@ CronusSystem::createEnclave(const std::string &manifest_json,
     plat->clock().advance(plat->costs().dhNs);
     handle.host = os.value();
     return handle;
+}
+
+Result<AppHandle>
+CronusSystem::createEnclave(const std::string &manifest_json,
+                            const std::string &image_name,
+                            const Bytes &image,
+                            const std::string &device_name)
+{
+    /* Peek at the manifest to pick a partition (the dispatcher is
+     * allowed to read it; it is untrusted data anyway). */
+    auto manifest = Manifest::fromJson(manifest_json);
+    if (!manifest.isOk())
+        return manifest.status();
+    return createOn(manifest.value().deviceType, device_name,
+                    [&](EnclaveManager &mgr, const crypto::PublicKey &pub) {
+                        return mgr.create(manifest_json, image_name,
+                                          image, pub);
+                    });
 }
 
 Result<AppHandle>
@@ -273,45 +284,26 @@ CronusSystem::createEnclaveCached(const std::string &manifest_json,
 
     /* Content addressing stands in for "the client knows its
      * module's digest": resolving it charges nothing. */
-    crypto::Digest digest =
-        ModuleStore::digestOf(manifest_json, image);
-    const ModuleRecord *record = nullptr;
-    auto hit = modStore->lookup(digest);
-    if (hit.isOk()) {
-        record = hit.value();
-    } else {
-        auto admitted = modStore->admit(manifest_json, image_name,
-                                        image);
-        if (!admitted.isOk())
-            return admitted.status();
-        record = admitted.value();
+    auto record =
+        modStore->lookup(ModuleStore::digestOf(manifest_json, image));
+    if (!record.isOk()) {
+        record = modStore->admit(manifest_json, image_name, image);
+        /* A module the store cannot hold still loads, uncached:
+         * admission charged nothing before running out of room. */
+        if (record.code() == ErrorCode::ResourceExhausted)
+            return createEnclave(manifest_json, image_name, image,
+                                 device_name);
+        if (!record.isOk())
+            return record.status();
     }
 
     /* The record's parsed manifest also spares the dispatcher its
      * routing re-parse. */
-    auto os = enclaveDispatcher.partitionFor(
-        record->manifest.deviceType, device_name);
-    if (!os.isOk())
-        return os.status();
-
-    sm->worldSwitch();
-    plat->clock().advance(plat->costs().dispatchNs);
-
-    AppHandle handle;
-    handle.ownerKeys = crypto::deriveKeyPair(
-        toBytes("app-owner-" + std::to_string(ownerCounter++)));
-    auto created = os.value()->enclaveManager().createFromRecord(
-        *record, handle.ownerKeys.pub);
-    sm->worldSwitch();
-    if (!created.isOk())
-        return created.status();
-
-    handle.eid = created.value().eid;
-    handle.secret = crypto::dhSharedSecret(handle.ownerKeys.priv,
-                                           created.value().enclavePub);
-    plat->clock().advance(plat->costs().dhNs);
-    handle.host = os.value();
-    return handle;
+    const ModuleRecord &module = *record.value();
+    return createOn(module.manifest.deviceType, device_name,
+                    [&](EnclaveManager &mgr, const crypto::PublicKey &pub) {
+                        return mgr.createFromRecord(module, pub);
+                    });
 }
 
 Result<AppHandle>
@@ -319,29 +311,10 @@ CronusSystem::createEnclaveShell(const std::string &device_type,
                                  uint64_t mem_bytes,
                                  const std::string &device_name)
 {
-    auto os = enclaveDispatcher.partitionFor(device_type,
-                                             device_name);
-    if (!os.isOk())
-        return os.status();
-
-    sm->worldSwitch();
-    plat->clock().advance(plat->costs().dispatchNs);
-
-    AppHandle handle;
-    handle.ownerKeys = crypto::deriveKeyPair(
-        toBytes("app-owner-" + std::to_string(ownerCounter++)));
-    auto created = os.value()->enclaveManager().createShell(
-        handle.ownerKeys.pub, mem_bytes);
-    sm->worldSwitch();
-    if (!created.isOk())
-        return created.status();
-
-    handle.eid = created.value().eid;
-    handle.secret = crypto::dhSharedSecret(handle.ownerKeys.priv,
-                                           created.value().enclavePub);
-    plat->clock().advance(plat->costs().dhNs);
-    handle.host = os.value();
-    return handle;
+    return createOn(device_type, device_name,
+                    [&](EnclaveManager &mgr, const crypto::PublicKey &pub) {
+                        return mgr.createShell(pub, mem_bytes);
+                    });
 }
 
 Status

@@ -128,7 +128,9 @@ class CronusSystem
      * skips the manifest parse, image-hash check and measurement
      * SHA; a miss admits the module (charging exactly what the
      * legacy pipeline charges) and proceeds. Falls back to
-     * createEnclave() when the store is disabled.
+     * createEnclave() when the store is disabled or cannot hold the
+     * module (admission ResourceExhausted); verification errors
+     * still fail.
      */
     Result<AppHandle> createEnclaveCached(
         const std::string &manifest_json,
@@ -227,6 +229,21 @@ class CronusSystem
 
     Result<PartitionRecord *> recordForDevice(
         const std::string &device_name);
+
+    /** The secure-world step of a create, run against the chosen
+     *  mOS's Enclave Manager with the new owner's DH public key. */
+    using CreateStep = std::function<Result<EnclaveCreated>(
+        EnclaveManager &, const crypto::PublicKey &)>;
+
+    /**
+     * What every create path shares: placement on @p device_type
+     * (optionally pinned to @p device_name), world switch +
+     * dispatch, a fresh owner key, @p step in the secure world, and
+     * the owner's half of the DH.
+     */
+    Result<AppHandle> createOn(const std::string &device_type,
+                               const std::string &device_name,
+                               const CreateStep &step);
 
     CronusConfig cfg;
     obs::MetricsRegistry metricsRegistry;

@@ -149,6 +149,51 @@ TEST_F(MicroEnclaveTest, ManifestDeviceMismatchRejected)
     EXPECT_EQ(r.code(), ErrorCode::InvalidArgument);
 }
 
+TEST_F(MicroEnclaveTest, RejectedImageLeavesNoTrace)
+{
+    /* Creation allocates the device context before it binds the
+     * image, so a manifest-valid image the runtime rejects must hand
+     * the context back and leave the books as they were. */
+    CpuImage unknown;
+    unknown.exports = {"echo", "no_such_function"};
+    struct Case
+    {
+        std::string device, type, imageName;
+        Bytes image;
+        std::string call;
+    };
+    const Case cases[] = {
+        {"cpu0", "cpu", "app.so", unknown.serialize(), "echo"},
+        {"gpu0", "gpu", "bad.cubin", Bytes{0xde, 0xad, 0xbe},
+         "cuMemAlloc"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.device);
+        EnclaveManager &mgr =
+            system->mosForDevice(c.device).value()->enclaveManager();
+        hw::Device *dev = system->platform().findDevice(c.device);
+        ASSERT_NE(dev, nullptr);
+        auto contexts = [&] {
+            return c.type == "cpu"
+                       ? static_cast<accel::CpuDevice *>(dev)
+                             ->contextCount()
+                       : static_cast<accel::GpuDevice *>(dev)
+                             ->contextCount();
+        };
+        size_t enclaves = mgr.enclaveCount();
+        uint64_t memory = mgr.memoryInUse();
+        size_t live = contexts();
+
+        std::string manifest = testing::manifestJson(
+            c.type, {{c.imageName, c.image}}, {{c.call, false}});
+        auto r = system->createEnclave(manifest, c.imageName, c.image);
+        EXPECT_FALSE(r.isOk());
+        EXPECT_EQ(mgr.enclaveCount(), enclaves);
+        EXPECT_EQ(mgr.memoryInUse(), memory);
+        EXPECT_EQ(contexts(), live);
+    }
+}
+
 TEST_F(MicroEnclaveTest, MemoryQuotaEnforced)
 {
     /* Partition budget is 24 MiB; a 1 GiB manifest is rejected. */

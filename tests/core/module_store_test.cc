@@ -256,6 +256,44 @@ TEST_F(ModuleStoreTest, CachedCreateAttestsLikeLegacyCreate)
     EXPECT_EQ(out.value(), toBytes("hello"));
 }
 
+TEST_F(ModuleStoreTest, OversizedModuleFallsBackToTheLegacyPipeline)
+{
+    /* A 16-byte store cannot hold any module: admission runs out of
+     * room, and the create proceeds uncached. */
+    CronusSystem tiny(storeConfig(16));
+    auto &clock = tiny.platform().clock();
+    ASSERT_TRUE(tiny.createEnclave(cpuManifest(), "app.so",
+                                   cpuImageBytes())
+                    .isOk());
+
+    SimTime t0 = clock.now();
+    ASSERT_TRUE(tiny.createEnclave(cpuManifest(), "app.so",
+                                   cpuImageBytes())
+                    .isOk());
+    SimTime legacy_cost = clock.now() - t0;
+
+    t0 = clock.now();
+    auto cached = tiny.createEnclaveCached(cpuManifest(), "app.so",
+                                           cpuImageBytes());
+    ASSERT_TRUE(cached.isOk()) << cached.status().toString();
+    EXPECT_EQ(clock.now() - t0, legacy_cost);
+
+    EXPECT_EQ(tiny.moduleStore().moduleCount(), 0u);
+    EXPECT_EQ(tiny.moduleStore().residentBytes(), 0u);
+    EXPECT_EQ(tiny.spm().storeBytesResident(), 0u);
+    auto out = tiny.ecall(cached.value(), "echo", toBytes("big"));
+    ASSERT_TRUE(out.isOk()) << out.status().toString();
+    EXPECT_EQ(out.value(), toBytes("big"));
+
+    /* Verification errors still fail rather than fall back. */
+    Bytes tampered = cpuImageBytes();
+    tampered.push_back(0x5a);
+    EXPECT_EQ(tiny.createEnclaveCached(cpuManifest(), "app.so",
+                                       tampered)
+                  .code(),
+              ErrorCode::IntegrityViolation);
+}
+
 /* ---------------- shells + bind ---------------- */
 
 TEST_F(ModuleStoreTest, ShellIsInertUntilAModuleIsBound)
