@@ -44,6 +44,10 @@
  */
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -78,6 +82,35 @@ printFailure(const FuzzReport &rep)
         std::printf("--- minimal repro (%zu ops) ---\n%s\n",
                     rep.minimal.ops.size(),
                     rep.minimal.toJson().dump().c_str());
+}
+
+int
+usage()
+{
+    std::fprintf(stderr,
+                 "usage: fuzz_runner [--seed S] [--runs N] "
+                 "[--replay FILE] [--plant-bug] "
+                 "[--no-shrink] [--diff-backends] "
+                 "[--scheduled] [--cluster] [--jobs N] "
+                 "[--verdicts FILE]\n");
+    return 2;
+}
+
+/** Parse all of @p text as an unsigned number in [@p min, @p max]
+ *  (decimal, 0x hex or 0 octal); no sign, space or trailing text. */
+bool
+parseNumber(const char *text, uint64_t min, uint64_t max,
+            uint64_t &out)
+{
+    if (!std::isdigit(static_cast<unsigned char>(text[0])))
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(text, &end, 0);
+    if (errno != 0 || *end != '\0' || v < min || v > max)
+        return false;
+    out = v;
+    return true;
 }
 
 /** "seed=S PASS" or "seed=S FAIL oracle1,oracle2" (oracle names
@@ -234,11 +267,24 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        /* A malformed number is a usage error, never a silent run. */
+        auto number = [&](uint64_t min, uint64_t max, uint64_t &out) {
+            const char *text = next();
+            if (parseNumber(text, min, max, out))
+                return true;
+            std::fprintf(stderr, "bad value for %s: '%s'\n",
+                         arg.c_str(), text);
+            return false;
+        };
         if (arg == "--seed") {
-            seed = std::strtoull(next(), nullptr, 0);
+            if (!number(0, UINT64_MAX, seed))
+                return usage();
             haveSeed = true;
         } else if (arg == "--runs") {
-            runs = std::strtoull(next(), nullptr, 0);
+            uint64_t n = 0;
+            if (!number(1, SIZE_MAX, n))
+                return usage();
+            runs = n;
             haveRuns = true;
         } else if (arg == "--replay") {
             replayPath = next();
@@ -253,20 +299,14 @@ main(int argc, char **argv)
         } else if (arg == "--cluster") {
             cluster = true;
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 0));
-            if (jobs == 0)
-                jobs = 1;
+            uint64_t n = 0;
+            if (!number(0, UINT_MAX, n))
+                return usage();
+            jobs = static_cast<unsigned>(std::max<uint64_t>(n, 1));
         } else if (arg == "--verdicts") {
             verdictsPath = next();
         } else {
-            std::fprintf(stderr,
-                         "usage: fuzz_runner [--seed S] [--runs N] "
-                         "[--replay FILE] [--plant-bug] "
-                         "[--no-shrink] [--diff-backends] "
-                         "[--scheduled] [--cluster] [--jobs N] "
-                         "[--verdicts FILE]\n");
-            return 2;
+            return usage();
         }
     }
 

@@ -4,8 +4,9 @@ namespace cronus::accel
 {
 
 CpuDevice::CpuDevice(const CpuConfig &config)
-    : hw::Device(config.name, "arm,cortex-a53-sim", 0x100),
-      cfg(config), rotKeys(crypto::deriveKeyPair(config.rotSeed))
+    : AttestedDevice(config.name, "arm,cortex-a53-sim", 0x100,
+                     config.rotSeed),
+      cfg(config)
 {
 }
 
@@ -13,7 +14,7 @@ Result<uint64_t>
 CpuDevice::mmioRead(uint64_t offset)
 {
     switch (offset) {
-      case 0x0: return uint64_t(0x43505553);  /* 'CPUS' */
+      case 0x0: return kMagic;
       case 0x8: return uint64_t(kCores);
       default:
         return Status(ErrorCode::AccessFault, "cpu mmio oob read");
@@ -45,8 +46,9 @@ CpuDevice::createContext()
 }
 
 Status
-CpuDevice::destroyContext(CpuContextId ctx)
+CpuDevice::destroyContext(CpuContextId ctx, bool scrub)
 {
+    (void)scrub;
     if (contexts.erase(ctx) == 0)
         return Status(ErrorCode::NotFound, "no such CPU context");
     return Status::ok();
@@ -66,17 +68,6 @@ CpuDevice::execute(CpuContextId ctx, uint64_t work_units,
     }
     it->second += work_units;
     return static_cast<SimTime>(work_units * kNsPerWorkUnit);
-}
-
-crypto::Signature
-CpuDevice::attestConfig(const Bytes &challenge) const
-{
-    ByteWriter w;
-    w.putString(cfg.name);
-    w.putString(devCompatible);
-    w.putU64(kCores);
-    w.putBytes(challenge);
-    return crypto::sign(rotKeys, w.take());
 }
 
 } // namespace cronus::accel

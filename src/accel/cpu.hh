@@ -14,10 +14,9 @@
 #include <functional>
 #include <map>
 
+#include "attested_device.hh"
 #include "base/sim_clock.hh"
 #include "base/status.hh"
-#include "crypto/keys.hh"
-#include "hw/device.hh"
 
 namespace cronus::accel
 {
@@ -30,11 +29,12 @@ struct CpuConfig
     Bytes rotSeed = {'c', 'p', 'u', '-', 'r', 'o', 't'};
 };
 
-class CpuDevice : public hw::Device
+class CpuDevice : public AttestedDevice
 {
   public:
     explicit CpuDevice(const CpuConfig &config = CpuConfig());
 
+    static constexpr uint64_t kMagic = 0x43505553; ///< 'CPUS'
     static constexpr uint32_t kCores = 4;
     /** Virtual ns charged per abstract work unit. */
     static constexpr double kNsPerWorkUnit = 1.0;
@@ -44,7 +44,8 @@ class CpuDevice : public hw::Device
     void reset(bool clear_memory) override;
 
     Result<CpuContextId> createContext();
-    Status destroyContext(CpuContextId ctx);
+    /** A CPU context owns no device memory: nothing to scrub. */
+    Status destroyContext(CpuContextId ctx, bool scrub);
     size_t contextCount() const { return contexts.size(); }
 
     /**
@@ -54,11 +55,7 @@ class CpuDevice : public hw::Device
     Result<SimTime> execute(CpuContextId ctx, uint64_t work_units,
                             const std::function<Status()> &fn);
 
-    const crypto::PublicKey &devicePublicKey() const
-    {
-        return rotKeys.pub;
-    }
-    crypto::Signature attestConfig(const Bytes &challenge) const;
+    uint64_t configWord() const override { return kCores; }
 
     const CpuConfig &config() const { return cfg; }
 
@@ -66,7 +63,6 @@ class CpuDevice : public hw::Device
     CpuConfig cfg;
     std::map<CpuContextId, uint64_t> contexts; ///< ctx -> work done
     CpuContextId nextCtx = 1;
-    crypto::KeyPair rotKeys;
 };
 
 } // namespace cronus::accel

@@ -104,9 +104,9 @@ GpuModuleImage::deserialize(const Bytes &data)
 /* ------------------------------------------------------------------ */
 
 GpuDevice::GpuDevice(const GpuConfig &config)
-    : hw::Device(config.name, "nvidia,gtx2080-sim", 0x1000),
-      cfg(config), vram(config.vramBytes, 0),
-      rotKeys(crypto::deriveKeyPair(config.rotSeed))
+    : AttestedDevice(config.name, "nvidia,gtx2080-sim", 0x1000,
+                     config.rotSeed),
+      cfg(config), vram(config.vramBytes, 0)
 {
 }
 
@@ -114,7 +114,7 @@ Result<uint64_t>
 GpuDevice::mmioRead(uint64_t offset)
 {
     switch (offset) {
-      case 0x0:  return uint64_t(0x47505553);     /* 'GPUS' magic */
+      case 0x0:  return kMagic;
       case 0x8:  return uint64_t(contexts.size());
       case 0x10: return cfg.vramBytes;
       case 0x18: return freeVram();
@@ -433,17 +433,6 @@ GpuDevice::streamBusyUntil(GpuContextId ctx) const
 {
     auto it = contexts.find(ctx);
     return it == contexts.end() ? 0 : it->second.busyUntil;
-}
-
-crypto::Signature
-GpuDevice::attestConfig(const Bytes &challenge) const
-{
-    ByteWriter w;
-    w.putString(cfg.name);
-    w.putString(devCompatible);
-    w.putU64(cfg.vramBytes);
-    w.putBytes(challenge);
-    return crypto::sign(rotKeys, w.take());
 }
 
 } // namespace cronus::accel

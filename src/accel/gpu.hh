@@ -30,10 +30,9 @@
 #include <string>
 #include <vector>
 
+#include "attested_device.hh"
 #include "base/sim_clock.hh"
 #include "base/status.hh"
-#include "crypto/keys.hh"
-#include "hw/device.hh"
 #include "hw/page_table.hh"
 
 namespace cronus::accel
@@ -141,11 +140,12 @@ struct GpuConfig
     Bytes rotSeed = {'g', 'p', 'u', '-', 'r', 'o', 't'};
 };
 
-class GpuDevice : public hw::Device
+class GpuDevice : public AttestedDevice
 {
   public:
     explicit GpuDevice(const GpuConfig &config = GpuConfig());
 
+    static constexpr uint64_t kMagic = 0x47505553; ///< 'GPUS'
     /** Max contexts (channels) the device supports. */
     static constexpr uint32_t kMaxContexts = 16;
 
@@ -205,13 +205,7 @@ class GpuDevice : public hw::Device
     /** Number of contexts with work in flight at time @p now. */
     uint32_t activeContexts(SimTime now) const;
 
-    /* --- attestation --- */
-    const crypto::PublicKey &devicePublicKey() const
-    {
-        return rotKeys.pub;
-    }
-    /** Sign the device configuration (authenticity proof, §IV-A). */
-    crypto::Signature attestConfig(const Bytes &challenge) const;
+    uint64_t configWord() const override { return cfg.vramBytes; }
 
     const GpuConfig &config() const { return cfg; }
 
@@ -255,7 +249,6 @@ class GpuDevice : public hw::Device
     std::vector<std::pair<uint64_t, uint64_t>> vramFreeList;
     std::map<GpuContextId, Context> contexts;
     GpuContextId nextCtx = 1;
-    crypto::KeyPair rotKeys;
 };
 
 } // namespace cronus::accel

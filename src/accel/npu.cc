@@ -21,8 +21,9 @@ constexpr uint64_t kInsnOverheadNs = 200;
 } // namespace
 
 NpuDevice::NpuDevice(const NpuConfig &config)
-    : hw::Device(config.name, "tvm,vta-fsim", 0x1000), cfg(config),
-      rotKeys(crypto::deriveKeyPair(config.rotSeed))
+    : AttestedDevice(config.name, "tvm,vta-fsim", 0x1000,
+                     config.rotSeed),
+      cfg(config)
 {
 }
 
@@ -30,7 +31,7 @@ Result<uint64_t>
 NpuDevice::mmioRead(uint64_t offset)
 {
     switch (offset) {
-      case 0x0: return uint64_t(0x56544121);  /* 'VTA!' magic */
+      case 0x0: return kMagic;
       case 0x8: return uint64_t(contexts.size());
       case 0x10: return kSramBytes;
       default:
@@ -270,17 +271,6 @@ NpuDevice::busyUntil(NpuContextId ctx) const
 {
     auto it = contexts.find(ctx);
     return it == contexts.end() ? 0 : it->second.busy;
-}
-
-crypto::Signature
-NpuDevice::attestConfig(const Bytes &challenge) const
-{
-    ByteWriter w;
-    w.putString(cfg.name);
-    w.putString(devCompatible);
-    w.putU64(kSramBytes);
-    w.putBytes(challenge);
-    return crypto::sign(rotKeys, w.take());
 }
 
 } // namespace cronus::accel

@@ -16,10 +16,9 @@
 #include <map>
 #include <vector>
 
+#include "attested_device.hh"
 #include "base/sim_clock.hh"
 #include "base/status.hh"
-#include "crypto/keys.hh"
-#include "hw/device.hh"
 
 namespace cronus::accel
 {
@@ -95,11 +94,12 @@ struct NpuConfig
     Bytes rotSeed = {'n', 'p', 'u', '-', 'r', 'o', 't'};
 };
 
-class NpuDevice : public hw::Device
+class NpuDevice : public AttestedDevice
 {
   public:
     explicit NpuDevice(const NpuConfig &config = NpuConfig());
 
+    static constexpr uint64_t kMagic = 0x56544121;      ///< 'VTA!'
     static constexpr uint64_t kSramBytes = 1 << 20;     ///< per bank
     static constexpr uint64_t kDramBytes = 16ull << 20; ///< per context
 
@@ -131,12 +131,7 @@ class NpuDevice : public hw::Device
 
     SimTime busyUntil(NpuContextId ctx) const;
 
-    /* --- attestation --- */
-    const crypto::PublicKey &devicePublicKey() const
-    {
-        return rotKeys.pub;
-    }
-    crypto::Signature attestConfig(const Bytes &challenge) const;
+    uint64_t configWord() const override { return kSramBytes; }
 
     const NpuConfig &config() const { return cfg; }
 
@@ -164,7 +159,6 @@ class NpuDevice : public hw::Device
     NpuConfig cfg;
     std::map<NpuContextId, Context> contexts;
     NpuContextId nextCtx = 1;
-    crypto::KeyPair rotKeys;
 };
 
 } // namespace cronus::accel

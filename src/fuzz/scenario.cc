@@ -1,5 +1,7 @@
 #include "scenario.hh"
 
+#include <type_traits>
+
 #include "base/rng.hh"
 
 namespace cronus::fuzz
@@ -113,6 +115,33 @@ bool
 opUsesPipe(OpKind k)
 {
     return k == OpKind::PipeWrite || k == OpKind::PipeRead;
+}
+
+constexpr bool kOptional = true;
+
+/**
+ * Read field @p key into @p out. A missing or wrongly typed field is
+ * InvalidArgument; an absent @p optional one keeps @p out's default.
+ */
+template <typename T>
+Status
+readField(const JsonValue &v, const std::string &key, T &out,
+          bool optional = false)
+{
+    if (optional && !v.has(key))
+        return Status::ok();
+    if constexpr (std::is_same_v<T, std::string>) {
+        auto text = v.getString(key);
+        if (!text.isOk())
+            return text.status();
+        out = text.value();
+    } else {
+        auto n = v.getInt(key);
+        if (!n.isOk())
+            return n.status();
+        out = static_cast<T>(n.value());
+    }
+    return Status::ok();
 }
 
 } // namespace
@@ -511,36 +540,27 @@ Scenario::fromJson(const JsonValue &v)
         return Status(ErrorCode::InvalidArgument,
                       "scenario must be a JSON object");
     Scenario s;
-    auto seed_val = v.getInt("seed");
-    if (!seed_val.isOk())
-        return seed_val.status();
-    s.seed = static_cast<uint64_t>(seed_val.value());
-    if (v.has("num_nodes"))
-        s.numNodes = static_cast<uint32_t>(v["num_nodes"].asInt());
-    s.numGpus = static_cast<uint32_t>(v["num_gpus"].asInt());
+    CRONUS_RETURN_IF_ERROR(readField(v, "seed", s.seed));
+    CRONUS_RETURN_IF_ERROR(
+        readField(v, "num_nodes", s.numNodes, kOptional));
+    CRONUS_RETURN_IF_ERROR(readField(v, "num_gpus", s.numGpus));
     s.withNpu = v["with_npu"].isBool() && v["with_npu"].asBool();
     s.withPipe = v["with_pipe"].isBool() && v["with_pipe"].asBool();
-    s.pipeEnclave = static_cast<uint32_t>(v["pipe_enclave"].asInt());
-    if (v.has("pipe_capacity"))
-        s.pipeCapacity =
-            static_cast<uint64_t>(v["pipe_capacity"].asInt());
+    CRONUS_RETURN_IF_ERROR(readField(v, "pipe_enclave", s.pipeEnclave));
+    CRONUS_RETURN_IF_ERROR(
+        readField(v, "pipe_capacity", s.pipeCapacity, kOptional));
 
     auto enclave_list = v.getArray("enclaves");
     if (!enclave_list.isOk())
         return enclave_list.status();
     for (const JsonValue &e : enclave_list.value()) {
         EnclavePlan plan;
-        auto type = e.getString("type");
-        auto device = e.getString("device");
-        if (!type.isOk() || !device.isOk())
-            return Status(ErrorCode::InvalidArgument,
-                          "enclave entry needs type + device");
-        plan.deviceType = type.value();
-        plan.deviceName = device.value();
-        plan.elems = static_cast<uint64_t>(e["elems"].asInt());
-        plan.slots = static_cast<uint64_t>(e["slots"].asInt());
-        plan.slotBytes =
-            static_cast<uint64_t>(e["slot_bytes"].asInt());
+        CRONUS_RETURN_IF_ERROR(readField(e, "type", plan.deviceType));
+        CRONUS_RETURN_IF_ERROR(readField(e, "device", plan.deviceName));
+        CRONUS_RETURN_IF_ERROR(readField(e, "elems", plan.elems));
+        CRONUS_RETURN_IF_ERROR(readField(e, "slots", plan.slots));
+        CRONUS_RETURN_IF_ERROR(
+            readField(e, "slot_bytes", plan.slotBytes));
         s.enclaves.push_back(plan);
     }
 
@@ -556,19 +576,19 @@ Scenario::fromJson(const JsonValue &v)
         if (!kind.isOk())
             return kind.status();
         f.kind = kind.value();
-        f.nth = static_cast<uint64_t>(fv["nth"].asInt());
-        if (fv.has("victim"))
-            f.victim = fv["victim"].asString();
-        if (fv.has("channel"))
-            f.channel = static_cast<uint32_t>(fv["channel"].asInt());
-        if (fv.has("field"))
-            f.field = fv["field"].asString();
-        if (fv.has("value"))
-            f.value = static_cast<uint64_t>(fv["value"].asInt());
-        if (fv.has("skew_ns"))
-            f.skewNs = static_cast<SimTime>(fv["skew_ns"].asInt());
-        if (fv.has("stage"))
-            f.stage = fv["stage"].asString();
+        CRONUS_RETURN_IF_ERROR(readField(fv, "nth", f.nth));
+        CRONUS_RETURN_IF_ERROR(
+            readField(fv, "victim", f.victim, kOptional));
+        CRONUS_RETURN_IF_ERROR(
+            readField(fv, "channel", f.channel, kOptional));
+        CRONUS_RETURN_IF_ERROR(
+            readField(fv, "field", f.field, kOptional));
+        CRONUS_RETURN_IF_ERROR(
+            readField(fv, "value", f.value, kOptional));
+        CRONUS_RETURN_IF_ERROR(
+            readField(fv, "skew_ns", f.skewNs, kOptional));
+        CRONUS_RETURN_IF_ERROR(
+            readField(fv, "stage", f.stage, kOptional));
         if (fv.has("kill_dst"))
             f.killDst =
                 fv["kill_dst"].isBool() && fv["kill_dst"].asBool();
@@ -587,15 +607,11 @@ Scenario::fromJson(const JsonValue &v)
         if (!kind.isOk())
             return kind.status();
         op.kind = kind.value();
-        if (ov.has("enclave"))
-            op.enclave =
-                static_cast<uint32_t>(ov["enclave"].asInt());
-        if (ov.has("a"))
-            op.a = static_cast<uint64_t>(ov["a"].asInt());
-        if (ov.has("b"))
-            op.b = static_cast<uint64_t>(ov["b"].asInt());
-        if (ov.has("c"))
-            op.c = static_cast<uint64_t>(ov["c"].asInt());
+        CRONUS_RETURN_IF_ERROR(
+            readField(ov, "enclave", op.enclave, kOptional));
+        CRONUS_RETURN_IF_ERROR(readField(ov, "a", op.a, kOptional));
+        CRONUS_RETURN_IF_ERROR(readField(ov, "b", op.b, kOptional));
+        CRONUS_RETURN_IF_ERROR(readField(ov, "c", op.c, kOptional));
         s.ops.push_back(op);
     }
     return s;

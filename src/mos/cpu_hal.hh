@@ -6,34 +6,24 @@
 #ifndef CRONUS_MOS_CPU_HAL_HH
 #define CRONUS_MOS_CPU_HAL_HH
 
+#include <functional>
+
 #include "accel/cpu.hh"
 #include "hal.hh"
 
 namespace cronus::mos
 {
 
-class CpuHal : public Hal
+class CpuHal : public DeviceHal<accel::CpuDevice>
 {
   public:
-    CpuHal(ShimKernel &shim_kernel, const std::string &device_name);
+    using DeviceHal::DeviceHal;
 
     std::string deviceType() const override { return "cpu"; }
-    Result<uint64_t> createDeviceContext() override;
-    Status destroyDeviceContext(uint64_t ctx, bool scrub) override;
-    Result<DeviceAttestation> attestDevice(
-        const Bytes &challenge) override;
 
     /** Run a function charging @p work_units of CPU time. */
     Status execute(uint64_t ctx, uint64_t work_units,
                    const std::function<Status()> &fn);
-
-    accel::CpuDevice &rawDevice();
-
-  private:
-    Status ensureProbed();
-
-    std::string devName;
-    accel::CpuDevice *cpu = nullptr;
 };
 
 } // namespace cronus::mos

@@ -1,201 +1,58 @@
 #include "gpu_hal.hh"
 
-#include "base/logging.hh"
-
 namespace cronus::mos
 {
-
-NouveauDriver::NouveauDriver(ShimKernel &shim_kernel,
-                             const std::string &device_name)
-    : shim(shim_kernel), devName(device_name)
-{
-}
-
-Status
-NouveauDriver::probe()
-{
-    auto dev = shim.ioremap(devName);
-    if (!dev.isOk())
-        return dev.status();
-    auto *as_gpu = dynamic_cast<accel::GpuDevice *>(dev.value());
-    if (as_gpu == nullptr)
-        return Status(ErrorCode::InvalidArgument,
-                      "'" + devName + "' is not a GPU");
-    auto magic = as_gpu->mmioRead(0x0);
-    if (!magic.isOk() || magic.value() != 0x47505553)
-        return Status(ErrorCode::InvalidState,
-                      "GPU magic register mismatch");
-    gpu = as_gpu;
-    return Status::ok();
-}
-
-accel::GpuDevice &
-NouveauDriver::device()
-{
-    CRONUS_ASSERT(gpu != nullptr, "driver not probed");
-    return *gpu;
-}
-
-GpuHal::GpuHal(ShimKernel &shim_kernel, const std::string &device_name)
-    : Hal(shim_kernel), driver(shim_kernel, device_name)
-{
-}
-
-Status
-GpuHal::ensureProbed()
-{
-    if (driver.probed())
-        return Status::ok();
-    return driver.probe();
-}
-
-Status
-GpuHal::ensureBounce()
-{
-    if (bounce != 0)
-        return Status::ok();
-    /* The driver's DMA staging area lives in the partition's secure
-     * memory and is mapped into the device's SMMU stream, so every
-     * copy genuinely flows through the checked DMA path (and a
-     * secure-bus device can only reach secure memory). */
-    auto region = shim.allocPages(kBouncePages);
-    if (!region.isOk())
-        return region.status();
-    bounce = region.value();
-    return shim.dmaMap(driver.device().streamId(), bounce, bounce,
-                       kBouncePages);
-}
-
-Result<uint64_t>
-GpuHal::createDeviceContext()
-{
-    CRONUS_RETURN_IF_ERROR(ensureProbed());
-    /* Set up the driver's DMA staging window eagerly so copies pay
-     * no first-use penalty. */
-    CRONUS_RETURN_IF_ERROR(ensureBounce());
-    shim.heartbeat();
-    auto ctx = driver.device().createContext();
-    if (!ctx.isOk())
-        return ctx.status();
-    return uint64_t(ctx.value());
-}
-
-Status
-GpuHal::destroyDeviceContext(uint64_t ctx, bool scrub)
-{
-    CRONUS_RETURN_IF_ERROR(ensureProbed());
-    return driver.device().destroyContext(
-        static_cast<accel::GpuContextId>(ctx), scrub);
-}
-
-Result<DeviceAttestation>
-GpuHal::attestDevice(const Bytes &challenge)
-{
-    CRONUS_RETURN_IF_ERROR(ensureProbed());
-    accel::GpuDevice &gpu = driver.device();
-    DeviceAttestation att;
-    att.challenge = challenge;
-    att.devicePublicKey = gpu.devicePublicKey();
-    att.configSignature = gpu.attestConfig(challenge);
-
-    /* The mOS verifies the device owns the key before reporting it
-     * (fabricated-accelerator defense, §IV-A). */
-    ByteWriter w;
-    w.putString(gpu.config().name);
-    w.putString(gpu.compatible());
-    w.putU64(gpu.config().vramBytes);
-    w.putBytes(challenge);
-    if (!crypto::verify(att.devicePublicKey, w.take(),
-                        att.configSignature))
-        return Status(ErrorCode::AuthFailed,
-                      "GPU failed hardware authenticity check");
-    return att;
-}
 
 Status
 GpuHal::loadModule(uint64_t ctx, const accel::GpuModuleImage &image)
 {
     CRONUS_RETURN_IF_ERROR(ensureProbed());
     shim.heartbeat();
-    return driver.device().loadModule(
-        static_cast<accel::GpuContextId>(ctx), image);
+    return dev->loadModule(id(ctx), image);
 }
 
 Result<accel::GpuVa>
 GpuHal::memAlloc(uint64_t ctx, uint64_t bytes)
 {
     CRONUS_RETURN_IF_ERROR(ensureProbed());
-    return driver.device().malloc(
-        static_cast<accel::GpuContextId>(ctx), bytes);
+    return dev->malloc(id(ctx), bytes);
 }
 
 Status
 GpuHal::memFree(uint64_t ctx, accel::GpuVa va)
 {
     CRONUS_RETURN_IF_ERROR(ensureProbed());
-    return driver.device().free(
-        static_cast<accel::GpuContextId>(ctx), va);
+    return dev->free(id(ctx), va);
 }
 
 Status
 GpuHal::memcpyHtoD(uint64_t ctx, accel::GpuVa dst, const Bytes &src)
 {
-    CRONUS_RETURN_IF_ERROR(ensureProbed());
     CRONUS_RETURN_IF_ERROR(ensureBounce());
     shim.heartbeat();
     hw::Platform &plat = shim.platform();
     plat.clock().advance(plat.costs().gpuCopyCmdNs);
-
-    /* Stage through the bounce buffer; the device DMA-reads it
-     * through the SMMU (translation + TZASC + secure-bus
-     * confinement all apply). */
-    uint64_t window = kBouncePages * hw::kPageSize;
-    accel::GpuDevice &gpu = driver.device();
-    for (uint64_t off = 0; off < src.size(); off += window) {
-        uint64_t len = std::min<uint64_t>(window, src.size() - off);
-        CRONUS_RETURN_IF_ERROR(
-            shim.write(bounce, src.data() + off, len));
-        Bytes staged(len);
-        CRONUS_RETURN_IF_ERROR(
-            plat.dmaRead(gpu, bounce, staged.data(), len));
-        CRONUS_RETURN_IF_ERROR(gpu.write(
-            static_cast<accel::GpuContextId>(ctx), dst + off,
-            staged.data(), len));
-    }
+    CRONUS_RETURN_IF_ERROR(stageToDevice(
+        src, [&](uint64_t off, const uint8_t *data, uint64_t len) {
+            return dev->write(id(ctx), dst + off, data, len);
+        }));
     if (src.empty())
-        return gpu.write(static_cast<accel::GpuContextId>(ctx), dst,
-                         src.data(), 0);
+        return dev->write(id(ctx), dst, src.data(), 0);
     return Status::ok();
 }
 
 Result<Bytes>
 GpuHal::memcpyDtoH(uint64_t ctx, accel::GpuVa src, uint64_t len)
 {
-    CRONUS_RETURN_IF_ERROR(ensureProbed());
     CRONUS_RETURN_IF_ERROR(ensureBounce());
     /* DtoH is synchronous in the CUDA model. */
     CRONUS_RETURN_IF_ERROR(synchronize(ctx));
     hw::Platform &plat = shim.platform();
     plat.clock().advance(plat.costs().gpuCopyCmdNs);
-
-    accel::GpuDevice &gpu = driver.device();
-    uint64_t window = kBouncePages * hw::kPageSize;
-    Bytes out(len);
-    for (uint64_t off = 0; off < len; off += window) {
-        uint64_t n = std::min<uint64_t>(window, len - off);
-        Bytes staged(n);
-        Status s = gpu.read(static_cast<accel::GpuContextId>(ctx),
-                            src + off, staged.data(), n);
-        if (!s.isOk())
-            return s;
-        /* Device DMA-writes the bounce buffer through the SMMU. */
-        CRONUS_RETURN_IF_ERROR(
-            plat.dmaWrite(gpu, bounce, staged.data(), n));
-        /* Read the bounce window straight into the result buffer. */
-        CRONUS_RETURN_IF_ERROR(
-            shim.readInto(bounce, out.data() + off, n));
-    }
-    return out;
+    return stageFromDevice(
+        len, [&](uint64_t off, uint8_t *out, uint64_t n) {
+            return dev->read(id(ctx), src + off, out, n);
+        });
 }
 
 Status
@@ -207,9 +64,9 @@ GpuHal::launchKernel(uint64_t ctx, const std::string &kernel,
     shim.heartbeat();
     hw::Platform &plat = shim.platform();
     plat.clock().advance(plat.costs().gpuSubmitNs);
-    auto done = driver.device().launch(
-        static_cast<accel::GpuContextId>(ctx), kernel, args,
-        accel::LaunchDims{work_items}, plat.clock().now());
+    auto done = dev->launch(id(ctx), kernel, args,
+                            accel::LaunchDims{work_items},
+                            plat.clock().now());
     if (!done.isOk())
         return done.status();
     /* Asynchronous: the CPU does not wait for completion. */
@@ -220,9 +77,7 @@ Status
 GpuHal::synchronize(uint64_t ctx)
 {
     CRONUS_RETURN_IF_ERROR(ensureProbed());
-    hw::Platform &plat = shim.platform();
-    plat.clock().advanceTo(driver.device().streamBusyUntil(
-        static_cast<accel::GpuContextId>(ctx)));
+    shim.platform().clock().advanceTo(dev->streamBusyUntil(id(ctx)));
     return Status::ok();
 }
 
@@ -232,8 +87,7 @@ GpuHal::snapshotContext(uint64_t ctx)
     CRONUS_RETURN_IF_ERROR(ensureProbed());
     /* A snapshot captures quiesced state. */
     CRONUS_RETURN_IF_ERROR(synchronize(ctx));
-    return driver.device().snapshotContext(
-        static_cast<accel::GpuContextId>(ctx));
+    return dev->snapshotContext(id(ctx));
 }
 
 Status
@@ -241,8 +95,7 @@ GpuHal::restoreContext(uint64_t ctx, const Bytes &snapshot)
 {
     CRONUS_RETURN_IF_ERROR(ensureProbed());
     shim.heartbeat();
-    return driver.device().restoreContext(
-        static_cast<accel::GpuContextId>(ctx), snapshot);
+    return dev->restoreContext(id(ctx), snapshot);
 }
 
 } // namespace cronus::mos

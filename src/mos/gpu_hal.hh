@@ -1,12 +1,12 @@
 /**
  * @file
- * GPU driver ("nouveau", simulated) and GPU HAL.
+ * GPU HAL (simulated nouveau driver).
  *
  * The paper builds the GPU HAL from the open-source nouveau driver
- * plus gdev/ocelot for the CUDA runtime (§V-B). Here NouveauDriver
- * is the kernel-side driver written against the shim kernel, and
- * GpuHal exposes the CUDA-ish operations the CUDA mEnclave runtime
- * needs (malloc/memcpy/launch/synchronize/module loading).
+ * plus gdev/ocelot for the CUDA runtime (§V-B). GpuHal adds to the
+ * shared DeviceHal skeleton the CUDA-ish operations the CUDA
+ * mEnclave runtime needs (malloc/memcpy/launch/synchronize/module
+ * loading/checkpointing).
  */
 
 #ifndef CRONUS_MOS_GPU_HAL_HH
@@ -18,36 +18,12 @@
 namespace cronus::mos
 {
 
-/** Kernel-side GPU driver running on the shim kernel. */
-class NouveauDriver
+class GpuHal : public DeviceHal<accel::GpuDevice>
 {
   public:
-    NouveauDriver(ShimKernel &shim_kernel,
-                  const std::string &device_name);
+    using DeviceHal::DeviceHal;
 
-    /** ioremap the device and sanity-check its magic register. */
-    Status probe();
-    bool probed() const { return gpu != nullptr; }
-
-    accel::GpuDevice &device();
-
-  private:
-    ShimKernel &shim;
-    std::string devName;
-    accel::GpuDevice *gpu = nullptr;
-};
-
-class GpuHal : public Hal
-{
-  public:
-    GpuHal(ShimKernel &shim_kernel, const std::string &device_name);
-
-    /* --- Hal interface --- */
     std::string deviceType() const override { return "gpu"; }
-    Result<uint64_t> createDeviceContext() override;
-    Status destroyDeviceContext(uint64_t ctx, bool scrub) override;
-    Result<DeviceAttestation> attestDevice(
-        const Bytes &challenge) override;
 
     /* --- CUDA-facing operations (used by the CUDA runtime) --- */
     Status loadModule(uint64_t ctx, const accel::GpuModuleImage &image);
@@ -70,20 +46,6 @@ class GpuHal : public Hal
     Result<Bytes> snapshotContext(uint64_t ctx);
     /** Rebuild a fresh context's device memory from a snapshot. */
     Status restoreContext(uint64_t ctx, const Bytes &snapshot);
-
-    accel::GpuDevice &rawDevice() { return driver.device(); }
-
-    /** Host address (IOVA) of the DMA bounce buffer, for tests. */
-    hw::PhysAddr bounceBase() const { return bounce; }
-
-  private:
-    Status ensureProbed();
-    /** Allocate + SMMU-map the DMA staging buffer on first use. */
-    Status ensureBounce();
-
-    NouveauDriver driver;
-    hw::PhysAddr bounce = 0;
-    static constexpr uint64_t kBouncePages = 64;
 };
 
 } // namespace cronus::mos

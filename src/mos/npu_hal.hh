@@ -1,6 +1,6 @@
 /**
  * @file
- * NPU driver (VTA fsim style) and NPU HAL (§V-B).
+ * NPU HAL (VTA fsim style driver, §V-B).
  */
 
 #ifndef CRONUS_MOS_NPU_HAL_HH
@@ -12,33 +12,12 @@
 namespace cronus::mos
 {
 
-/** Kernel-side VTA driver running on the shim kernel. */
-class VtaDriver
+class NpuHal : public DeviceHal<accel::NpuDevice>
 {
   public:
-    VtaDriver(ShimKernel &shim_kernel,
-              const std::string &device_name);
-
-    Status probe();
-    bool probed() const { return npu != nullptr; }
-    accel::NpuDevice &device();
-
-  private:
-    ShimKernel &shim;
-    std::string devName;
-    accel::NpuDevice *npu = nullptr;
-};
-
-class NpuHal : public Hal
-{
-  public:
-    NpuHal(ShimKernel &shim_kernel, const std::string &device_name);
+    using DeviceHal::DeviceHal;
 
     std::string deviceType() const override { return "npu"; }
-    Result<uint64_t> createDeviceContext() override;
-    Status destroyDeviceContext(uint64_t ctx, bool scrub) override;
-    Result<DeviceAttestation> attestDevice(
-        const Bytes &challenge) override;
 
     /* --- VTA-facing operations --- */
     Result<uint32_t> allocBuffer(uint64_t ctx, uint64_t bytes);
@@ -48,20 +27,6 @@ class NpuHal : public Hal
                              uint64_t offset, uint64_t len);
     /** Run a program; blocks (advances the clock) to completion. */
     Status runProgram(uint64_t ctx, const accel::NpuProgram &program);
-
-    accel::NpuDevice &rawDevice() { return driver.device(); }
-
-    /** Host address (IOVA) of the DMA bounce buffer, for tests. */
-    hw::PhysAddr bounceBase() const { return bounce; }
-
-  private:
-    Status ensureProbed();
-    /** Allocate + SMMU-map the DMA staging buffer on first use. */
-    Status ensureBounce();
-
-    VtaDriver driver;
-    hw::PhysAddr bounce = 0;
-    static constexpr uint64_t kBouncePages = 64;
 };
 
 } // namespace cronus::mos

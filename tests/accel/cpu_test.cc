@@ -15,8 +15,8 @@ TEST(CpuTest, ContextLifecycle)
     auto ctx = cpu.createContext();
     ASSERT_TRUE(ctx.isOk());
     EXPECT_EQ(cpu.contextCount(), 1u);
-    EXPECT_TRUE(cpu.destroyContext(ctx.value()).isOk());
-    EXPECT_EQ(cpu.destroyContext(ctx.value()).code(),
+    EXPECT_TRUE(cpu.destroyContext(ctx.value(), false).isOk());
+    EXPECT_EQ(cpu.destroyContext(ctx.value(), false).code(),
               ErrorCode::NotFound);
 }
 

@@ -48,6 +48,51 @@ TEST(FuzzScenario, JsonRoundTrips)
     }
 }
 
+/* A replayed scenario is untrusted input: a required field that is
+ * missing or has the wrong type is InvalidArgument, not an abort. */
+TEST(FuzzScenario, MalformedRequiredFieldIsInvalidArgument)
+{
+    EXPECT_EQ(Scenario::parse(R"({"seed":1,"enclaves":[],)"
+                              R"("faults":[],"ops":[]})")
+                  .code(),
+              ErrorCode::InvalidArgument);
+
+    Scenario sc;
+    sc.seed = 1;
+    sc.numGpus = 1;
+    EnclavePlan plan;
+    plan.deviceType = "gpu";
+    plan.deviceName = "gpu0";
+    sc.enclaves.push_back(plan);
+    FaultSpec kill;
+    kill.victim = "gpu0";
+    sc.faults.push_back(kill);
+    ASSERT_TRUE(Scenario::fromJson(sc.toJson()).isOk());
+
+    /* {list holding the field ("" = top level), field} */
+    const std::pair<const char *, const char *> required[] = {
+        {"", "num_gpus"},     {"", "pipe_enclave"},
+        {"enclaves", "elems"}, {"enclaves", "slots"},
+        {"enclaves", "slot_bytes"}, {"faults", "nth"},
+    };
+    for (const auto &[list, field] : required) {
+        for (bool drop : {true, false}) {
+            JsonValue doc = sc.toJson();
+            JsonObject &holder =
+                *list == '\0'
+                    ? doc.asObject()
+                    : doc.asObject().at(list).asArray()[0].asObject();
+            if (drop)
+                holder.erase(field);
+            else
+                holder[field] = JsonValue(std::string("7"));
+            EXPECT_EQ(Scenario::fromJson(doc).code(),
+                      ErrorCode::InvalidArgument)
+                << field << (drop ? " dropped" : " as a string");
+        }
+    }
+}
+
 /* Churn ops against the live-count reference model: creates report
  * the count after, destroy-with-none-live is InvalidState, and the
  * final grant/TLB bookkeeping stays clean (finalCheck). */

@@ -13,6 +13,66 @@ namespace cronus::mos
 namespace
 {
 
+/** A device of the right kind whose magic register reads wrong. */
+template <typename Dev>
+class BadMagic : public Dev
+{
+  public:
+    using Dev::Dev;
+
+    Result<uint64_t>
+    mmioRead(uint64_t offset) override
+    {
+        if (offset == 0x0)
+            return Dev::kMagic ^ 1;
+        return Dev::mmioRead(offset);
+    }
+};
+
+/** The three device kinds; "<kind>0" is the real device and
+ *  "<kind>-bad" one whose magic register reads wrong. */
+const char *const kKinds[] = {"cpu", "gpu", "npu"};
+
+std::unique_ptr<Hal>
+makeHal(ShimKernel &shim, const std::string &kind,
+        const std::string &device)
+{
+    if (kind == "cpu")
+        return std::make_unique<CpuHal>(shim, device);
+    if (kind == "gpu")
+        return std::make_unique<GpuHal>(shim, device);
+    return std::make_unique<NpuHal>(shim, device);
+}
+
+hw::PhysAddr
+bounceOf(Hal &hal)
+{
+    if (auto *cpu = dynamic_cast<CpuHal *>(&hal))
+        return cpu->bounceBase();
+    if (auto *gpu = dynamic_cast<GpuHal *>(&hal))
+        return gpu->bounceBase();
+    return dynamic_cast<NpuHal &>(hal).bounceBase();
+}
+
+/** Host -> device -> host through a GPU or NPU HAL's bounce window. */
+Result<Bytes>
+roundTrip(Hal &hal, uint64_t ctx, const Bytes &data)
+{
+    if (auto *gpu = dynamic_cast<GpuHal *>(&hal)) {
+        auto va = gpu->memAlloc(ctx, data.size());
+        if (!va.isOk())
+            return va.status();
+        CRONUS_RETURN_IF_ERROR(gpu->memcpyHtoD(ctx, va.value(), data));
+        return gpu->memcpyDtoH(ctx, va.value(), data.size());
+    }
+    auto &npu = dynamic_cast<NpuHal &>(hal);
+    auto buffer = npu.allocBuffer(ctx, data.size());
+    if (!buffer.isOk())
+        return buffer.status();
+    CRONUS_RETURN_IF_ERROR(npu.writeBuffer(ctx, buffer.value(), 0, data));
+    return npu.readBuffer(ctx, buffer.value(), 0, data.size());
+}
+
 class MosTest : public ::testing::Test
 {
   protected:
@@ -28,6 +88,19 @@ class MosTest : public ::testing::Test
             std::make_unique<accel::NpuDevice>(), 60);
         platform->registerDevice(
             std::make_unique<accel::CpuDevice>(), 32);
+        accel::GpuConfig bad_gpu;
+        bad_gpu.name = "gpu-bad";
+        bad_gpu.vramBytes = 1 << 20;
+        platform->registerDevice(
+            std::make_unique<BadMagic<accel::GpuDevice>>(bad_gpu), 41);
+        accel::NpuConfig bad_npu;
+        bad_npu.name = "npu-bad";
+        platform->registerDevice(
+            std::make_unique<BadMagic<accel::NpuDevice>>(bad_npu), 61);
+        accel::CpuConfig bad_cpu;
+        bad_cpu.name = "cpu-bad";
+        platform->registerDevice(
+            std::make_unique<BadMagic<accel::CpuDevice>>(bad_cpu), 33);
 
         monitor = std::make_unique<tee::SecureMonitor>(*platform);
         hw::DeviceTree dt;
@@ -47,6 +120,69 @@ class MosTest : public ::testing::Test
     std::unique_ptr<tee::SecureMonitor> monitor;
     std::unique_ptr<tee::Spm> spm;
     tee::PartitionId pid = 0;
+
+    /** A HAL probing another kind's device fails cleanly; on its
+     *  own kind it creates a context. */
+    void
+    expectProbeChecksDeviceKind(const std::string &kind,
+                                const std::string &wrong_device)
+    {
+        ShimKernel shim(*spm, pid);
+        auto wrong = makeHal(shim, kind, wrong_device);
+        EXPECT_EQ(wrong->createDeviceContext().code(),
+                  ErrorCode::InvalidArgument);
+        EXPECT_EQ(wrong->attestDevice({1}).code(),
+                  ErrorCode::InvalidArgument);
+        auto right = makeHal(shim, kind, kind + "0");
+        EXPECT_TRUE(right->createDeviceContext().isOk());
+    }
+
+    /** Creating a context maps the staging window, a copy
+     *  round-trips through it, and recovering the partition that
+     *  owns the device drops it. */
+    void
+    expectCopiesFlowThroughTheSmmu(const std::string &kind)
+    {
+        tee::MosImage image{kind + "0.mos", kind, toBytes("x")};
+        tee::PartitionId owner =
+            kind == "gpu"
+                ? pid
+                : spm->createPartition(image, kind + "0", 4ull << 20)
+                      .value();
+        ShimKernel shim(*spm, owner);
+        auto hal = makeHal(shim, kind, kind + "0");
+        auto ctx = hal->createDeviceContext().value();
+        hw::Device *dev = platform->findDevice(kind + "0");
+        hw::PhysAddr bounce = bounceOf(*hal);
+
+        EXPECT_TRUE(platform->smmu().hasStream(dev->streamId()));
+        EXPECT_TRUE(platform->smmu()
+                        .translate(dev->streamId(), bounce, 8, true)
+                        .ok());
+
+        Bytes data = {1, 2, 3, 4};
+        EXPECT_EQ(roundTrip(*hal, ctx, data).value(), data);
+
+        /* Failure step 2 drops the old incarnation's SMMU windows. */
+        ASSERT_TRUE(spm->failPartition(owner).isOk());
+        ASSERT_TRUE(spm->recoverPartition(owner, image).isOk());
+        EXPECT_FALSE(platform->smmu()
+                         .translate(dev->streamId(), bounce, 8, true)
+                         .ok());
+    }
+
+    /** 600 KiB > the 256 KiB staging window: several DMA passes. */
+    void
+    expectLargeCopySpansBounceWindows(const std::string &kind)
+    {
+        ShimKernel shim(*spm, pid);
+        auto hal = makeHal(shim, kind, kind + "0");
+        auto ctx = hal->createDeviceContext().value();
+        Bytes big(600 * 1024);
+        for (size_t i = 0; i < big.size(); ++i)
+            big[i] = static_cast<uint8_t>(i * 13);
+        EXPECT_EQ(roundTrip(*hal, ctx, big).value(), big);
+    }
 };
 
 TEST_F(MosTest, AllocPagesExhaustsPartitionBudget)
@@ -109,24 +245,78 @@ TEST_F(MosTest, HeartbeatReachesSpm)
     EXPECT_EQ(spm->partition(pid).value()->heartbeat, before + 1);
 }
 
+/* The GPU HAL takes the probe role of the nouveau driver. */
 TEST_F(MosTest, NouveauProbeChecksDeviceKind)
 {
-    ShimKernel shim(*spm, pid);
-    /* Probing the NPU with the GPU driver fails cleanly. */
-    NouveauDriver wrong(shim, "npu0");
-    EXPECT_EQ(wrong.probe().code(), ErrorCode::InvalidArgument);
-    NouveauDriver right(shim, "gpu0");
-    EXPECT_TRUE(right.probe().isOk());
-    EXPECT_TRUE(right.probed());
+    expectProbeChecksDeviceKind("gpu", "npu0");
 }
 
+/* The NPU HAL takes the probe role of the VTA driver. */
 TEST_F(MosTest, VtaProbeChecksDeviceKind)
 {
+    expectProbeChecksDeviceKind("npu", "gpu0");
+}
+
+TEST_F(MosTest, CpuHalProbeChecksDeviceKind)
+{
+    expectProbeChecksDeviceKind("cpu", "gpu0");
+}
+
+TEST_F(MosTest, HalProbeChecksMagic)
+{
     ShimKernel shim(*spm, pid);
-    VtaDriver wrong(shim, "gpu0");
-    EXPECT_EQ(wrong.probe().code(), ErrorCode::InvalidArgument);
-    VtaDriver right(shim, "npu0");
-    EXPECT_TRUE(right.probe().isOk());
+    for (std::string kind : kKinds) {
+        SCOPED_TRACE(kind);
+        auto hal = makeHal(shim, kind, kind + "-bad");
+        EXPECT_EQ(hal->createDeviceContext().code(),
+                  ErrorCode::InvalidState);
+        EXPECT_EQ(hal->attestDevice({1}).code(),
+                  ErrorCode::InvalidState);
+        /* A failed probe maps no staging window. */
+        EXPECT_EQ(bounceOf(*hal), 0u);
+    }
+}
+
+TEST_F(MosTest, HalContextLifecycleOnEveryKind)
+{
+    ShimKernel shim(*spm, pid);
+    for (std::string kind : kKinds) {
+        SCOPED_TRACE(kind);
+        auto hal = makeHal(shim, kind, kind + "0");
+        EXPECT_EQ(hal->deviceType(), kind);
+        auto a = hal->createDeviceContext();
+        auto b = hal->createDeviceContext();
+        ASSERT_TRUE(a.isOk() && b.isOk());
+        EXPECT_NE(a.value(), b.value());
+        ASSERT_TRUE(hal->destroyDeviceContext(a.value(), true).isOk());
+        EXPECT_EQ(hal->destroyDeviceContext(a.value(), true).code(),
+                  ErrorCode::NotFound);
+        EXPECT_TRUE(hal->destroyDeviceContext(b.value(), false).isOk());
+        /* GPU and NPU map their staging window at context create;
+         * the CPU moves no data by DMA and maps none. */
+        EXPECT_EQ(bounceOf(*hal) != 0, kind != "cpu");
+    }
+}
+
+TEST_F(MosTest, HalAttestsEveryKindWithItsOwnKey)
+{
+    ShimKernel shim(*spm, pid);
+    std::vector<crypto::PublicKey> keys;
+    for (std::string kind : kKinds) {
+        SCOPED_TRACE(kind);
+        auto hal = makeHal(shim, kind, kind + "0");
+        auto att = hal->attestDevice(toBytes("challenge"));
+        ASSERT_TRUE(att.isOk()) << att.status().toString();
+        auto *dev = dynamic_cast<accel::AttestedDevice *>(
+            platform->findDevice(kind + "0"));
+        EXPECT_TRUE(att.value().devicePublicKey ==
+                    dev->devicePublicKey());
+        EXPECT_EQ(att.value().challenge, toBytes("challenge"));
+        keys.push_back(att.value().devicePublicKey);
+    }
+    EXPECT_FALSE(keys[0] == keys[1]);
+    EXPECT_FALSE(keys[1] == keys[2]);
+    EXPECT_FALSE(keys[0] == keys[2]);
 }
 
 TEST_F(MosTest, GpuHalLifecycle)
@@ -163,46 +353,22 @@ TEST_F(MosTest, GpuHalAttestsRealHardware)
 
 TEST_F(MosTest, GpuCopiesFlowThroughTheSmmu)
 {
-    ShimKernel shim(*spm, pid);
-    GpuHal hal(shim, "gpu0");
-    auto ctx = hal.createDeviceContext().value();
-    hw::Device *gpu = platform->findDevice("gpu0");
+    expectCopiesFlowThroughTheSmmu("gpu");
+}
 
-    /* Creating the context mapped the DMA staging window. */
-    EXPECT_TRUE(platform->smmu().hasStream(gpu->streamId()));
-    EXPECT_TRUE(platform->smmu()
-                    .translate(gpu->streamId(), hal.bounceBase(), 8,
-                               true)
-                    .ok());
-
-    /* A real copy round-trips through it. */
-    auto va = hal.memAlloc(ctx, 64).value();
-    Bytes data = {1, 2, 3, 4};
-    ASSERT_TRUE(hal.memcpyHtoD(ctx, va, data).isOk());
-    EXPECT_EQ(hal.memcpyDtoH(ctx, va, 4).value(), data);
-
-    /* Failure step 2 drops the old incarnation's SMMU windows. */
-    ASSERT_TRUE(spm->failPartition(pid).isOk());
-    tee::MosImage image{"gpu0.mos", "gpu", toBytes("x")};
-    ASSERT_TRUE(spm->recoverPartition(pid, image).isOk());
-    EXPECT_FALSE(platform->smmu()
-                     .translate(gpu->streamId(), hal.bounceBase(),
-                                8, true)
-                     .ok());
+TEST_F(MosTest, NpuCopiesFlowThroughTheSmmu)
+{
+    expectCopiesFlowThroughTheSmmu("npu");
 }
 
 TEST_F(MosTest, LargeCopySpansBounceWindows)
 {
-    ShimKernel shim(*spm, pid);
-    GpuHal hal(shim, "gpu0");
-    auto ctx = hal.createDeviceContext().value();
-    /* 600 KiB > the 256 KiB staging window: multiple DMA passes. */
-    Bytes big(600 * 1024);
-    for (size_t i = 0; i < big.size(); ++i)
-        big[i] = static_cast<uint8_t>(i * 13);
-    auto va = hal.memAlloc(ctx, big.size()).value();
-    ASSERT_TRUE(hal.memcpyHtoD(ctx, va, big).isOk());
-    EXPECT_EQ(hal.memcpyDtoH(ctx, va, big.size()).value(), big);
+    expectLargeCopySpansBounceWindows("gpu");
+}
+
+TEST_F(MosTest, NpuLargeCopySpansBounceWindows)
+{
+    expectLargeCopySpansBounceWindows("npu");
 }
 
 TEST_F(MosTest, HalChargesDriverCosts)
