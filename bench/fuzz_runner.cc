@@ -4,7 +4,8 @@
  *
  *   fuzz_runner                     run the default 50-seed corpus
  *   fuzz_runner --runs N            run seeds 1..N
- *   fuzz_runner --seed S            run one seed (prints the trace)
+ *   fuzz_runner --seed S            run one seed (prints the trace;
+ *                                   a usage error with --runs)
  *   fuzz_runner --replay FILE       re-run a scenario or trace JSON
  *   fuzz_runner --plant-bug         enable the test-only planted bug
  *   fuzz_runner --no-shrink         skip minimization on failure
@@ -21,16 +22,11 @@
  *                                   instead of single-node ones;
  *                                   composes with --runs, --seed
  *                                   and --diff-backends
- *   fuzz_runner --jobs N            run corpus seeds on N host
- *                                   threads; every seed owns its own
- *                                   simulated universe, so verdicts,
- *                                   stdout and exit code are
- *                                   byte-identical to --jobs 1
  *   fuzz_runner --verdicts FILE     write one "seed=S PASS|FAIL
- *                                   oracles" line per corpus seed
- *                                   (runs the whole corpus even
- *                                   past a failure, so the file is
- *                                   diffable across --jobs values)
+ *                                   oracles" line per corpus seed as
+ *                                   it finishes (runs the whole
+ *                                   corpus even past a failure, so
+ *                                   the file lists every seed)
  *
  * On any oracle failure it prints the seed, the failure list, the
  * full decision trace and (unless --no-shrink) the greedily
@@ -43,10 +39,8 @@
  * next to the input, so a shrunken repro comes with its timeline.
  */
 
-#include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -56,7 +50,6 @@
 #include <string>
 #include <vector>
 
-#include "base/parallel.hh"
 #include "fuzz/fuzz.hh"
 #include "fuzz/scheduler.hh"
 #include "obs/trace.hh"
@@ -91,7 +84,7 @@ usage()
                  "usage: fuzz_runner [--seed S] [--runs N] "
                  "[--replay FILE] [--plant-bug] "
                  "[--no-shrink] [--diff-backends] "
-                 "[--scheduled] [--cluster] [--jobs N] "
+                 "[--scheduled] [--cluster] "
                  "[--verdicts FILE]\n");
     return 2;
 }
@@ -253,7 +246,6 @@ main(int argc, char **argv)
     bool diffMode = false;
     bool scheduled = false;
     bool cluster = false;
-    unsigned jobs = 1;
     std::string replayPath;
     std::string verdictsPath;
 
@@ -298,17 +290,15 @@ main(int argc, char **argv)
             scheduled = true;
         } else if (arg == "--cluster") {
             cluster = true;
-        } else if (arg == "--jobs") {
-            uint64_t n = 0;
-            if (!number(0, UINT_MAX, n))
-                return usage();
-            jobs = static_cast<unsigned>(std::max<uint64_t>(n, 1));
         } else if (arg == "--verdicts") {
             verdictsPath = next();
         } else {
             return usage();
         }
     }
+    /* One seed or a corpus of them, never both. */
+    if (haveSeed && haveRuns)
+        return usage();
 
     /* In cluster mode every seed goes through the fleet scenario
      * generator; the oracle/shrink/diff pipeline is unchanged. */
@@ -323,7 +313,7 @@ main(int argc, char **argv)
     if (diffMode)
         return runDiffBackends(runs, cluster);
 
-    if (haveSeed && !haveRuns) {
+    if (haveSeed) {
         FuzzReport rep = runSeed(seed);
         if (!rep.ok) {
             printFailure(rep);
@@ -345,59 +335,43 @@ main(int argc, char **argv)
                     opts.plantBug ? " --plant-bug" : "");
     };
 
-    if (jobs > 1 || !verdictsPath.empty()) {
-        /* Batched mode: run the whole corpus (each seed owns its
-         * own simulated universe; the worker threads share nothing
-         * but the tracer/logger singletons, which lock), then replay
-         * the serial reporting logic over the collected reports --
-         * stdout, exit code and the verdict file are byte-identical
-         * whatever the job count. */
-        std::vector<FuzzReport> reports(corpus.size());
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(corpus.size());
-        for (size_t i = 0; i < corpus.size(); ++i)
-            tasks.push_back(
-                [&, i] { reports[i] = runSeed(corpus[i]); });
-        runTasks(jobs, tasks);
-
-        if (!verdictsPath.empty()) {
-            std::ofstream vout(verdictsPath);
-            if (!vout) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             verdictsPath.c_str());
-                return 2;
-            }
-            for (size_t i = 0; i < corpus.size(); ++i)
-                vout << verdictLine(corpus[i], reports[i]) << "\n";
+    /* Open the verdict file before the first seed, so a bad path
+     * fails before any work. */
+    std::ofstream vout;
+    if (!verdictsPath.empty()) {
+        vout.open(verdictsPath);
+        if (!vout) {
+            std::fprintf(stderr, "cannot write %s\n",
+                         verdictsPath.c_str());
+            return 2;
         }
-
-        size_t done = 0;
-        for (size_t i = 0; i < corpus.size(); ++i) {
-            if (!reports[i].ok) {
-                printFailure(reports[i]);
-                reproHint(corpus[i]);
-                return 1;
-            }
-            ++done;
-            if (done % 25 == 0 || done == runs)
-                std::printf("... %zu/%zu seeds ok\n", done, runs);
-        }
-        std::printf("PASS %zu seeds, no oracle failures\n", done);
-        return 0;
     }
 
+    /* Stdout stops at the first failure. Without --verdicts so does
+     * the run; with it, the rest of the corpus still runs so the
+     * file holds a line for every seed. */
+    bool failed = false;
     size_t done = 0;
     for (uint64_t s : corpus) {
         FuzzReport rep = runSeed(s);
+        if (vout.is_open())
+            vout << verdictLine(s, rep) << std::endl;
+        if (failed)
+            continue;
         if (!rep.ok) {
             printFailure(rep);
             reproHint(s);
-            return 1;
+            if (!vout.is_open())
+                return 1;
+            failed = true;
+            continue;
         }
         ++done;
         if (done % 25 == 0 || done == runs)
             std::printf("... %zu/%zu seeds ok\n", done, runs);
     }
+    if (failed)
+        return 1;
     std::printf("PASS %zu seeds, no oracle failures\n", done);
     return 0;
 }

@@ -41,14 +41,12 @@ void
 GpuKernelRegistry::registerKernel(const std::string &name,
                                   GpuKernel kernel)
 {
-    std::unique_lock<std::shared_mutex> lock(mu);
     kernels.emplace(name, std::move(kernel));
 }
 
 const GpuKernel *
 GpuKernelRegistry::find(const std::string &name) const
 {
-    std::shared_lock<std::shared_mutex> lock(mu);
     auto it = kernels.find(name);
     return it == kernels.end() ? nullptr : &it->second;
 }
@@ -56,7 +54,6 @@ GpuKernelRegistry::find(const std::string &name) const
 bool
 GpuKernelRegistry::has(const std::string &name) const
 {
-    std::shared_lock<std::shared_mutex> lock(mu);
     return kernels.count(name) > 0;
 }
 

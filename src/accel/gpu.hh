@@ -26,7 +26,6 @@
 #include <functional>
 #include <map>
 #include <set>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -118,7 +117,6 @@ class GpuKernelRegistry
     bool has(const std::string &name) const;
 
   private:
-    mutable std::shared_mutex mu;
     std::map<std::string, GpuKernel> kernels;
 };
 

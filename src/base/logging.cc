@@ -27,7 +27,6 @@ Logger::log(LogLevel level, const std::string &msg)
       case LogLevel::Warn:  tag = "warn";  break;
       case LogLevel::Error: tag = "error"; break;
     }
-    std::lock_guard<std::mutex> lock(emitMu);
     std::fprintf(stderr, "[%s] %s\n", tag, msg.c_str());
 }
 

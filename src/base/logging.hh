@@ -10,11 +10,9 @@
 #ifndef CRONUS_BASE_LOGGING_HH
 #define CRONUS_BASE_LOGGING_HH
 
-#include <atomic>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -41,28 +39,26 @@ class Logger
     static Logger &instance();
 
     /** Minimum level that is actually emitted. */
-    void setLevel(LogLevel level) { minLevel.store(level); }
-    LogLevel level() const { return minLevel.load(); }
+    void setLevel(LogLevel level) { minLevel = level; }
+    LogLevel level() const { return minLevel; }
 
     /** Completely silence the logger (used by benches/tests). */
-    void setQuiet(bool quiet) { quietMode.store(quiet); }
-    bool quiet() const { return quietMode.load(); }
+    void setQuiet(bool quiet) { quietMode = quiet; }
+    bool quiet() const { return quietMode; }
 
-    /** Emit one record (thread-safe: fuzz --jobs seeds may log
-     *  concurrently). */
+    /** Emit one record. */
     void log(LogLevel level, const std::string &msg);
 
     /** Number of warnings emitted since construction/reset. */
-    uint64_t warnCount() const { return numWarnings.load(); }
-    void resetCounters() { numWarnings.store(0); }
+    uint64_t warnCount() const { return numWarnings; }
+    void resetCounters() { numWarnings = 0; }
 
   private:
     Logger() = default;
 
-    std::atomic<LogLevel> minLevel{LogLevel::Info};
-    std::atomic<bool> quietMode{false};
-    std::atomic<uint64_t> numWarnings{0};
-    std::mutex emitMu;
+    LogLevel minLevel = LogLevel::Info;
+    bool quietMode = false;
+    uint64_t numWarnings = 0;
 };
 
 /**

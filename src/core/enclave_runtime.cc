@@ -46,14 +46,12 @@ void
 CpuFunctionRegistry::registerFunction(const std::string &name,
                                       CpuFunction fn)
 {
-    std::unique_lock<std::shared_mutex> lock(mu);
     functions.emplace(name, std::move(fn));
 }
 
 const CpuFunction *
 CpuFunctionRegistry::find(const std::string &name) const
 {
-    std::shared_lock<std::shared_mutex> lock(mu);
     auto it = functions.find(name);
     return it == functions.end() ? nullptr : &it->second;
 }
@@ -61,7 +59,6 @@ CpuFunctionRegistry::find(const std::string &name) const
 bool
 CpuFunctionRegistry::has(const std::string &name) const
 {
-    std::shared_lock<std::shared_mutex> lock(mu);
     return functions.count(name) > 0;
 }
 

@@ -16,7 +16,6 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -121,17 +120,14 @@ class CpuFunctionRegistry
 
     /**
      * Install a function body. First registration of a name wins;
-     * re-registering is a no-op. That keeps lazy has()-then-register
-     * initialization safe when concurrent fuzz --jobs seeds race to
-     * install the same body, and means a pointer returned by find()
-     * is never replaced under a running call.
+     * re-registering is a no-op, so a pointer returned by find() is
+     * never replaced under a running call.
      */
     void registerFunction(const std::string &name, CpuFunction fn);
     const CpuFunction *find(const std::string &name) const;
     bool has(const std::string &name) const;
 
   private:
-    mutable std::shared_mutex mu;
     std::map<std::string, CpuFunction> functions;
 };
 

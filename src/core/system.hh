@@ -264,7 +264,7 @@ class CronusSystem
      * the legacy pipeline, the module store or a warm-pool shell.
      * Per-system (not process-global): cluster nodes must derive the
      * same sequences regardless of how creates interleave across
-     * nodes, and concurrent fuzz --jobs seeds must not race on it. */
+     * nodes. */
     uint64_t ownerCounter = 0;
 };
 

@@ -119,7 +119,7 @@ class ClusterRun
     {
         Logger::instance().setQuiet(true);
         registerFuzzCpuFunctions();
-        obs::Tracer::instance().clearFlight();
+        obs::Tracer::instance().flight().clear();
 
         cluster::ClusterConfig cc;
         cc.numNodes = sc.numNodes;

@@ -309,7 +309,7 @@ class Run
          * auditor or an oracle then holds only this run's tail, not
          * a previous scenario's. (Only the ring -- a Full-mode
          * export trace keeps accumulating.) */
-        obs::Tracer::instance().clearFlight();
+        obs::Tracer::instance().flight().clear();
 
         CronusConfig cfg;
         cfg.numGpus = sc.numGpus;

@@ -42,23 +42,6 @@ eventJson(const TraceEvent &ev)
     return JsonValue(std::move(o));
 }
 
-/**
- * Per-thread stamping state: a fuzz --jobs worker gets its own stack
- * so concurrent seeds stamp independently.
- */
-struct TlsClockState
-{
-    std::vector<const SimClock *> stack;
-    uint32_t ordinal = 0;
-};
-
-TlsClockState &
-tlsClocks()
-{
-    static thread_local TlsClockState state;
-    return state;
-}
-
 } // namespace
 
 Tracer::Tracer()
@@ -85,28 +68,25 @@ Tracer::envEnabled()
 void
 Tracer::ensureMode(TraceMode mode)
 {
-    TraceMode cur = traceMode.load();
-    while (static_cast<int>(mode) > static_cast<int>(cur) &&
-           !traceMode.compare_exchange_weak(cur, mode)) {
-    }
+    if (static_cast<int>(mode) > static_cast<int>(traceMode))
+        traceMode = mode;
 }
 
 void
 Tracer::attachClock(const SimClock *clk)
 {
-    TlsClockState &tls = tlsClocks();
-    tls.stack.push_back(clk);
-    tls.ordinal = nextPlatformOrdinal.fetch_add(1);
+    clockStack.push_back(clk);
+    platformOrdinal = nextPlatformOrdinal++;
 }
 
 void
 Tracer::detachClock(const SimClock *clk)
 {
     /* Platforms usually die LIFO, but be robust to any order. */
-    std::vector<const SimClock *> &stack = tlsClocks().stack;
-    for (size_t i = stack.size(); i-- > 0;) {
-        if (stack[i] == clk) {
-            stack.erase(stack.begin() + static_cast<ptrdiff_t>(i));
+    for (size_t i = clockStack.size(); i-- > 0;) {
+        if (clockStack[i] == clk) {
+            clockStack.erase(clockStack.begin() +
+                             static_cast<ptrdiff_t>(i));
             break;
         }
     }
@@ -115,20 +95,12 @@ Tracer::detachClock(const SimClock *clk)
 SimTime
 Tracer::now() const
 {
-    const std::vector<const SimClock *> &stack = tlsClocks().stack;
-    return stack.empty() ? 0 : stack.back()->now();
-}
-
-uint32_t
-Tracer::currentPlatform() const
-{
-    return tlsClocks().ordinal;
+    return clockStack.empty() ? 0 : clockStack.back()->now();
 }
 
 uint32_t
 Tracer::track(const std::string &name)
 {
-    std::lock_guard<std::mutex> lock(mu);
     auto it = trackIds.find(name);
     if (it != trackIds.end())
         return it->second;
@@ -153,7 +125,6 @@ Tracer::enclaveTrack(uint64_t eid, const std::string &device)
 void
 Tracer::record(TraceEvent ev)
 {
-    std::lock_guard<std::mutex> lock(mu);
     ring.push(ev);
     if (mode() != TraceMode::Full)
         return;
@@ -172,7 +143,7 @@ Tracer::instant(uint32_t track, const char *name, const char *cat,
         return;
     TraceEvent ev;
     ev.phase = 'i';
-    ev.platform = tlsClocks().ordinal;
+    ev.platform = platformOrdinal;
     ev.track = track;
     ev.ts = now();
     ev.name = name;
@@ -189,7 +160,7 @@ Tracer::complete(uint32_t track, const char *name, const char *cat,
         return;
     TraceEvent ev;
     ev.phase = 'X';
-    ev.platform = tlsClocks().ordinal;
+    ev.platform = platformOrdinal;
     ev.track = track;
     ev.ts = start;
     SimTime end = now();
@@ -200,17 +171,9 @@ Tracer::complete(uint32_t track, const char *name, const char *cat,
     record(std::move(ev));
 }
 
-void
-Tracer::clearFlight()
-{
-    std::lock_guard<std::mutex> lock(mu);
-    ring.clear();
-}
-
 JsonValue
 Tracer::flightJson() const
 {
-    std::lock_guard<std::mutex> lock(mu);
     JsonArray evs;
     for (const TraceEvent &ev : ring.snapshot())
         evs.push_back(eventJson(ev));
@@ -234,18 +197,11 @@ Tracer::dumpFlight(const std::string &reason)
 void
 Tracer::dumpFlight(const std::string &reason, const JsonValue &doc)
 {
-    DumpSink sink;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        if (dumps.size() >= kMaxRetainedDumps)
-            dumps.erase(dumps.begin());
-        dumps.push_back(FlightDump{reason, doc});
-        sink = dumpSink;
-    }
-    /* Run the sink outside the lock: it may call back into the
-     * tracer (e.g. to snapshot the ring). */
-    if (sink) {
-        sink(reason, doc);
+    if (dumps.size() >= kMaxRetainedDumps)
+        dumps.erase(dumps.begin());
+    dumps.push_back(FlightDump{reason, doc});
+    if (dumpSink) {
+        dumpSink(reason, doc);
         return;
     }
     uint64_t held = 0;
@@ -259,7 +215,6 @@ Tracer::dumpFlight(const std::string &reason, const JsonValue &doc)
 JsonValue
 Tracer::traceJson() const
 {
-    std::lock_guard<std::mutex> lock(mu);
     JsonArray evs;
     /* Metadata first: one process_name per platform ordinal seen,
      * one thread_name per (platform, track) pair seen. */
@@ -325,21 +280,18 @@ Tracer::writeTraceFile(const std::string &path) const
 uint64_t
 Tracer::eventCount() const
 {
-    std::lock_guard<std::mutex> lock(mu);
     return events.size();
 }
 
 uint64_t
 Tracer::droppedEvents() const
 {
-    std::lock_guard<std::mutex> lock(mu);
     return dropped;
 }
 
 void
 Tracer::clear()
 {
-    std::lock_guard<std::mutex> lock(mu);
     events.clear();
     dropped = 0;
     ring.clear();
@@ -349,7 +301,7 @@ Tracer::clear()
     /* Restart platform numbering so a fresh simulated universe in
      * the same process (tests run several back to back) stamps the
      * same platform ids as a fresh process would. */
-    nextPlatformOrdinal.store(0);
+    nextPlatformOrdinal = 0;
 }
 
 } // namespace cronus::obs

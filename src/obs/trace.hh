@@ -31,19 +31,13 @@
  * track -- one per partition ("p2 gpu0"), per enclave ("e65537 cpu0")
  * or per component ("dispatcher") -- resolved through the track
  * helpers below and emitted as thread_name metadata.
- *
- * Threads: clock attachment is *per-thread* (each fuzz --jobs seed
- * stamps from its own clocks), and the shared streams (track table,
- * export list, flight ring) are mutex-guarded.
  */
 
 #ifndef CRONUS_OBS_TRACE_HH
 #define CRONUS_OBS_TRACE_HH
 
-#include <atomic>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -67,10 +61,10 @@ class Tracer
     /** Process-wide tracer. First use resolves CRONUS_TRACE. */
     static Tracer &instance();
 
-    TraceMode mode() const { return traceMode.load(); }
+    TraceMode mode() const { return traceMode; }
     bool active() const { return mode() != TraceMode::Off; }
     bool exporting() const { return mode() == TraceMode::Full; }
-    void setMode(TraceMode mode) { traceMode.store(mode); }
+    void setMode(TraceMode mode) { traceMode = mode; }
     /** Raise the mode to at least @p mode; never lowers it. */
     void ensureMode(TraceMode mode);
     /** CRONUS_TRACE set to a non-empty value other than "0". */
@@ -81,16 +75,13 @@ class Tracer
     /**
      * A platform came up: its SimClock becomes the stamping clock
      * and events are attributed to a fresh platform ordinal until
-     * the next attach (or this clock's detach). Attachment is
-     * per-thread so concurrent fuzz --jobs seeds each stamp from
-     * their own platform clocks.
+     * the next attach (or this clock's detach).
      */
     void attachClock(const SimClock *clk);
     void detachClock(const SimClock *clk);
-    /** Virtual now for stamping: the innermost clock attached on
-     *  this thread (0 if none). */
+    /** Virtual now for stamping: the innermost attached clock (0
+     *  if none). */
     SimTime now() const;
-    uint32_t currentPlatform() const;
 
     /* --- tracks --- */
 
@@ -113,13 +104,7 @@ class Tracer
 
     /* --- flight recorder --- */
 
-    /** Direct ring access (single-threaded callers: tests, setup).
-     *  Concurrent code must go through clearFlight()/flightJson(),
-     *  which take the tracer lock. */
     FlightRecorder &flight() { return ring; }
-    /** Empty the ring under the tracer lock (fuzz --jobs seeds
-     *  scope the ring to their own run concurrently). */
-    void clearFlight();
     /** Ring contents as a standalone JSON document. */
     JsonValue flightJson() const;
     /**
@@ -171,12 +156,14 @@ class Tracer
     static constexpr size_t kMaxExportEvents = 1u << 22;
     static constexpr size_t kMaxRetainedDumps = 8;
 
-    std::atomic<TraceMode> traceMode{TraceMode::Off};
-    std::atomic<uint32_t> nextPlatformOrdinal{0};
+    TraceMode traceMode = TraceMode::Off;
+    uint32_t nextPlatformOrdinal = 0;
 
-    /* mu guards everything below: track table, export list, flight
-     * ring and retained dumps (fuzz --jobs seeds share them). */
-    mutable std::mutex mu;
+    /* Stamping state: attached clocks, innermost last, and the
+     * ordinal of the most recently attached platform. */
+    std::vector<const SimClock *> clockStack;
+    uint32_t platformOrdinal = 0;
+
     std::map<std::string, uint32_t> trackIds;
     std::vector<std::string> trackNames;  ///< index = id - 1
 

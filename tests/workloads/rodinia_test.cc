@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "baseline/cronus_backend.hh"
 #include "baseline/direct.hh"
 #include "baseline/hix_tz.hh"
@@ -113,6 +115,106 @@ TEST(RodiniaShape, CronusOverheadIsSmallAndHixIsSlower)
     double hix_avg = hix_ratio_sum / count;
     EXPECT_LT(cronus_avg, 1.15);        /* low overhead */
     EXPECT_GT(hix_avg, cronus_avg);     /* HIX is slower */
+}
+
+/** Forwards to a real backend and tracks its live allocations. */
+class CountingBackend : public baseline::ComputeBackend
+{
+  public:
+    explicit CountingBackend(baseline::ComputeBackend &inner)
+        : b(inner) {}
+
+    std::set<uint64_t> live;
+
+    std::string name() const override { return b.name(); }
+    bool isProtected() const override { return b.isProtected(); }
+
+    Result<uint64_t>
+    gpuAlloc(uint64_t bytes) override
+    {
+        auto r = b.gpuAlloc(bytes);
+        if (r.isOk())
+            live.insert(r.value());
+        return r;
+    }
+
+    Status
+    gpuFree(uint64_t va) override
+    {
+        Status s = b.gpuFree(va);
+        if (s.isOk())
+            live.erase(va);
+        return s;
+    }
+
+    Status
+    copyToGpu(uint64_t va, const Bytes &data) override
+    {
+        return b.copyToGpu(va, data);
+    }
+    Result<Bytes>
+    copyFromGpu(uint64_t va, uint64_t len) override
+    {
+        return b.copyFromGpu(va, len);
+    }
+    Status
+    launchKernel(const std::string &kernel,
+                 const std::vector<uint64_t> &args,
+                 uint64_t work_items) override
+    {
+        return b.launchKernel(kernel, args, work_items);
+    }
+    Status gpuSynchronize() override { return b.gpuSynchronize(); }
+    Result<uint32_t>
+    npuAllocBuffer(uint64_t bytes) override
+    {
+        return b.npuAllocBuffer(bytes);
+    }
+    Status
+    npuWriteBuffer(uint32_t buffer, uint64_t offset,
+                   const Bytes &data) override
+    {
+        return b.npuWriteBuffer(buffer, offset, data);
+    }
+    Result<Bytes>
+    npuReadBuffer(uint32_t buffer, uint64_t offset,
+                  uint64_t len) override
+    {
+        return b.npuReadBuffer(buffer, offset, len);
+    }
+    Status
+    npuRun(const accel::NpuProgram &program) override
+    {
+        return b.npuRun(program);
+    }
+    Status cpuWork(uint64_t units) override { return b.cpuWork(units); }
+    SimTime now() const override { return b.now(); }
+    Status injectGpuFault() override { return b.injectGpuFault(); }
+    Result<SimTime> recoverGpu() override { return b.recoverGpu(); }
+    bool othersAlive() override { return b.othersAlive(); }
+
+  private:
+    baseline::ComputeBackend &b;
+};
+
+TEST(RodiniaShape, EveryBenchmarkFreesItsAllocations)
+{
+    /* One long-lived backend runs every benchmark, as a server
+     * would; each run must hand all its device memory back. */
+    for (const auto &system : {"native", "cronus"}) {
+        auto backend = makeBackend(system);
+        CountingBackend counted(*backend);
+        RodiniaSize size;
+        size.scale = 64;
+        size.iterations = 2;
+        for (const auto &benchmark : rodiniaBenchmarks()) {
+            auto result = runRodinia(counted, benchmark, size);
+            ASSERT_TRUE(result.isOk()) << result.status().toString();
+            EXPECT_TRUE(counted.live.empty())
+                << benchmark << " on " << system << " leaves "
+                << counted.live.size() << " allocations live";
+        }
+    }
 }
 
 TEST(RodiniaShape, UnknownBenchmarkRejected)
