@@ -4,15 +4,16 @@
  *
  *   fuzz_runner                     run the default 50-seed corpus
  *   fuzz_runner --runs N            run seeds 1..N
- *   fuzz_runner --seed S            run one seed (prints the trace;
- *                                   a usage error with --runs)
+ *   fuzz_runner --seed S            run one seed (prints the trace)
  *   fuzz_runner --replay FILE       re-run a scenario or trace JSON
+ *                                   (its dialect comes from the file)
  *   fuzz_runner --plant-bug         enable the test-only planted bug
  *   fuzz_runner --no-shrink         skip minimization on failure
  *   fuzz_runner --diff-backends     replay N coverage-scheduled
  *                                   seeds on both isolation
  *                                   substrates (tz and pmp) and
- *                                   flag any verdict divergence
+ *                                   flag any verdict divergence (no
+ *                                   oracles, so no shrink or bug)
  *   fuzz_runner --scheduled         use coverage-guided seed
  *                                   scheduling for the oracle corpus
  *                                   instead of the sequential walk
@@ -27,6 +28,11 @@
  *                                   it finishes (runs the whole
  *                                   corpus even past a failure, so
  *                                   the file lists every seed)
+ *
+ * A flag the chosen mode does not read is a usage error (exit 2),
+ * never silently dropped: --seed takes none of --runs, --verdicts
+ * and --scheduled; --replay takes only --plant-bug and --no-shrink;
+ * --diff-backends takes only --runs and --cluster.
  *
  * On any oracle failure it prints the seed, the failure list, the
  * full decision trace and (unless --no-shrink) the greedily
@@ -296,8 +302,14 @@ main(int argc, char **argv)
             return usage();
         }
     }
-    /* One seed or a corpus of them, never both. */
-    if (haveSeed && haveRuns)
+    /* A flag the chosen mode would not read is a usage error. */
+    bool replay = !replayPath.empty();
+    bool verdicts = !verdictsPath.empty();
+    if ((haveSeed && (haveRuns || verdicts || scheduled)) ||
+        (replay && (haveSeed || haveRuns || verdicts || scheduled ||
+                    diffMode || cluster)) ||
+        (diffMode && (haveSeed || verdicts || scheduled ||
+                      opts.plantBug || !opts.shrink)))
         return usage();
 
     /* In cluster mode every seed goes through the fleet scenario
@@ -307,7 +319,7 @@ main(int argc, char **argv)
                        : fuzzSeed(s, opts);
     };
 
-    if (!replayPath.empty())
+    if (replay)
         return replayFile(replayPath, opts);
 
     if (diffMode)

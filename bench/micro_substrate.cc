@@ -293,9 +293,7 @@ void
 BM_PageTableTranslate(benchmark::State &state)
 {
     hw::PageTable pt;
-    for (uint64_t i = 0; i < 1024; ++i)
-        pt.map(i * hw::kPageSize, (i + 4096) * hw::kPageSize,
-               hw::PagePerms::rw());
+    pt.map(0, 4096 * hw::kPageSize, 1024, hw::PagePerms::rw());
     uint64_t va = 0;
     for (auto _ : state) {
         auto t = pt.translate((va++ % 1024) * hw::kPageSize, 8,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "base/logging.hh"
 
@@ -103,7 +104,8 @@ GpuModuleImage::deserialize(const Bytes &data)
 GpuDevice::GpuDevice(const GpuConfig &config)
     : AttestedDevice(config.name, "nvidia,gtx2080-sim", 0x1000,
                      config.rotSeed),
-      cfg(config), vram(config.vramBytes, 0)
+      cfg(config), vram(config.vramBytes, 0),
+      vramFree{{0, config.vramBytes}}
 {
 }
 
@@ -135,8 +137,7 @@ void
 GpuDevice::reset(bool clear_memory)
 {
     contexts.clear();
-    vramNext = 0;
-    vramFreeList.clear();
+    vramFree = {{0, cfg.vramBytes}};
     if (clear_memory)
         std::fill(vram.begin(), vram.end(), 0);
 }
@@ -167,12 +168,11 @@ GpuDevice::destroyContext(GpuContextId ctx, bool scrub)
     auto c = findContext(ctx);
     if (!c.isOk())
         return c.status();
-    if (scrub) {
-        for (const auto &[va, alloc] : c.value()->allocations)
+    for (const auto &[va, alloc] : c.value()->allocations) {
+        if (scrub)
             std::memset(vram.data() + alloc.offset, 0, alloc.bytes);
+        releaseVram(alloc.offset, alloc.bytes);
     }
-    for (const auto &[va, alloc] : c.value()->allocations)
-        vramFreeList.emplace_back(alloc.offset, alloc.bytes);
     contexts.erase(ctx);
     return Status::ok();
 }
@@ -181,9 +181,9 @@ uint64_t
 GpuDevice::freeVram() const
 {
     uint64_t freed = 0;
-    for (const auto &[off, bytes] : vramFreeList)
+    for (const auto &[off, bytes] : vramFree)
         freed += bytes;
-    return cfg.vramBytes - vramNext + freed;
+    return freed;
 }
 
 Result<GpuVa>
@@ -196,37 +196,25 @@ GpuDevice::malloc(GpuContextId ctx, uint64_t bytes)
         return Status(ErrorCode::InvalidArgument, "zero allocation");
     uint64_t aligned = hw::pageAlignUp(bytes);
 
-    /* First-fit over the free list, else bump. */
-    uint64_t offset = ~0ull;
-    for (auto it = vramFreeList.begin(); it != vramFreeList.end();
-         ++it) {
-        if (it->second >= aligned) {
-            offset = it->first;
-            if (it->second == aligned) {
-                vramFreeList.erase(it);
-            } else {
-                it->first += aligned;
-                it->second -= aligned;
-            }
-            break;
-        }
-    }
-    if (offset == ~0ull) {
-        if (vramNext + aligned > cfg.vramBytes)
-            return Status(ErrorCode::ResourceExhausted,
-                          "out of GPU memory");
-        offset = vramNext;
-        vramNext += aligned;
-    }
+    /* First fit: the lowest free block that is large enough. */
+    auto it = vramFree.begin();
+    while (it != vramFree.end() && it->second < aligned)
+        ++it;
+    if (it == vramFree.end())
+        return Status(ErrorCode::ResourceExhausted, "out of GPU memory");
+    uint64_t offset = it->first;
+    uint64_t rest = it->second - aligned;
+    vramFree.erase(it);
+    if (rest != 0)
+        vramFree.emplace(offset + aligned, rest);
 
     Context &context = *c.value();
     GpuVa va = context.nextVa;
     context.nextVa += aligned;
-    for (uint64_t page = 0; page < aligned; page += hw::kPageSize) {
-        Status s = context.vaSpace.map(va + page, offset + page,
-                                       hw::PagePerms::rw());
-        CRONUS_ASSERT(s.isOk(), "gpu va map: " + s.toString());
-    }
+    Status s = context.vaSpace.map(va, offset,
+                                   aligned >> hw::kPageShift,
+                                   hw::PagePerms::rw());
+    CRONUS_ASSERT(s.isOk(), "gpu va map: " + s.toString());
     context.allocations[va] = Allocation{offset, aligned};
     return va;
 }
@@ -241,12 +229,30 @@ GpuDevice::free(GpuContextId ctx, GpuVa va)
     auto it = context.allocations.find(va);
     if (it == context.allocations.end())
         return Status(ErrorCode::NotFound, "no such GPU allocation");
-    for (uint64_t page = 0; page < it->second.bytes;
-         page += hw::kPageSize)
-        context.vaSpace.unmap(va + page);
-    vramFreeList.emplace_back(it->second.offset, it->second.bytes);
+    context.vaSpace.unmap(va, it->second.bytes >> hw::kPageShift);
+    releaseVram(it->second.offset, it->second.bytes);
     context.allocations.erase(it);
     return Status::ok();
+}
+
+void
+GpuDevice::releaseVram(uint64_t offset, uint64_t bytes)
+{
+    /* Merge with both neighbours, so adjacent frees serve one larger
+     * allocation again. */
+    auto next = vramFree.lower_bound(offset);
+    if (next != vramFree.end() && offset + bytes == next->first) {
+        bytes += next->second;
+        next = vramFree.erase(next);
+    }
+    if (next != vramFree.begin()) {
+        auto prev = std::prev(next);
+        if (prev->first + prev->second == offset) {
+            prev->second += bytes;
+            return;
+        }
+    }
+    vramFree.emplace_hint(next, offset, bytes);
 }
 
 Result<uint8_t *>

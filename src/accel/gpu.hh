@@ -238,13 +238,16 @@ class GpuDevice : public AttestedDevice
     };
 
     Result<Context *> findContext(GpuContextId ctx);
+    /** Return a block to the free map, coalescing neighbours. */
+    void releaseVram(uint64_t offset, uint64_t bytes);
     Result<uint8_t *> translate(GpuContextId ctx, GpuVa va,
                                 uint64_t len, bool write);
 
     GpuConfig cfg;
     std::vector<uint8_t> vram;
-    uint64_t vramNext = 0;
-    std::vector<std::pair<uint64_t, uint64_t>> vramFreeList;
+    /** Free VRAM: offset -> bytes, never adjacent (a fresh device
+     *  is one block). */
+    std::map<uint64_t, uint64_t> vramFree;
     std::map<GpuContextId, Context> contexts;
     GpuContextId nextCtx = 1;
 };

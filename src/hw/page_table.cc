@@ -1,5 +1,7 @@
 #include "page_table.hh"
 
+#include <iterator>
+
 #include "obs/trace.hh"
 
 namespace cronus::hw
@@ -8,75 +10,96 @@ namespace cronus::hw
 namespace
 {
 
-/** Instant "tlb.evict" on the shared tlb track (tag-wide eviction
- *  sweeps; the per-partition shootdown spans live in the SPM). */
-void
-noteTagEviction(const char *kind, uint64_t share_tag, size_t count)
+/** NotFound unless the extents in [@p lo, @p hi) hold all @p pages
+ *  of the range they were carved from. */
+template <typename It>
+Status
+covers(It lo, It hi, uint64_t pages)
 {
-    auto &tr = obs::Tracer::instance();
-    if (!tr.active() || count == 0)
-        return;
-    JsonObject args;
-    args["kind"] = kind;
-    args["tag"] = static_cast<int64_t>(share_tag);
-    args["entries"] = static_cast<int64_t>(count);
-    tr.instant(tr.track("tlb"), "tlb.evict", "tlb",
-               std::move(args));
+    for (; lo != hi; ++lo)
+        pages -= lo->second.pages;
+    if (pages != 0)
+        return Status(ErrorCode::NotFound, "page not mapped");
+    return Status::ok();
 }
 
 } // namespace
 
+std::pair<PageTable::Extents::iterator, PageTable::Extents::iterator>
+PageTable::carve(uint64_t first, uint64_t pages)
+{
+    /* Returns the first extent at or after idx. Insertion keeps
+     * iterators valid, so the end split survives the start split. */
+    auto split_at = [this](uint64_t idx) {
+        auto it = extents.lower_bound(idx);
+        if (it == extents.begin())
+            return it;
+        auto &[start, head] = *std::prev(it);
+        if (start + head.pages <= idx)
+            return it;
+        Extent tail = head;
+        tail.pages -= idx - start;
+        tail.phys += (idx - start) << kPageShift;
+        head.pages = idx - start;
+        return extents.emplace_hint(it, idx, tail);
+    };
+    auto hi = split_at(first + pages);
+    auto lo = split_at(first);
+    return {lo, hi};
+}
+
 Status
-PageTable::map(VirtAddr va, PhysAddr pa, PagePerms perms,
-               uint64_t share_tag)
+PageTable::map(VirtAddr va, PhysAddr pa, uint64_t pages,
+               PagePerms perms, uint64_t share_tag)
 {
     if (!isPageAligned(va) || !isPageAligned(pa))
         return Status(ErrorCode::InvalidArgument,
                       "map requires page-aligned addresses");
-    uint64_t idx = va >> kPageShift;
-    auto it = entries.find(idx);
-    if (it != entries.end() && it->second.valid)
-        return Status(ErrorCode::InvalidState,
-                      "page already mapped");
-    entries[idx] = PageEntry{pa, perms, true, share_tag};
-    /* The page's translation (phys/perms) may have changed. */
-    tlb.evictPage(idx);
+    uint64_t first = va >> kPageShift;
+    if (pages == 0)
+        return Status::ok();
+    /* Refuse before any change: a range is never half mapped. */
+    auto it = extents.upper_bound(first);
+    if (it != extents.begin())
+        --it;
+    for (; it != extents.end() && it->first < first + pages; ++it) {
+        if (it->second.valid && it->first + it->second.pages > first)
+            return Status(ErrorCode::InvalidState,
+                          "page already mapped");
+    }
+    auto [lo, hi] = carve(first, pages);
+    extents.erase(lo, hi);
+    extents.emplace_hint(hi, first,
+                         Extent{pages, pa, perms, true, share_tag});
+    /* The pages' translations (phys/perms) may have changed. */
+    tlb.evictRange(first, pages);
     return Status::ok();
 }
 
 Status
-PageTable::unmap(VirtAddr va)
+PageTable::unmap(VirtAddr va, uint64_t pages)
 {
-    uint64_t idx = va >> kPageShift;
-    if (entries.erase(idx) == 0)
-        return Status(ErrorCode::NotFound, "page not mapped");
-    tlb.evictPage(idx);
-    return Status::ok();
+    uint64_t first = va >> kPageShift;
+    auto [lo, hi] = carve(first, pages);
+    Status s = covers(lo, hi, pages);
+    extents.erase(lo, hi);
+    tlb.evictRange(first, pages);
+    return s;
 }
 
 Status
-PageTable::invalidate(VirtAddr va)
+PageTable::setValid(VirtAddr va, uint64_t pages, bool valid)
 {
-    uint64_t idx = va >> kPageShift;
-    auto it = entries.find(idx);
-    if (it == entries.end())
-        return Status(ErrorCode::NotFound, "page not mapped");
-    it->second.valid = false;
-    tlb.evictPage(idx);
-    return Status::ok();
-}
-
-Status
-PageTable::revalidate(VirtAddr va)
-{
-    uint64_t idx = va >> kPageShift;
-    auto it = entries.find(idx);
-    if (it == entries.end())
-        return Status(ErrorCode::NotFound, "page not mapped");
-    it->second.valid = true;
-    /* No eviction needed: faults are never cached, so a stale miss
-     * simply re-walks and sees the revalidated entry. */
-    return Status::ok();
+    uint64_t first = va >> kPageShift;
+    auto [lo, hi] = carve(first, pages);
+    Status s = covers(lo, hi, pages);
+    for (; lo != hi; ++lo)
+        lo->second.valid = valid;
+    /* Revalidation needs no eviction: faults are never cached, so a
+     * stale miss simply re-walks and sees the revalidated entry. */
+    if (!valid)
+        tlb.evictRange(first, pages);
+    return s;
 }
 
 Translation
@@ -101,91 +124,68 @@ PageTable::translate(VirtAddr va, uint64_t len, bool write) const
         }
     }
 
-    /* Slow path: walk each covered page exactly once. Pages are
-     * consecutive map keys, so after finding the first entry the
-     * rest are reached by iterator increment; a key gap is an
-     * unmapped page. */
-    auto it = entries.find(first);
+    /* Slow path: one step per covered extent, whose pages share its
+     * checks; the next extent must start where this one ends (else
+     * that page is unmapped) and continue its physical run. */
+    auto it = extents.upper_bound(first);
+    if (it == extents.begin() ||
+        std::prev(it)->first + std::prev(it)->second.pages <= first)
+        return Translation{0, FaultKind::Unmapped, va};
+    --it;
     PhysAddr phys = 0;
-    PhysAddr prev_phys = 0;
-    for (uint64_t idx = first; idx <= last; ++idx) {
+    PhysAddr next_phys = 0;
+    for (uint64_t idx = first;;) {
+        const Extent &e = it->second;
         VirtAddr fault_va = idx == first ? va : (idx << kPageShift);
-        if (it == entries.end() || it->first != idx)
-            return Translation{0, FaultKind::Unmapped, fault_va};
-        const PageEntry &entry = it->second;
-        if (!entry.valid)
+        if (!e.valid)
             return Translation{0, FaultKind::Invalidated, fault_va};
-        if (write ? !entry.perms.write : !entry.perms.read)
+        if (write ? !e.perms.write : !e.perms.read)
             return Translation{0, FaultKind::Permission, fault_va};
+        PhysAddr page_phys = e.phys + ((idx - it->first) << kPageShift);
         if (idx == first) {
-            phys = entry.phys + (va & (kPageSize - 1));
-        } else if (entry.phys != prev_phys + kPageSize) {
+            phys = page_phys + (va & (kPageSize - 1));
+        } else if (page_phys != next_phys) {
             /* Access must be physically contiguous to be a single
              * bus transaction in this model. */
             return Translation{0, FaultKind::Unmapped, fault_va};
         }
-        prev_phys = entry.phys;
-        if (idx == first && idx == last &&
-            TranslationCache::globalEnable())
-            tlb.fill(idx, entry.phys, entry.perms);
-        ++it;
+        uint64_t end = it->first + e.pages;
+        if (last < end) {
+            if (first == last && TranslationCache::globalEnable())
+                tlb.fill(first, page_phys, e.perms);
+            return Translation{phys, FaultKind::None};
+        }
+        next_phys = e.phys + (e.pages << kPageShift);
+        idx = end;
+        if (++it == extents.end() || it->first != idx)
+            return Translation{0, FaultKind::Unmapped,
+                               idx << kPageShift};
     }
-    return Translation{phys, FaultKind::None};
 }
 
 size_t
 PageTable::invalidateByTag(uint64_t share_tag)
 {
     size_t count = 0;
-    for (auto &[idx, entry] : entries) {
-        if (entry.shareTag == share_tag && entry.valid) {
-            entry.valid = false;
-            tlb.evictPage(idx);
-            ++count;
+    for (auto &[first, e] : extents) {
+        if (e.shareTag == share_tag && e.valid) {
+            e.valid = false;
+            tlb.evictRange(first, e.pages);
+            count += e.pages;
         }
     }
-    noteTagEviction("invalidate", share_tag, count);
-    return count;
-}
-
-size_t
-PageTable::unmapByTag(uint64_t share_tag)
-{
-    size_t count = 0;
-    for (auto it = entries.begin(); it != entries.end();) {
-        if (it->second.shareTag == share_tag) {
-            tlb.evictPage(it->first);
-            it = entries.erase(it);
-            ++count;
-        } else {
-            ++it;
-        }
+    /* Instant "tlb.evict" on the shared tlb track (tag-wide sweeps;
+     * the per-partition shootdown spans live in the SPM). */
+    auto &tr = obs::Tracer::instance();
+    if (tr.active() && count != 0) {
+        JsonObject args;
+        args["kind"] = "invalidate";
+        args["tag"] = static_cast<int64_t>(share_tag);
+        args["entries"] = static_cast<int64_t>(count);
+        tr.instant(tr.track("tlb"), "tlb.evict", "tlb",
+                   std::move(args));
     }
-    noteTagEviction("unmap", share_tag, count);
     return count;
-}
-
-void
-PageTable::forEach(const std::function<void(VirtAddr,
-                                            const PageEntry &)> &fn) const
-{
-    for (const auto &[idx, entry] : entries)
-        fn(idx << kPageShift, entry);
-}
-
-bool
-PageTable::isMapped(VirtAddr va) const
-{
-    return entries.count(va >> kPageShift) > 0;
-}
-
-std::optional<PageEntry>
-PageTable::lookup(VirtAddr va) const
-{
-    auto it = entries.find(va >> kPageShift);
-    if (it == entries.end())
-        return std::nullopt;
-    return it->second;
 }
 
 } // namespace cronus::hw

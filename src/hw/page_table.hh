@@ -3,6 +3,11 @@
  * Generic page table model used for stage-1 (mEnclave), stage-2
  * (S-EL2 partition) and SMMU (device DMA) translations.
  *
+ * The table holds extents, not pages: one entry maps a contiguous
+ * run, as a stage-2 block descriptor maps a partition's region. Every
+ * mutator takes a page count and splits an extent only where its
+ * range begins or ends inside one.
+ *
  * Proceed-trap failover (§IV-D) relies on the SPM invalidating
  * stage-2/SMMU entries so that subsequent accesses *fault*; the table
  * therefore distinguishes "unmapped" from "invalidated" so trap
@@ -13,9 +18,8 @@
 #define CRONUS_HW_PAGE_TABLE_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <optional>
+#include <utility>
 
 #include "base/status.hh"
 #include "translation_cache.hh"
@@ -23,17 +27,6 @@
 
 namespace cronus::hw
 {
-
-/** One page mapping. */
-struct PageEntry
-{
-    PhysAddr phys = 0;
-    PagePerms perms;
-    bool valid = true;
-    /** Opaque tag identifying who the page is shared with (used by
-     *  the SPM to find entries to invalidate on partition failure). */
-    uint64_t shareTag = 0;
-};
 
 /** Result of a translation attempt. */
 enum class FaultKind
@@ -61,21 +54,32 @@ struct Translation
 class PageTable
 {
   public:
-    /** Install a mapping for the page containing @p va. */
-    Status map(VirtAddr va, PhysAddr pa, PagePerms perms,
-               uint64_t share_tag = 0);
-
-    /** Remove a mapping entirely. */
-    Status unmap(VirtAddr va);
-
     /**
-     * Invalidate (but keep) a mapping so later accesses fault with
-     * FaultKind::Invalidated.
+     * Map @p pages pages at @p va onto the physical run at @p pa.
+     * All or nothing: if any page of the range is mapped and valid,
+     * nothing changes and InvalidState is returned. Invalidated
+     * entries in the range are replaced.
      */
-    Status invalidate(VirtAddr va);
+    Status map(VirtAddr va, PhysAddr pa, uint64_t pages,
+               PagePerms perms, uint64_t share_tag = 0);
 
-    /** Re-validate a previously invalidated mapping. */
-    Status revalidate(VirtAddr va);
+    /** Remove every mapping in the range; NotFound if some page of
+     *  it was not mapped (the mapped ones are still removed). */
+    Status unmap(VirtAddr va, uint64_t pages);
+
+    /** Invalidate (but keep) the mappings in the range so later
+     *  accesses fault with FaultKind::Invalidated; NotFound as for
+     *  unmap(). revalidate() undoes it. */
+    Status
+    invalidate(VirtAddr va, uint64_t pages)
+    {
+        return setValid(va, pages, false);
+    }
+    Status
+    revalidate(VirtAddr va, uint64_t pages)
+    {
+        return setValid(va, pages, true);
+    }
 
     /** Translate one access of @p len bytes starting at @p va.
      *  @p write selects the permission checked. */
@@ -105,36 +109,43 @@ class PageTable
         tlb.annotateHost(page_idx, host);
     }
 
-    /** Invalidate every entry whose shareTag matches. Returns count. */
+    /** Invalidate every valid page whose shareTag matches. Returns
+     *  the number of pages invalidated. */
     size_t invalidateByTag(uint64_t share_tag);
-
-    /** Remove every entry whose shareTag matches. Returns count. */
-    size_t unmapByTag(uint64_t share_tag);
-
-    /** Visit all entries (introspection for SPM bookkeeping). */
-    void forEach(const std::function<void(VirtAddr,
-                                          const PageEntry &)> &fn) const;
-
-    bool isMapped(VirtAddr va) const;
-    std::optional<PageEntry> lookup(VirtAddr va) const;
-
-    size_t entryCount() const { return entries.size(); }
 
     void
     clear()
     {
-        entries.clear();
+        extents.clear();
         tlb.shootdownAll();
     }
 
     /** Software-TLB introspection (stats, tests). */
     const TlbCounters &tlbCounters() const { return tlb.counters(); }
-    void resetTlbCounters() { tlb.resetCounters(); }
 
   private:
-    /* page index -> entry */
-    std::map<uint64_t, PageEntry> entries;
-    /* Consulted before the map walk for single-page accesses;
+    /** @p pages pages mapped onto the physical run at @p phys. */
+    struct Extent
+    {
+        uint64_t pages = 0;
+        PhysAddr phys = 0;
+        PagePerms perms;
+        bool valid = true;
+        /** Who the pages are shared with (the SPM's grant id). */
+        uint64_t shareTag = 0;
+    };
+    using Extents = std::map<uint64_t, Extent>;
+
+    /** Split the extents straddling either end of the page range
+     *  [@p first, @p first + @p pages) and return the extents that
+     *  now lie inside it. */
+    std::pair<Extents::iterator, Extents::iterator>
+    carve(uint64_t first, uint64_t pages);
+    Status setValid(VirtAddr va, uint64_t pages, bool valid);
+
+    /* first page index -> extent; extents never overlap. */
+    Extents extents;
+    /* Consulted before the extent lookup for single-page accesses;
      * mutable because translate() is logically const. */
     mutable TranslationCache tlb;
 };

@@ -1,5 +1,6 @@
 #include "translation_cache.hh"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace cronus::hw
@@ -39,23 +40,6 @@ TranslationCache::setGlobalEnable(bool on)
 TranslationCache::TranslationCache(size_t sets)
     : slots(sets == 0 ? kDefaultSets : sets)
 {
-}
-
-bool
-TranslationCache::lookup(uint64_t page_idx, PhysAddr &phys_page,
-                         PagePerms &perms) const
-{
-    if (!globalEnable())
-        return false;
-    const Entry &e = slots[page_idx % slots.size()];
-    if (e.epoch != epoch || e.tag != page_idx) {
-        ++stats.misses;
-        return false;
-    }
-    ++stats.hits;
-    phys_page = e.physPage;
-    perms = e.perms;
-    return true;
 }
 
 bool
@@ -100,12 +84,17 @@ TranslationCache::annotateHost(uint64_t page_idx, uint8_t *host)
 }
 
 void
-TranslationCache::evictPage(uint64_t page_idx)
+TranslationCache::evictRange(uint64_t first_page, uint64_t pages)
 {
-    Entry &e = slots[page_idx % slots.size()];
-    if (e.epoch == epoch && e.tag == page_idx) {
-        e.epoch = 0;
-        ++stats.shootdowns;
+    /* Page i of the range can only sit in slot (first + i) % sets,
+     * so a range longer than the cache visits each slot once. */
+    uint64_t visit = std::min<uint64_t>(pages, slots.size());
+    for (uint64_t i = 0; i < visit; ++i) {
+        Entry &e = slots[(first_page + i) % slots.size()];
+        if (e.epoch == epoch && e.tag - first_page < pages) {
+            e.epoch = 0;
+            ++stats.shootdowns;
+        }
     }
 }
 

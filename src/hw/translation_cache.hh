@@ -5,12 +5,12 @@
  * Every PageTable (stage-2 per partition, SMMU per stream, GPU
  * per-context VA space) embeds one TranslationCache: a direct-mapped
  * VA-page -> (phys page, perms, epoch) cache consulted before the
- * std::map walk. The cache only ever holds *positive* translations
- * of valid entries, so correctness reduces to one rule: every
- * page-table mutation must evict the affected pages (precise
- * shootdown) or bump the epoch (full shootdown). The first access
- * after an invalidation therefore walks the table and faults exactly
- * as the uncached model does -- the property the failover story
+ * extent lookup. The cache only ever holds *positive* translations
+ * of single valid pages, so correctness reduces to one rule: every
+ * page-table range mutation must evict each page of its range
+ * (precise shootdown) or bump the epoch (full shootdown). The first
+ * access after an invalidation therefore walks the table and faults
+ * exactly as the uncached model does -- the property the failover story
  * (§IV-D) and the differential-isolation fuzz oracle depend on.
  *
  * The cache is a pure performance layer: it never charges virtual
@@ -63,8 +63,12 @@ class TranslationCache
     static void setGlobalEnable(bool on);
 
     /** Look up a page; fills @p phys_page / @p perms on hit. */
-    bool lookup(uint64_t page_idx, PhysAddr &phys_page,
-                PagePerms &perms) const;
+    bool
+    lookup(uint64_t page_idx, PhysAddr &phys_page, PagePerms &perms) const
+    {
+        uint8_t *host = nullptr;
+        return lookup(page_idx, phys_page, perms, host);
+    }
 
     /**
      * Like lookup(), but also returns the cached host-page pointer
@@ -84,14 +88,15 @@ class TranslationCache
      *  no-op if the page is not cached (or the cache is disabled). */
     void annotateHost(uint64_t page_idx, uint8_t *host);
 
-    /** Precise shootdown of a single page (no-op if not cached). */
-    void evictPage(uint64_t page_idx);
+    /** Precise shootdown of @p pages pages from @p first_page
+     *  (no-op for pages not cached). */
+    void evictRange(uint64_t first_page, uint64_t pages);
+    void evictPage(uint64_t page_idx) { evictRange(page_idx, 1); }
 
     /** Full shootdown (epoch bump); O(1). */
     void shootdownAll();
 
     const TlbCounters &counters() const { return stats; }
-    void resetCounters() { stats = TlbCounters{}; }
 
     static constexpr size_t kDefaultSets = 256;
 

@@ -115,15 +115,9 @@ ShimKernel::dmaMap(hw::StreamId stream, hw::VirtAddr iova,
                    PhysAddr pa, uint64_t pages, uint64_t tag)
 {
     hw::Platform &plat = platform();
-    hw::PageTable &table = plat.smmu().streamTable(stream);
-    for (uint64_t i = 0; i < pages; ++i) {
-        Status s = table.map(iova + i * hw::kPageSize,
-                             pa + i * hw::kPageSize,
-                             hw::PagePerms::rw(), tag);
-        if (!s.isOk())
-            return s;
-        plat.clock().advance(plat.costs().smmuUpdateNs);
-    }
+    CRONUS_RETURN_IF_ERROR(plat.smmu().streamTable(stream).map(
+        iova, pa, pages, hw::PagePerms::rw(), tag));
+    plat.clock().advance(pages * plat.costs().smmuUpdateNs);
     return Status::ok();
 }
 

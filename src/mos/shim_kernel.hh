@@ -79,7 +79,8 @@ class ShimKernel
 
     /* --- DMA --- */
 
-    /** Install SMMU mappings so the device can DMA at @p iova. */
+    /** Install SMMU mappings for @p pages pages so the device can
+     *  DMA at @p iova; maps none if any of them is already mapped. */
     Status dmaMap(hw::StreamId stream, hw::VirtAddr iova,
                   PhysAddr pa, uint64_t pages, uint64_t tag = 0);
 

@@ -106,11 +106,10 @@ Spm::createPartition(const MosImage &image,
     p.mosHash = image.measure();
     nextSecureAlloc += bytes;
 
-    for (uint64_t off = 0; off < bytes; off += hw::kPageSize) {
-        Status s = p.stage2.map(p.memBase + off, p.memBase + off,
-                                hw::PagePerms::rw());
-        CRONUS_ASSERT(s.isOk(), "stage2 identity map failed");
-    }
+    Status mapped = p.stage2.map(p.memBase, p.memBase,
+                                 bytes >> hw::kPageShift,
+                                 hw::PagePerms::rw());
+    CRONUS_ASSERT(mapped.isOk(), "stage2 identity map failed");
     /* Program the substrate's region for the new partition (a no-op
      * on TrustZone, where the stage-2 map above is the programming;
      * a private TOR pair on PMP). */
@@ -248,11 +247,8 @@ Spm::failPartition(PartitionId pid)
                 shootdown.arg("failedPeer",
                               static_cast<int64_t>(pid));
             }
-            for (uint64_t i = 0; i < g.pages; ++i) {
-                survivor.value()->stage2.invalidate(
-                    g.base + i * hw::kPageSize);
-                plat.clock().advance(costs.pageTableUpdateNs);
-            }
+            survivor.value()->stage2.invalidate(g.base, g.pages);
+            plat.clock().advance(g.pages * costs.pageTableUpdateNs);
             plat.clock().advance(costs.tlbInvalidateNs);
         }
         plat.smmu().invalidateByTag(gid);
@@ -300,11 +296,10 @@ Spm::scrubPartition(Partition &p, const MosImage &image)
 
     /* Reload the mOS and rebuild a fresh identity stage-2 map. */
     p.stage2.clear();
-    for (uint64_t off = 0; off < p.memBytes; off += hw::kPageSize) {
-        Status s = p.stage2.map(p.memBase + off, p.memBase + off,
-                                hw::PagePerms::rw());
-        CRONUS_ASSERT(s.isOk(), "stage2 rebuild failed");
-    }
+    Status mapped = p.stage2.map(p.memBase, p.memBase,
+                                 p.memBytes >> hw::kPageShift,
+                                 hw::PagePerms::rw());
+    CRONUS_ASSERT(mapped.isOk(), "stage2 rebuild failed");
     p.image = image;
     p.mosHash = image.measure();
     p.heartbeat = 0;
@@ -320,18 +315,17 @@ Spm::scrubPartition(Partition &p, const MosImage &image)
     backend->partitionScrubbed(p.id);
 
     /* Grants of the old incarnation do not survive the reboot: the
-     * rebuilt stage-2 no longer maps them. Retire them; pages owned
-     * by the scrubbed partition return to the share-once budget,
-     * while a surviving owner's pages stay reserved until its
-     * pending trap resolves. */
+     * rebuilt stage-2 no longer maps them. Retire them, but keep
+     * their pages in the share-once budget: every such grant has a
+     * pending trap (failPartition set it), and until the survivor
+     * takes that trap its stage-2 still holds the invalidated
+     * entries. A re-share would overwrite them and swallow the trap
+     * (A1), so the pages return to the budget only when
+     * handleInvalidatedAccess resolves it. */
     for (auto &[gid, g] : grants) {
         if (!g.active || (g.owner != p.id && g.peer != p.id))
             continue;
         g.active = false;
-        if (g.owner == p.id && !g.pendingTrap) {
-            for (uint64_t i = 0; i < g.pages; ++i)
-                pageShareCount[g.base + i * hw::kPageSize] = 0;
-        }
         stats.counter("grants_retired").inc();
         notifyGrant(GrantEvent::Kind::Retired, g);
     }
@@ -373,8 +367,6 @@ Spm::recoverPartition(PartitionId pid, const MosImage &image,
     recover_span.arg("incarnation",
                      static_cast<int64_t>(p.incarnation));
 
-    /* Release this partition's share of the share-once budget for
-     * grants it owned; surviving peers' traps remain pending. */
     stats.counter("partitions_recovered").inc();
     return Status::ok();
 }
@@ -431,17 +423,14 @@ Spm::handleInvalidatedAccess(Partition &accessor, PhysAddr addr)
         if (!covers || !involves)
             continue;
 
-        for (uint64_t i = 0; i < g.pages; ++i) {
-            PhysAddr page = g.base + i * hw::kPageSize;
-            if (g.owner == accessor.id) {
-                /* Pages owned by the accessor: recover access. */
-                accessor.stage2.revalidate(page);
-            } else {
-                /* Foreign pages: drop the mapping entirely. */
-                accessor.stage2.unmap(page);
-            }
-            plat.clock().advance(plat.costs().pageTableUpdateNs);
+        if (g.owner == accessor.id) {
+            /* Pages owned by the accessor: recover access. */
+            accessor.stage2.revalidate(g.base, g.pages);
+        } else {
+            /* Foreign pages: drop the mapping entirely. */
+            accessor.stage2.unmap(g.base, g.pages);
         }
+        plat.clock().advance(g.pages * plat.costs().pageTableUpdateNs);
         /* Trap resolution rewrote translations: shoot them down.
          * The peer's substrate window dies with the grant. */
         plat.clock().advance(plat.costs().tlbInvalidateNs);
@@ -666,21 +655,20 @@ Spm::sharePages(PartitionId owner, PartitionId peer, PhysAddr base,
 
     uint64_t gid = nextGrant++;
     hw::Platform &plat = sm.platform();
-    for (uint64_t i = 0; i < pages; ++i) {
-        PhysAddr page = base + i * hw::kPageSize;
-        Status s = pp.stage2.map(page, page, hw::PagePerms::rw(), gid);
-        if (!s.isOk())
-            return Status(ErrorCode::InvalidState,
-                          "peer stage-2 collision: " + s.toString());
-        /* Re-tag the owner's identity entry so failure handling can
-         * find it. */
-        po.stage2.unmap(page);
-        Status s2 = po.stage2.map(page, page, hw::PagePerms::rw(),
-                                  gid);
-        CRONUS_ASSERT(s2.isOk(), "owner retag failed");
-        pageShareCount[page] = 1;
-        plat.clock().advance(plat.costs().pageTableUpdateNs);
-    }
+    Status s = pp.stage2.map(base, base, pages, hw::PagePerms::rw(),
+                             gid);
+    if (!s.isOk())
+        return Status(ErrorCode::InvalidState,
+                      "peer stage-2 collision: " + s.toString());
+    /* Re-tag the owner's identity entries so failure handling can
+     * find them. */
+    po.stage2.unmap(base, pages);
+    Status s2 = po.stage2.map(base, base, pages, hw::PagePerms::rw(),
+                              gid);
+    CRONUS_ASSERT(s2.isOk(), "owner retag failed");
+    for (uint64_t i = 0; i < pages; ++i)
+        pageShareCount[base + i * hw::kPageSize] = 1;
+    plat.clock().advance(pages * plat.costs().pageTableUpdateNs);
     plat.clock().advance(plat.costs().tlbInvalidateNs);
 
     /* Overlapped substrate configuration (§VII-A): the peer gains a
@@ -719,10 +707,8 @@ Spm::revokeGrant(uint64_t grant_id, PartitionId requester)
     hw::Platform &plat = sm.platform();
     auto peer_p = mutablePartition(g.peer);
     if (peer_p.isOk()) {
-        for (uint64_t i = 0; i < g.pages; ++i) {
-            peer_p.value()->stage2.unmap(g.base + i * hw::kPageSize);
-            plat.clock().advance(plat.costs().pageTableUpdateNs);
-        }
+        peer_p.value()->stage2.unmap(g.base, g.pages);
+        plat.clock().advance(g.pages * plat.costs().pageTableUpdateNs);
         /* Revocation is a shootdown: the peer's cached translations
          * for these pages die here. */
         plat.clock().advance(plat.costs().tlbInvalidateNs);

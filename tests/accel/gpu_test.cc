@@ -159,6 +159,35 @@ TEST_F(GpuTest, FreeListReuse)
     EXPECT_TRUE(gpu.malloc(ctx, 1 << 20).isOk());
 }
 
+TEST_F(GpuTest, FreedNeighboursCoalesce)
+{
+    const uint64_t total = gpu.config().vramBytes;
+    const uint64_t quarter = total / 4;
+    GpuVa a = gpu.malloc(ctx, quarter).value();
+    GpuVa b = gpu.malloc(ctx, quarter).value();
+    GpuVa c = gpu.malloc(ctx, quarter).value();
+    GpuVa d = gpu.malloc(ctx, quarter).value();
+
+    /* Two separate holes fit neither a half nor the whole. */
+    ASSERT_TRUE(gpu.free(ctx, a).isOk());
+    ASSERT_TRUE(gpu.free(ctx, c).isOk());
+    EXPECT_EQ(gpu.freeVram(), 2 * quarter);
+    EXPECT_EQ(gpu.malloc(ctx, 2 * quarter).code(),
+              ErrorCode::ResourceExhausted);
+
+    /* Freeing b bridges both neighbours into one 3/4 block. */
+    ASSERT_TRUE(gpu.free(ctx, b).isOk());
+    auto big = gpu.malloc(ctx, 3 * quarter);
+    ASSERT_TRUE(big.isOk()) << big.status().toString();
+    ASSERT_TRUE(gpu.free(ctx, big.value()).isOk());
+
+    /* A block ending at the bump pointer returns to it, so freeing
+     * everything makes the whole VRAM one allocation again. */
+    ASSERT_TRUE(gpu.free(ctx, d).isOk());
+    EXPECT_EQ(gpu.freeVram(), total);
+    EXPECT_TRUE(gpu.malloc(ctx, total).isOk());
+}
+
 TEST_F(GpuTest, DestroyContextScrubsVram)
 {
     std::vector<float> secret = {42.0f, 43.0f};

@@ -114,7 +114,7 @@ TEST(PlatformTest, SmmuGatesDeviceDma)
     /* Install an SMMU table: iova 0x0 -> secure page. */
     PhysAddr target = p.secureBase();
     ASSERT_TRUE(p.smmu().streamTable(dev->streamId())
-                    .map(0x0, target, PagePerms::rw(), 1).isOk());
+                    .map(0x0, target, 1, PagePerms::rw(), 1).isOk());
 
     uint8_t data[4] = {9, 9, 9, 9};
     ASSERT_TRUE(dev->dmaWriteHost(0x0, data, 4).isOk());

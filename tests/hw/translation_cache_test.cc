@@ -126,7 +126,7 @@ TEST_F(TranslationCacheTest, GlobalDisableTurnsLookupsOff)
 TEST_F(PageTableTlbTest, RepeatTranslateHitsTlb)
 {
     PageTable pt;
-    ASSERT_TRUE(pt.map(0x5000, 0x9000, PagePerms::rw()).isOk());
+    ASSERT_TRUE(pt.map(0x5000, 0x9000, 1, PagePerms::rw()).isOk());
     EXPECT_TRUE(pt.translate(0x5008, 8, true).ok());
     uint64_t misses = pt.tlbCounters().misses;
     EXPECT_TRUE(pt.translate(0x5010, 8, false).ok());
@@ -137,9 +137,9 @@ TEST_F(PageTableTlbTest, RepeatTranslateHitsTlb)
 TEST_F(PageTableTlbTest, UnmapFaultsImmediatelyEvenWhenHot)
 {
     PageTable pt;
-    ASSERT_TRUE(pt.map(0x5000, 0x9000, PagePerms::rw()).isOk());
+    ASSERT_TRUE(pt.map(0x5000, 0x9000, 1, PagePerms::rw()).isOk());
     ASSERT_TRUE(pt.translate(0x5000, 8, false).ok());
-    ASSERT_TRUE(pt.unmap(0x5000).isOk());
+    ASSERT_TRUE(pt.unmap(0x5000, 1).isOk());
 
     Translation t = pt.translate(0x5000, 8, false);
     EXPECT_EQ(t.fault, FaultKind::Unmapped);
@@ -149,43 +149,66 @@ TEST_F(PageTableTlbTest, UnmapFaultsImmediatelyEvenWhenHot)
 TEST_F(PageTableTlbTest, InvalidateFaultsImmediatelyEvenWhenHot)
 {
     PageTable pt;
-    ASSERT_TRUE(pt.map(0x5000, 0x9000, PagePerms::rw()).isOk());
+    ASSERT_TRUE(pt.map(0x5000, 0x9000, 1, PagePerms::rw()).isOk());
     ASSERT_TRUE(pt.translate(0x5000, 8, false).ok());
-    ASSERT_TRUE(pt.invalidate(0x5000).isOk());
+    ASSERT_TRUE(pt.invalidate(0x5000, 1).isOk());
 
     Translation t = pt.translate(0x5000, 8, false);
     EXPECT_EQ(t.fault, FaultKind::Invalidated);
     EXPECT_EQ(t.faultVa, 0x5000u);
 
     /* Revalidation restores the mapping (never cached faults). */
-    ASSERT_TRUE(pt.revalidate(0x5000).isOk());
+    ASSERT_TRUE(pt.revalidate(0x5000, 1).isOk());
     EXPECT_TRUE(pt.translate(0x5000, 8, false).ok());
 }
 
-TEST_F(PageTableTlbTest, UnmapByTagEvictsEveryMatchedPage)
+TEST_F(PageTableTlbTest, RangeUnmapEvictsEveryPage)
 {
     PageTable pt;
-    ASSERT_TRUE(pt.map(0x1000, 0xa000, PagePerms::rw(), 42).isOk());
-    ASSERT_TRUE(pt.map(0x2000, 0xb000, PagePerms::rw(), 42).isOk());
-    ASSERT_TRUE(pt.map(0x3000, 0xc000, PagePerms::rw(), 7).isOk());
+    ASSERT_TRUE(pt.map(0x1000, 0xa000, 2, PagePerms::rw()).isOk());
+    ASSERT_TRUE(pt.map(0x3000, 0xc000, 1, PagePerms::rw()).isOk());
     /* Heat all three. */
     ASSERT_TRUE(pt.translate(0x1000, 8, false).ok());
     ASSERT_TRUE(pt.translate(0x2000, 8, false).ok());
     ASSERT_TRUE(pt.translate(0x3000, 8, false).ok());
 
-    EXPECT_EQ(pt.unmapByTag(42), 2u);
+    ASSERT_TRUE(pt.unmap(0x1000, 2).isOk());
+    EXPECT_EQ(pt.tlbCounters().shootdowns, 2u);
     EXPECT_EQ(pt.translate(0x1000, 8, false).fault,
               FaultKind::Unmapped);
     EXPECT_EQ(pt.translate(0x2000, 8, false).fault,
               FaultKind::Unmapped);
-    /* The unrelated tag survives, still hot. */
+    /* The page outside the range survives, still hot. */
+    uint64_t hits = pt.tlbCounters().hits;
     EXPECT_TRUE(pt.translate(0x3000, 8, false).ok());
+    EXPECT_EQ(pt.tlbCounters().hits, hits + 1);
+}
+
+TEST_F(PageTableTlbTest, RangeLargerThanTheCacheEvictsOnlyItsPages)
+{
+    /* A range of at least kDefaultSets pages sweeps the sets instead
+     * of evicting page by page; both must evict the same entries. */
+    PageTable pt;
+    const uint64_t pages = TranslationCache::kDefaultSets + 4;
+    ASSERT_TRUE(pt.map(0, 0x100000, pages + 1,
+                       PagePerms::rw()).isOk());
+    ASSERT_TRUE(pt.translate(0, 8, false).ok());
+    ASSERT_TRUE(pt.translate((pages - 1) * kPageSize, 8, false).ok());
+    ASSERT_TRUE(pt.translate(pages * kPageSize, 8, false).ok());
+
+    ASSERT_TRUE(pt.invalidate(0, pages).isOk());
+    EXPECT_EQ(pt.tlbCounters().shootdowns, 2u);
+    EXPECT_EQ(pt.translate(0, 8, false).fault,
+              FaultKind::Invalidated);
+    uint64_t hits = pt.tlbCounters().hits;
+    EXPECT_TRUE(pt.translate(pages * kPageSize, 8, false).ok());
+    EXPECT_EQ(pt.tlbCounters().hits, hits + 1);
 }
 
 TEST_F(PageTableTlbTest, InvalidateByTagEvictsEveryMatchedPage)
 {
     PageTable pt;
-    ASSERT_TRUE(pt.map(0x1000, 0xa000, PagePerms::rw(), 42).isOk());
+    ASSERT_TRUE(pt.map(0x1000, 0xa000, 1, PagePerms::rw(), 42).isOk());
     ASSERT_TRUE(pt.translate(0x1000, 8, false).ok());
     EXPECT_EQ(pt.invalidateByTag(42), 1u);
     EXPECT_EQ(pt.translate(0x1000, 8, false).fault,
@@ -195,14 +218,14 @@ TEST_F(PageTableTlbTest, InvalidateByTagEvictsEveryMatchedPage)
 TEST_F(PageTableTlbTest, RemapServesNewTranslationNotStale)
 {
     PageTable pt;
-    ASSERT_TRUE(pt.map(0x5000, 0x9000, PagePerms::rw()).isOk());
+    ASSERT_TRUE(pt.map(0x5000, 0x9000, 1, PagePerms::rw()).isOk());
     ASSERT_TRUE(pt.translate(0x5000, 8, false).ok());
     /* Double-mapping a live page is rejected outright. */
-    EXPECT_EQ(pt.map(0x5000, 0xf000, PagePerms::rw()).code(),
+    EXPECT_EQ(pt.map(0x5000, 0xf000, 1, PagePerms::rw()).code(),
               ErrorCode::InvalidState);
     /* Unmap + remap elsewhere; the hot entry must not win. */
-    ASSERT_TRUE(pt.unmap(0x5000).isOk());
-    ASSERT_TRUE(pt.map(0x5000, 0xf000, PagePerms::rw()).isOk());
+    ASSERT_TRUE(pt.unmap(0x5000, 1).isOk());
+    ASSERT_TRUE(pt.map(0x5000, 0xf000, 1, PagePerms::rw()).isOk());
     Translation t = pt.translate(0x5004, 4, false);
     ASSERT_TRUE(t.ok());
     EXPECT_EQ(t.phys, 0xf004u);
@@ -211,7 +234,7 @@ TEST_F(PageTableTlbTest, RemapServesNewTranslationNotStale)
 TEST_F(PageTableTlbTest, PermissionFaultOnCachedEntry)
 {
     PageTable pt;
-    ASSERT_TRUE(pt.map(0x5000, 0x9000, PagePerms::ro()).isOk());
+    ASSERT_TRUE(pt.map(0x5000, 0x9000, 1, PagePerms::ro()).isOk());
     ASSERT_TRUE(pt.translate(0x5000, 8, false).ok());
     /* Write through the now-hot read-only entry. */
     Translation t = pt.translate(0x5000, 8, true);
@@ -222,7 +245,7 @@ TEST_F(PageTableTlbTest, PermissionFaultOnCachedEntry)
 TEST_F(PageTableTlbTest, ClearShootsDownEverything)
 {
     PageTable pt;
-    ASSERT_TRUE(pt.map(0x5000, 0x9000, PagePerms::rw()).isOk());
+    ASSERT_TRUE(pt.map(0x5000, 0x9000, 1, PagePerms::rw()).isOk());
     ASSERT_TRUE(pt.translate(0x5000, 8, false).ok());
     pt.clear();
     EXPECT_EQ(pt.translate(0x5000, 8, false).fault,
@@ -233,8 +256,8 @@ TEST_F(PageTableTlbTest, MultiPageFaultVaNamesTheFaultingPage)
 {
     PageTable pt;
     /* Pages 0 and 1 mapped physically contiguous, page 2 missing. */
-    ASSERT_TRUE(pt.map(0x0000, 0x8000, PagePerms::rw()).isOk());
-    ASSERT_TRUE(pt.map(0x1000, 0x9000, PagePerms::rw()).isOk());
+    ASSERT_TRUE(pt.map(0x0000, 0x8000, 1, PagePerms::rw()).isOk());
+    ASSERT_TRUE(pt.map(0x1000, 0x9000, 1, PagePerms::rw()).isOk());
 
     Translation t = pt.translate(0x0800, 3 * kPageSize, false);
     EXPECT_EQ(t.fault, FaultKind::Unmapped);
@@ -245,8 +268,8 @@ TEST_F(PageTableTlbTest, MultiPageFaultVaNamesTheFaultingPage)
 TEST_F(PageTableTlbTest, MultiPageGapFaultsAtTheGap)
 {
     PageTable pt;
-    ASSERT_TRUE(pt.map(0x0000, 0x8000, PagePerms::rw()).isOk());
-    ASSERT_TRUE(pt.map(0x2000, 0xa000, PagePerms::rw()).isOk());
+    ASSERT_TRUE(pt.map(0x0000, 0x8000, 1, PagePerms::rw()).isOk());
+    ASSERT_TRUE(pt.map(0x2000, 0xa000, 1, PagePerms::rw()).isOk());
     Translation t = pt.translate(0x0000, 3 * kPageSize, false);
     EXPECT_EQ(t.fault, FaultKind::Unmapped);
     EXPECT_EQ(t.faultVa, 0x1000u);
@@ -255,10 +278,10 @@ TEST_F(PageTableTlbTest, MultiPageGapFaultsAtTheGap)
 TEST_F(PageTableTlbTest, MultiPageNonContiguousPhysIsRejected)
 {
     PageTable pt;
-    ASSERT_TRUE(pt.map(0x0000, 0x8000, PagePerms::rw()).isOk());
+    ASSERT_TRUE(pt.map(0x0000, 0x8000, 1, PagePerms::rw()).isOk());
     /* Adjacent VA, discontiguous phys: a spanning access cannot be
      * served as one run. */
-    ASSERT_TRUE(pt.map(0x1000, 0xf000, PagePerms::rw()).isOk());
+    ASSERT_TRUE(pt.map(0x1000, 0xf000, 1, PagePerms::rw()).isOk());
     Translation t = pt.translate(0x0000, 2 * kPageSize, false);
     EXPECT_EQ(t.fault, FaultKind::Unmapped);
     EXPECT_EQ(t.faultVa, 0x1000u);
@@ -267,9 +290,9 @@ TEST_F(PageTableTlbTest, MultiPageNonContiguousPhysIsRejected)
 TEST_F(PageTableTlbTest, MultiPageInvalidatedNamesTheBadPage)
 {
     PageTable pt;
-    ASSERT_TRUE(pt.map(0x0000, 0x8000, PagePerms::rw()).isOk());
-    ASSERT_TRUE(pt.map(0x1000, 0x9000, PagePerms::rw()).isOk());
-    ASSERT_TRUE(pt.invalidate(0x1000).isOk());
+    ASSERT_TRUE(pt.map(0x0000, 0x8000, 1, PagePerms::rw()).isOk());
+    ASSERT_TRUE(pt.map(0x1000, 0x9000, 1, PagePerms::rw()).isOk());
+    ASSERT_TRUE(pt.invalidate(0x1000, 1).isOk());
     Translation t = pt.translate(0x0000, 2 * kPageSize, false);
     EXPECT_EQ(t.fault, FaultKind::Invalidated);
     EXPECT_EQ(t.faultVa, 0x1000u);
@@ -279,7 +302,7 @@ TEST_F(PageTableTlbTest, DisabledTlbStillTranslatesCorrectly)
 {
     TranslationCache::setGlobalEnable(false);
     PageTable pt;
-    ASSERT_TRUE(pt.map(0x5000, 0x9000, PagePerms::rw()).isOk());
+    ASSERT_TRUE(pt.map(0x5000, 0x9000, 1, PagePerms::rw()).isOk());
     Translation t = pt.translate(0x5008, 8, true);
     ASSERT_TRUE(t.ok());
     EXPECT_EQ(t.phys, 0x9008u);

@@ -201,7 +201,10 @@ TEST_P(SpmPropertyTest, RandomShareFailRecoverKeepsInvariants)
         ASSERT_TRUE(peer.isOk());
         if (peer.value()->state != tee::PartitionState::Ready)
             continue;
-        EXPECT_TRUE(peer.value()->stage2.isMapped(g.value()->base));
+        EXPECT_NE(peer.value()
+                      ->stage2.translate(g.value()->base, 1, false)
+                      .fault,
+                  hw::FaultKind::Unmapped);
     }
 }
 

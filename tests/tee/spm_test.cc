@@ -209,6 +209,30 @@ TEST_P(SpmTest, OwnerRecoversOwnPagesAfterPeerFailure)
     EXPECT_EQ(again.value(), Bytes{7});
 }
 
+/* A rebooted owner's shared pages stay in the share-once budget
+ * until the survivor takes its pending trap: a re-share before then
+ * would overwrite the survivor's invalidated entry and swallow the
+ * trap (A1). */
+TEST_P(SpmTest, CrashedOwnerPagesStayReservedUntilPeerTraps)
+{
+    PartitionId a = makePartition("gpu0");
+    PartitionId b = makePartition("gpu1");
+    PhysAddr a_base = spm->partition(a).value()->memBase;
+    auto gid = spm->sharePages(a, b, a_base, 1);
+    ASSERT_TRUE(gid.isOk());
+
+    ASSERT_TRUE(spm->panic(a).isOk());
+    ASSERT_TRUE(spm->recoverPartition(a, image("gpu0.mos")).isOk());
+    EXPECT_EQ(spm->sharePages(a, b, a_base, 1).code(),
+              ErrorCode::InvalidState);
+    /* The reboot retired the grant, so the survivor cannot revoke
+     * it; its next access takes the trap instead. */
+    EXPECT_EQ(spm->revokeGrant(gid.value(), b).code(),
+              ErrorCode::InvalidState);
+    EXPECT_EQ(spm->read(b, a_base, 1).code(), ErrorCode::PeerFailed);
+    EXPECT_TRUE(spm->sharePages(a, b, a_base, 1).isOk());
+}
+
 TEST_P(SpmTest, RfBlocksNewSharingWithFailedPartition)
 {
     PartitionId a = makePartition("gpu0");
