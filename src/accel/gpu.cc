@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <iterator>
+#include <limits>
 
 #include "base/logging.hh"
 
@@ -22,9 +23,12 @@ constexpr double kContentionPenalty = 0.06;
 /* ------------------------------------------------------------------ */
 
 Result<uint8_t *>
-GpuAccessor::mapRange(GpuVa va, uint64_t len, bool write)
+GpuAccessor::mapRange(GpuVa va, uint64_t count, uint64_t elem_size,
+                      bool write)
 {
-    return dev.translate(ctxId, va, len, write);
+    if (count > std::numeric_limits<uint64_t>::max() / elem_size)
+        return Status(ErrorCode::AccessFault, "GPU span size overflow");
+    return dev.translate(ctxId, va, count * elem_size, write);
 }
 
 /* ------------------------------------------------------------------ */
@@ -104,7 +108,7 @@ GpuModuleImage::deserialize(const Bytes &data)
 GpuDevice::GpuDevice(const GpuConfig &config)
     : AttestedDevice(config.name, "nvidia,gtx2080-sim", 0x1000,
                      config.rotSeed),
-      cfg(config), vram(config.vramBytes, 0),
+      cfg(config), vram(config.vramBytes),
       vramFree{{0, config.vramBytes}}
 {
 }
@@ -138,8 +142,9 @@ GpuDevice::reset(bool clear_memory)
 {
     contexts.clear();
     vramFree = {{0, cfg.vramBytes}};
+    /* Fresh zero pages: the old block is freed, not overwritten. */
     if (clear_memory)
-        std::fill(vram.begin(), vram.end(), 0);
+        vram = ZeroedMemory<uint8_t>(cfg.vramBytes);
 }
 
 Result<GpuDevice::Context *>
@@ -270,7 +275,7 @@ GpuDevice::translate(GpuContextId ctx, GpuVa va, uint64_t len,
                       "GPU VA fault at 0x" +
                       detail::formatString("%llx",
                           static_cast<unsigned long long>(va)));
-    if (t.phys + len > vram.size())
+    if (len > cfg.vramBytes || t.phys > cfg.vramBytes - len)
         return Status(ErrorCode::AccessFault, "VRAM range overflow");
     return vram.data() + t.phys;
 }
@@ -309,10 +314,9 @@ GpuDevice::snapshotContext(GpuContextId ctx) const
     for (const auto &[va, alloc] : context.allocations) {
         w.putU64(va);
         w.putU64(alloc.bytes);
-        Bytes contents(alloc.bytes);
-        std::memcpy(contents.data(), vram.data() + alloc.offset,
-                    alloc.bytes);
-        w.putBytes(contents);
+        /* putBytes' layout, written straight from VRAM. */
+        w.putU32(static_cast<uint32_t>(alloc.bytes));
+        w.putRaw(vram.data() + alloc.offset, alloc.bytes);
     }
     return w.take();
 }

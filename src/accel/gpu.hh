@@ -33,6 +33,7 @@
 #include "base/sim_clock.hh"
 #include "base/status.hh"
 #include "hw/page_table.hh"
+#include "zeroed_memory.hh"
 
 namespace cronus::accel
 {
@@ -58,7 +59,7 @@ class GpuAccessor
     Result<T *>
     span(GpuVa va, size_t count)
     {
-        auto raw = mapRange(va, count * sizeof(T), true);
+        auto raw = mapRange(va, count, sizeof(T), true);
         if (!raw.isOk())
             return raw.status();
         return reinterpret_cast<T *>(raw.value());
@@ -68,14 +69,17 @@ class GpuAccessor
     Result<const T *>
     constSpan(GpuVa va, size_t count)
     {
-        auto raw = mapRange(va, count * sizeof(T), false);
+        auto raw = mapRange(va, count, sizeof(T), false);
         if (!raw.isOk())
             return raw.status();
         return reinterpret_cast<const T *>(raw.value());
     }
 
   private:
-    Result<uint8_t *> mapRange(GpuVa va, uint64_t len, bool write);
+    /** Map @p count elements of @p elem_size bytes; a count whose
+     *  byte size overflows 64 bits is an AccessFault. */
+    Result<uint8_t *> mapRange(GpuVa va, uint64_t count,
+                               uint64_t elem_size, bool write);
 
     GpuDevice &dev;
     GpuContextId ctxId;
@@ -244,7 +248,9 @@ class GpuDevice : public AttestedDevice
                                 uint64_t len, bool write);
 
     GpuConfig cfg;
-    std::vector<uint8_t> vram;
+    /** The capacity is simulated: a host page of VRAM is resident
+     *  only once something touches it. */
+    ZeroedMemory<uint8_t> vram;
     /** Free VRAM: offset -> bytes, never adjacent (a fresh device
      *  is one block). */
     std::map<uint64_t, uint64_t> vramFree;

@@ -18,6 +18,14 @@ constexpr double kNsPerMac = 0.05;
 constexpr double kNsPerByte = 0.25;
 constexpr uint64_t kInsnOverheadNs = 200;
 
+/** [offset, offset + len) lies in [0, size), written so that an
+ * offset or length near 2^64 cannot wrap the sum past the check. */
+bool
+fits(uint64_t offset, uint64_t len, uint64_t size)
+{
+    return len <= size && offset <= size - len;
+}
+
 } // namespace
 
 NpuDevice::NpuDevice(const NpuConfig &config)
@@ -51,12 +59,9 @@ NpuDevice::mmioWrite(uint64_t offset, uint64_t value)
 void
 NpuDevice::reset(bool clear_memory)
 {
-    if (clear_memory) {
-        for (auto &[id, context] : contexts) {
-            for (auto &[bid, buffer] : context.buffers)
-                std::fill(buffer.data.begin(), buffer.data.end(), 0);
-        }
-    }
+    /* Dropping a context frees its memory, and every new bank or
+     * buffer comes back zeroed, so a clear has nothing left to do. */
+    (void)clear_memory;
     contexts.clear();
 }
 
@@ -74,9 +79,9 @@ NpuDevice::createContext()
 {
     NpuContextId id = nextCtx++;
     Context context;
-    context.inputSram.assign(kSramBytes, 0);
-    context.weightSram.assign(kSramBytes, 0);
-    context.accum.assign(kAccumElems, 0);
+    context.inputSram = ZeroedMemory<int8_t>(kSramBytes);
+    context.weightSram = ZeroedMemory<int8_t>(kSramBytes);
+    context.accum = ZeroedMemory<int32_t>(kAccumElems);
     contexts.emplace(id, std::move(context));
     return id;
 }
@@ -87,10 +92,8 @@ NpuDevice::destroyContext(NpuContextId ctx, bool scrub)
     auto c = findContext(ctx);
     if (!c.isOk())
         return c.status();
-    if (scrub) {
-        for (auto &[bid, buffer] : c.value()->buffers)
-            std::fill(buffer.data.begin(), buffer.data.end(), 0);
-    }
+    /* As in reset(): freed buffers are never read again. */
+    (void)scrub;
     contexts.erase(ctx);
     return Status::ok();
 }
@@ -108,7 +111,7 @@ NpuDevice::allocBuffer(NpuContextId ctx, uint64_t bytes)
         return Status(ErrorCode::ResourceExhausted,
                       "NPU DRAM quota exceeded");
     uint32_t id = context.nextBuffer++;
-    context.buffers[id].data.assign(bytes, 0);
+    context.buffers[id].data = ZeroedMemory<uint8_t>(bytes);
     context.dramUsed += bytes;
     return id;
 }
@@ -124,7 +127,7 @@ NpuDevice::writeBuffer(NpuContextId ctx, uint32_t buffer,
     auto it = c.value()->buffers.find(buffer);
     if (it == c.value()->buffers.end())
         return Status(ErrorCode::NotFound, "no such NPU buffer");
-    if (offset + len > it->second.data.size())
+    if (!fits(offset, len, it->second.data.size()))
         return Status(ErrorCode::AccessFault, "NPU buffer overflow");
     std::memcpy(it->second.data.data() + offset, data, len);
     return Status::ok();
@@ -140,7 +143,7 @@ NpuDevice::readBuffer(NpuContextId ctx, uint32_t buffer,
     auto it = c.value()->buffers.find(buffer);
     if (it == c.value()->buffers.end())
         return Status(ErrorCode::NotFound, "no such NPU buffer");
-    if (offset + len > it->second.data.size())
+    if (!fits(offset, len, it->second.data.size()))
         return Status(ErrorCode::AccessFault, "NPU buffer overflow");
     std::memcpy(out, it->second.data.data() + offset, len);
     return Status::ok();
@@ -157,10 +160,10 @@ NpuDevice::execute(Context &context, const NpuInsn &insn,
         if (it == context.buffers.end())
             return Status(ErrorCode::NotFound, "LOAD: no buffer");
         const auto &src = it->second.data;
-        if (insn.dramOffset + insn.length > src.size())
+        if (!fits(insn.dramOffset, insn.length, src.size()))
             return Status(ErrorCode::AccessFault,
                           "LOAD: DRAM range overflow");
-        std::vector<int8_t> *bank = nullptr;
+        ZeroedMemory<int8_t> *bank = nullptr;
         if (insn.bank == NpuBank::Input)
             bank = &context.inputSram;
         else if (insn.bank == NpuBank::Weight)
@@ -168,7 +171,7 @@ NpuDevice::execute(Context &context, const NpuInsn &insn,
         else
             return Status(ErrorCode::InvalidArgument,
                           "LOAD: accumulator is not loadable");
-        if (insn.sramOffset + insn.length > bank->size())
+        if (!fits(insn.sramOffset, insn.length, bank->size()))
             return Status(ErrorCode::AccessFault,
                           "LOAD: SRAM range overflow");
         std::memcpy(bank->data() + insn.sramOffset,
@@ -177,11 +180,11 @@ NpuDevice::execute(Context &context, const NpuInsn &insn,
         return Status::ok();
       }
       case NpuOp::Gemm: {
-        uint64_t in_need = insn.sramOffset +
-                           uint64_t(insn.rows) * insn.inner;
+        uint64_t in_need = uint64_t(insn.rows) * insn.inner;
         uint64_t wgt_need = uint64_t(insn.cols) * insn.inner;
         uint64_t acc_need = uint64_t(insn.rows) * insn.cols;
-        if (in_need > context.inputSram.size() ||
+        if (!fits(insn.sramOffset, in_need,
+                  context.inputSram.size()) ||
             wgt_need > context.weightSram.size() ||
             acc_need > context.accum.size())
             return Status(ErrorCode::AccessFault,
@@ -226,10 +229,11 @@ NpuDevice::execute(Context &context, const NpuInsn &insn,
         if (it == context.buffers.end())
             return Status(ErrorCode::NotFound, "STORE: no buffer");
         auto &dst = it->second.data;
-        if (insn.sramOffset + insn.length > context.accum.size())
+        if (!fits(insn.sramOffset, insn.length,
+                  context.accum.size()))
             return Status(ErrorCode::AccessFault,
                           "STORE: accumulator range overflow");
-        if (insn.dramOffset + insn.length > dst.size())
+        if (!fits(insn.dramOffset, insn.length, dst.size()))
             return Status(ErrorCode::AccessFault,
                           "STORE: DRAM range overflow");
         for (uint64_t i = 0; i < insn.length; ++i) {

@@ -19,6 +19,7 @@
 #include "attested_device.hh"
 #include "base/sim_clock.hh"
 #include "base/status.hh"
+#include "zeroed_memory.hh"
 
 namespace cronus::accel
 {
@@ -138,7 +139,7 @@ class NpuDevice : public AttestedDevice
   private:
     struct Buffer
     {
-        std::vector<uint8_t> data;
+        ZeroedMemory<uint8_t> data;
     };
 
     struct Context
@@ -146,9 +147,9 @@ class NpuDevice : public AttestedDevice
         std::map<uint32_t, Buffer> buffers;
         uint32_t nextBuffer = 1;
         uint64_t dramUsed = 0;
-        std::vector<int8_t> inputSram;
-        std::vector<int8_t> weightSram;
-        std::vector<int32_t> accum;
+        ZeroedMemory<int8_t> inputSram;
+        ZeroedMemory<int8_t> weightSram;
+        ZeroedMemory<int32_t> accum;
         SimTime busy = 0;
     };
 

@@ -107,6 +107,11 @@ PageTable::translate(VirtAddr va, uint64_t len, bool write) const
 {
     if (len == 0)
         len = 1;
+    /* A range whose end wraps past the top of the address space is
+     * never mapped; checked before the TLB, whose one-page test a
+     * wrapped end can pass. */
+    if (len - 1 > ~va)
+        return Translation{0, FaultKind::Unmapped, va};
     uint64_t first = va >> kPageShift;
     uint64_t last = (va + len - 1) >> kPageShift;
 

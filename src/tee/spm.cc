@@ -321,13 +321,31 @@ Spm::scrubPartition(Partition &p, const MosImage &image)
      * takes that trap its stage-2 still holds the invalidated
      * entries. A re-share would overwrite them and swallow the trap
      * (A1), so the pages return to the budget only when
-     * handleInvalidatedAccess resolves it. */
+     * handleInvalidatedAccess resolves it. A rebuilt *survivor*
+     * holds no invalidated entry any more, so its trap can never
+     * fire: resolve it here and return the pages to the budget. */
     for (auto &[gid, g] : grants) {
-        if (!g.active || (g.owner != p.id && g.peer != p.id))
+        if (g.owner != p.id && g.peer != p.id)
+            continue;
+        if (g.pendingTrap && g.failedSide != p.id) {
+            g.pendingTrap = false;
+            releasePages(g);
+        }
+        if (!g.active)
             continue;
         g.active = false;
         stats.counter("grants_retired").inc();
         notifyGrant(GrantEvent::Kind::Retired, g);
+    }
+}
+
+void
+Spm::releasePages(const ShareGrant &g)
+{
+    for (uint64_t i = 0; i < g.pages; ++i) {
+        auto it = pageGrant.find(g.base + i * hw::kPageSize);
+        if (it != pageGrant.end() && it->second == g.id)
+            pageGrant.erase(it);
     }
 }
 
@@ -412,8 +430,14 @@ Spm::handleInvalidatedAccess(Partition &accessor, PhysAddr addr)
     plat.clock().advance(plat.costs().trapHandleNs);
     stats.counter("share_traps").inc();
 
-    /* Find the grant covering this page. */
-    for (auto &[gid, g] : grants) {
+    /* Find the grant whose entry faulted: the newest pending grant
+     * that covers this page and involves the accessor. Every later
+     * share of the page involving the accessor rewrote its entry, so
+     * an older pending grant here is stale: its own entry was
+     * unmapped by a revoke or rebuilt by a reboot, and resolving it
+     * instead would leave the real trap pending for good. */
+    for (auto it = grants.rbegin(); it != grants.rend(); ++it) {
+        auto &[gid, g] = *it;
         if (!g.pendingTrap)
             continue;
         bool covers = addr >= g.base &&
@@ -423,12 +447,24 @@ Spm::handleInvalidatedAccess(Partition &accessor, PhysAddr addr)
         if (!covers || !involves)
             continue;
 
-        if (g.owner == accessor.id) {
-            /* Pages owned by the accessor: recover access. */
-            accessor.stage2.revalidate(g.base, g.pages);
-        } else {
-            /* Foreign pages: drop the mapping entirely. */
-            accessor.stage2.unmap(g.base, g.pages);
+        /* Rewrite only this grant's entries. A page another grant
+         * holds was released and re-shared since: its entry is that
+         * grant's, and rewriting it would swallow that grant's trap.
+         * Pages owned by the accessor recover access; foreign pages
+         * lose the mapping entirely. */
+        PhysAddr run = g.base;
+        for (uint64_t i = 0; i <= g.pages; ++i) {
+            PhysAddr page = g.base + i * hw::kPageSize;
+            auto held = pageGrant.find(page);
+            if (i < g.pages &&
+                (held == pageGrant.end() || held->second == gid))
+                continue;
+            uint64_t n = (page - run) >> hw::kPageShift;
+            if (n != 0 && g.owner == accessor.id)
+                accessor.stage2.revalidate(run, n);
+            else if (n != 0)
+                accessor.stage2.unmap(run, n);
+            run = page + hw::kPageSize;
         }
         plat.clock().advance(g.pages * plat.costs().pageTableUpdateNs);
         /* Trap resolution rewrote translations: shoot them down.
@@ -438,8 +474,7 @@ Spm::handleInvalidatedAccess(Partition &accessor, PhysAddr addr)
         g.pendingTrap = false;
         bool was_active = g.active;
         g.active = false;
-        for (uint64_t i = 0; i < g.pages; ++i)
-            pageShareCount[g.base + i * hw::kPageSize] = 0;
+        releasePages(g);
         if (was_active) {
             /* Already-revoked grants only need the page-table
              * cleanup above; their teardown was accounted. */
@@ -648,7 +683,7 @@ Spm::sharePages(PartitionId owner, PartitionId peer, PhysAddr base,
 
     /* Share-once rule (§IV-D): a page may be shared only once. */
     for (uint64_t i = 0; i < pages; ++i) {
-        if (pageShareCount[base + i * hw::kPageSize] != 0)
+        if (pageGrant.count(base + i * hw::kPageSize) != 0)
             return Status(ErrorCode::InvalidState,
                           "page already shared (share-once rule)");
     }
@@ -667,7 +702,7 @@ Spm::sharePages(PartitionId owner, PartitionId peer, PhysAddr base,
                               gid);
     CRONUS_ASSERT(s2.isOk(), "owner retag failed");
     for (uint64_t i = 0; i < pages; ++i)
-        pageShareCount[base + i * hw::kPageSize] = 1;
+        pageGrant[base + i * hw::kPageSize] = gid;
     plat.clock().advance(pages * plat.costs().pageTableUpdateNs);
     plat.clock().advance(plat.costs().tlbInvalidateNs);
 
@@ -714,8 +749,7 @@ Spm::revokeGrant(uint64_t grant_id, PartitionId requester)
         plat.clock().advance(plat.costs().tlbInvalidateNs);
     }
     backend->grantUnmapped(grant_id, g.peer);
-    for (uint64_t i = 0; i < g.pages; ++i)
-        pageShareCount[g.base + i * hw::kPageSize] = 0;
+    releasePages(g);
     g.active = false;
     stats.counter("grants_revoked").inc();
     notifyGrant(GrantEvent::Kind::Revoked, g);

@@ -300,6 +300,9 @@ class Spm
     Status handleInvalidatedAccess(Partition &accessor, PhysAddr addr);
     SimTime recoveryCost(const Partition &p) const;
     void scrubPartition(Partition &p, const MosImage &image);
+    /** Return @p g's pages to the share-once budget, skipping any
+     *  page a later grant holds: a stale release cannot free it. */
+    void releasePages(const ShareGrant &g);
 
     SecureMonitor &sm;
     std::unique_ptr<IsolationBackend> backend;
@@ -308,7 +311,8 @@ class Spm
     bool busFilterInstalled = false;
     std::map<PartitionId, Partition> partitions;
     std::map<uint64_t, ShareGrant> grants;
-    std::map<PhysAddr, uint64_t> pageShareCount;
+    /** Share-once budget: the grant holding each shared page. */
+    std::map<PhysAddr, uint64_t> pageGrant;
     std::map<PartitionId, uint64_t> lastHeartbeat;
     void notifyGrant(GrantEvent::Kind kind, const ShareGrant &g);
 

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstring>
+#include <fstream>
+#include <memory>
 
 #include "accel/builtin_kernels.hh"
 #include "accel/gpu.hh"
@@ -222,6 +226,144 @@ TEST_F(GpuTest, ResetWithClearZeroesAllVram)
     Bytes out(vram, 0xff);
     ASSERT_TRUE(gpu.read(ctx, nva, out.data(), vram).isOk());
     EXPECT_EQ(uint64_t(std::count(out.begin(), out.end(), 0)), vram);
+}
+
+/** Read the whole of @p ctx's free VRAM through one allocation and
+ *  count its zero bytes against its size. */
+::testing::AssertionResult
+freeVramReadsZero(GpuDevice &gpu, GpuContextId ctx)
+{
+    const uint64_t rest = gpu.freeVram();
+    auto va = gpu.malloc(ctx, rest);
+    if (!va.isOk())
+        return ::testing::AssertionFailure() << va.status().toString();
+    Bytes out(rest, 0xff);
+    Status s = gpu.read(ctx, va.value(), out.data(), rest);
+    if (!s.isOk())
+        return ::testing::AssertionFailure() << s.toString();
+    uint64_t zeros = std::count(out.begin(), out.end(), 0);
+    if (zeros != rest)
+        return ::testing::AssertionFailure()
+               << (rest - zeros) << " of " << rest << " bytes nonzero";
+    return ::testing::AssertionSuccess();
+}
+
+TEST_F(GpuTest, RestoreAfterResetLeavesOtherVramZero)
+{
+    /* Dirty two blocks; only the first is kept, so the snapshot does
+     * not cover the second's (now free) VRAM. */
+    GpuVa kept = gpu.malloc(ctx, 8192).value();
+    Bytes pattern(8192, 0xa5);
+    ASSERT_TRUE(gpu.write(ctx, kept, pattern.data(), 8192).isOk());
+    GpuVa dropped = gpu.malloc(ctx, 1 << 20).value();
+    Bytes junk(1 << 20, 0x5a);
+    ASSERT_TRUE(gpu.write(ctx, dropped, junk.data(), 1 << 20).isOk());
+    ASSERT_TRUE(gpu.free(ctx, dropped).isOk());
+
+    Bytes snap = gpu.snapshotContext(ctx).value();
+    gpu.reset(true);
+    ctx = gpu.createContext().value();
+    ASSERT_TRUE(gpu.restoreContext(ctx, snap).isOk());
+
+    Bytes back(8192);
+    ASSERT_TRUE(gpu.read(ctx, kept, back.data(), 8192).isOk());
+    EXPECT_EQ(back, pattern);
+    EXPECT_TRUE(freeVramReadsZero(gpu, ctx));
+}
+
+TEST_F(GpuTest, BackToBackResetsKeepVramZero)
+{
+    const uint64_t vram = gpu.config().vramBytes;
+    GpuVa va = gpu.malloc(ctx, vram).value();
+    Bytes pattern(vram, 0xa5);
+    ASSERT_TRUE(gpu.write(ctx, va, pattern.data(), vram).isOk());
+
+    gpu.reset(true);
+    gpu.reset(true);
+    ctx = gpu.createContext().value();
+    EXPECT_TRUE(freeVramReadsZero(gpu, ctx));
+}
+
+/** Resident set of this process, bytes (/proc/self/statm). */
+uint64_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    uint64_t size_pages = 0;
+    uint64_t resident_pages = 0;
+    statm >> size_pages >> resident_pages;
+    return resident_pages * uint64_t(sysconf(_SC_PAGESIZE));
+}
+
+/* VRAM capacity is simulated: neither building a device nor clearing
+ * it makes its 64 MiB resident on the host. Eager zeroing in either
+ * place touches every page and fails this. */
+TEST(GpuVramTest, UntouchedVramCostsNoHostMemory)
+{
+    const uint64_t before = residentBytes();
+    ASSERT_GT(before, 0u);
+    auto gpu = std::make_unique<GpuDevice>();
+    ASSERT_EQ(gpu->config().vramBytes, uint64_t(64) << 20);
+    gpu->reset(true);
+    EXPECT_LT(residentBytes(), before + (uint64_t(16) << 20));
+}
+
+/* The blob layout is the old putBytes one: count, then (va, bytes,
+ * length-prefixed contents) per allocation in VA order. */
+TEST_F(GpuTest, SnapshotBlobLayoutIsPinned)
+{
+    GpuVa a = gpu.malloc(ctx, 4096).value();
+    GpuVa b = gpu.malloc(ctx, 100).value();
+    Bytes first(4096);
+    for (size_t i = 0; i < first.size(); ++i)
+        first[i] = static_cast<uint8_t>(i * 7);
+    ASSERT_TRUE(gpu.write(ctx, a, first.data(), first.size()).isOk());
+    Bytes second(4096, 0);
+    second[0] = 0xee;
+    second[99] = 0x11;
+    ASSERT_TRUE(gpu.write(ctx, b, second.data(), 100).isOk());
+
+    ByteWriter want;
+    want.putU32(2);
+    want.putU64(a);
+    want.putU64(4096);
+    want.putBytes(first);
+    want.putU64(b);
+    want.putU64(4096);
+    want.putBytes(second);
+    EXPECT_EQ(gpu.snapshotContext(ctx).value(), want.take());
+}
+
+/* A count whose byte size overflows 64 bits, or a range whose end
+ * wraps, must fault: before, both wrapped to a few bytes and passed
+ * the bounds check, letting a kernel write past its allocation. */
+TEST_F(GpuTest, OverflowingSpansFaultAndSpareNeighbours)
+{
+    GpuVa va = gpu.malloc(ctx, 4096).value();
+    GpuContextId other = gpu.createContext().value();
+    GpuVa ova = gpu.malloc(other, 4096).value();
+    Bytes secret(4096, 0x3c);
+    ASSERT_TRUE(gpu.write(other, ova, secret.data(), 4096).isOk());
+
+    const uint64_t wraps_to_4 = (uint64_t(1) << 62) + 1;
+    const uint64_t one_f32 = 0x3f800000;
+    EXPECT_EQ(gpu.launch(ctx, "fill_f32", {va, wraps_to_4, one_f32},
+                         LaunchDims{1}, 0).code(),
+              ErrorCode::AccessFault);
+
+    GpuAccessor mem(gpu, ctx);
+    EXPECT_EQ(mem.span<float>(va, wraps_to_4).code(),
+              ErrorCode::AccessFault);
+    EXPECT_EQ(mem.constSpan<float>(va, wraps_to_4).code(),
+              ErrorCode::AccessFault);
+    EXPECT_EQ(mem.span<uint8_t>(va + 16, uint64_t(0) - 16).code(),
+              ErrorCode::AccessFault);
+    EXPECT_EQ(mem.span<uint8_t>(va + 16, ~uint64_t(0)).code(),
+              ErrorCode::AccessFault);
+
+    Bytes back(4096);
+    ASSERT_TRUE(gpu.read(other, ova, back.data(), 4096).isOk());
+    EXPECT_EQ(back, secret);
 }
 
 TEST_F(GpuTest, ContextLimitIsEnforced)

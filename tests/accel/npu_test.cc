@@ -57,6 +57,54 @@ TEST_F(NpuTest, BufferBoundsChecked)
               ErrorCode::NotFound);
 }
 
+TEST_F(NpuTest, WrappingRangesFault)
+{
+    /* offset + len wraps past 2^64 to a small sum; each check must
+     * still see the range as out of bounds. */
+    const uint64_t huge = ~uint64_t(0);
+    uint32_t buf = npu.allocBuffer(ctx, 64).value();
+    uint8_t data[2] = {0xa5, 0x5a};
+    EXPECT_EQ(npu.writeBuffer(ctx, buf, huge, data, 2).code(),
+              ErrorCode::AccessFault);
+    EXPECT_EQ(npu.readBuffer(ctx, buf, huge, data, 2).code(),
+              ErrorCode::AccessFault);
+    EXPECT_EQ(npu.writeBuffer(ctx, buf, 2, data, huge).code(),
+              ErrorCode::AccessFault);
+
+    auto run_one = [&](const NpuInsn &insn) {
+        NpuProgram prog;
+        prog.insns.push_back(insn);
+        return npu.run(ctx, prog, 0).code();
+    };
+    NpuInsn load = loadInsn(buf, NpuBank::Input, 2);
+    load.dramOffset = huge;
+    EXPECT_EQ(run_one(load), ErrorCode::AccessFault);
+    load.dramOffset = 0;
+    load.sramOffset = huge;
+    EXPECT_EQ(run_one(load), ErrorCode::AccessFault);
+
+    NpuInsn gemm;
+    gemm.op = NpuOp::Gemm;
+    gemm.rows = gemm.cols = gemm.inner = 1;
+    gemm.sramOffset = huge;
+    EXPECT_EQ(run_one(gemm), ErrorCode::AccessFault);
+
+    NpuInsn store;
+    store.op = NpuOp::Store;
+    store.buffer = buf;
+    store.length = 2;
+    store.sramOffset = huge;
+    EXPECT_EQ(run_one(store), ErrorCode::AccessFault);
+    store.sramOffset = 0;
+    store.dramOffset = huge;
+    EXPECT_EQ(run_one(store), ErrorCode::AccessFault);
+
+    /* Nothing above reached the buffer. */
+    std::vector<uint8_t> out(64, 0xff);
+    ASSERT_TRUE(npu.readBuffer(ctx, buf, 0, out.data(), 64).isOk());
+    EXPECT_EQ(std::count(out.begin(), out.end(), 0), 64);
+}
+
 TEST_F(NpuTest, GemmComputesInt8MatMul)
 {
     /* inp: 2x3 (rows x inner), wgt: 2x3 (cols x inner),

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "base/rng.hh"
@@ -164,14 +165,54 @@ TEST_P(PageTableOracleTest, MatchesPerPageReference)
     ASSERT_NO_FATAL_FAILURE(checkCounters());
 }
 
+/* A length whose end wraps past 2^64 must fault, never translate as
+ * the short range it wraps to: on the one-page TLB path (end wraps
+ * into the start page) and on the walk (end wraps below the start). */
+using PageTableWrapTest = PageTableOracleTest;
+
+TEST_P(PageTableWrapTest, WrappedRangesFault)
+{
+    const VirtAddr va = 0x40 << kPageShift;
+    ASSERT_TRUE(table.map(va, 0x80000, 1, PagePerms::rw()).isOk());
+    ASSERT_TRUE(ref.map(va, 0x80000, 1, PagePerms::rw()).isOk());
+    ASSERT_TRUE(table.map(va - kPageSize, 0x7f000, 1,
+                          PagePerms::rw()).isOk());
+    ASSERT_TRUE(ref.map(va - kPageSize, 0x7f000, 1,
+                        PagePerms::rw()).isOk());
+    /* Heat the TLB (when on) for the start page. */
+    ASSERT_NO_FATAL_FAILURE(checkTranslate(va + 16, 8, true));
+
+    const uint64_t one_page_wrap = ~uint64_t(0);   /* end = va + 14 */
+    const uint64_t walk_wrap = ~uint64_t(0) - 15;  /* end = va - 1 */
+    for (uint64_t len : {one_page_wrap, walk_wrap}) {
+        for (bool write : {false, true}) {
+            EXPECT_EQ(table.translate(va + 16, len, write).fault,
+                      FaultKind::Unmapped) << "len=" << len;
+            ASSERT_NO_FATAL_FAILURE(checkTranslate(va + 16, len, write));
+        }
+    }
+    ASSERT_NO_FATAL_FAILURE(checkCounters());
+}
+
+std::string
+paramName(const ::testing::TestParamInfo<std::tuple<uint64_t, bool>> &info)
+{
+    return "seed" + std::to_string(std::get<0>(info.param)) +
+           (std::get<1>(info.param) ? "_tlb" : "_notlb");
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Seeds, PageTableOracleTest,
     ::testing::Combine(::testing::Range<uint64_t>(1, 9),
                        ::testing::Bool()),
-    [](const auto &info) {
-        return "seed" + std::to_string(std::get<0>(info.param)) +
-               (std::get<1>(info.param) ? "_tlb" : "_notlb");
-    });
+    paramName);
+
+/* The wrap case draws nothing: one seed, TLB on and off. */
+INSTANTIATE_TEST_SUITE_P(
+    Tlb, PageTableWrapTest,
+    ::testing::Combine(::testing::Values<uint64_t>(1),
+                       ::testing::Bool()),
+    paramName);
 
 } // namespace
 } // namespace cronus::hw

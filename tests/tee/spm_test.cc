@@ -233,6 +233,155 @@ TEST_P(SpmTest, CrashedOwnerPagesStayReservedUntilPeerTraps)
     EXPECT_TRUE(spm->sharePages(a, b, a_base, 1).isOk());
 }
 
+/* If the survivor reboots too before it traps, its rebuilt stage-2
+ * holds no invalidated entry, so the trap can never fire: the reboot
+ * resolves it and the pages return to the share-once budget. Both
+ * orders: the owner crashes first, or the peer does. */
+TEST_P(SpmTest, BothPartiesRebootingReturnsShareBudget)
+{
+    PartitionId a = makePartition("gpu0");
+    PartitionId b = makePartition("gpu1");
+    PhysAddr a_base = spm->partition(a).value()->memBase;
+    for (auto [first, second] : {std::pair{a, b}, std::pair{b, a}}) {
+        ASSERT_TRUE(spm->sharePages(a, b, a_base, 1).isOk());
+        ASSERT_TRUE(spm->panic(first).isOk());
+        ASSERT_TRUE(spm->recoverPartition(
+            first, image(spm->partition(first).value()->deviceName +
+                         ".mos")).isOk());
+        ASSERT_TRUE(spm->panic(second).isOk());
+        ASSERT_TRUE(spm->recoverPartition(
+            second, image(spm->partition(second).value()->deviceName +
+                          ".mos")).isOk());
+
+        auto again = spm->sharePages(a, b, a_base, 1);
+        ASSERT_TRUE(again.isOk()) << again.status().toString();
+        ASSERT_TRUE(spm->write(a, a_base, Bytes{9}).isOk());
+        auto seen = spm->read(b, a_base, 1);
+        ASSERT_TRUE(seen.isOk()) << seen.status().toString();
+        EXPECT_EQ(seen.value(), Bytes{9});
+        ASSERT_TRUE(spm->revokeGrant(again.value(), a).isOk());
+    }
+}
+
+/* Resolving a stale grant cannot free pages a later grant holds:
+ * the survivor revokes, the owner re-shares, and the survivor's
+ * reboot resolves the old trap but leaves the new grant's page
+ * reserved until the owner takes the new grant's trap. */
+TEST_P(SpmTest, StaleGrantCannotReleaseReSharedPages)
+{
+    PartitionId a = makePartition("gpu0");
+    PartitionId b = makePartition("gpu1");
+    PhysAddr a_base = spm->partition(a).value()->memBase;
+    uint64_t gid = spm->sharePages(a, b, a_base, 1).value();
+
+    ASSERT_TRUE(spm->panic(a).isOk());
+    ASSERT_TRUE(spm->revokeGrant(gid, b).isOk());
+    ASSERT_TRUE(spm->recoverPartition(a, image("gpu0.mos")).isOk());
+    ASSERT_TRUE(spm->sharePages(a, b, a_base, 1).isOk());
+
+    ASSERT_TRUE(spm->panic(b).isOk());
+    ASSERT_TRUE(spm->recoverPartition(b, image("gpu1.mos")).isOk());
+    EXPECT_EQ(spm->sharePages(a, b, a_base, 1).code(),
+              ErrorCode::InvalidState);
+    EXPECT_EQ(spm->read(a, a_base, 1).code(), ErrorCode::PeerFailed);
+    EXPECT_TRUE(spm->sharePages(a, b, a_base, 1).isOk());
+}
+
+/* A revoked grant whose trap never fired stays pending. When a later
+ * grant of the same page traps, the trap must resolve that later
+ * grant, or its page stays reserved and its party never traps again.
+ * The owner takes the trap here, before the failed peer recovers. */
+TEST_P(SpmTest, StalePendingGrantDoesNotShadowOwnerTrap)
+{
+    PartitionId a = makePartition("gpu0");
+    PartitionId b = makePartition("gpu1");
+    PhysAddr a_base = spm->partition(a).value()->memBase;
+    std::vector<TrapSignal> traps;
+    spm->setTrapHandler(
+        [&](const TrapSignal &sig) { traps.push_back(sig); });
+
+    uint64_t g1 = spm->sharePages(a, b, a_base, 1).value();
+    ASSERT_TRUE(spm->panic(a).isOk());
+    ASSERT_TRUE(spm->revokeGrant(g1, b).isOk());
+    ASSERT_TRUE(spm->recoverPartition(a, image("gpu0.mos")).isOk());
+    uint64_t g2 = spm->sharePages(a, b, a_base, 1).value();
+    ASSERT_TRUE(spm->panic(b).isOk());
+
+    EXPECT_EQ(spm->read(a, a_base, 1).code(), ErrorCode::PeerFailed);
+    ASSERT_EQ(traps.size(), 1u);
+    EXPECT_EQ(traps[0].grantId, g2);
+    EXPECT_EQ(traps[0].failedPeer, b);
+
+    ASSERT_TRUE(spm->recoverPartition(b, image("gpu1.mos")).isOk());
+    auto again = spm->sharePages(a, b, a_base, 1);
+    ASSERT_TRUE(again.isOk()) << again.status().toString();
+    ASSERT_TRUE(spm->write(a, a_base, Bytes{7}).isOk());
+    auto seen = spm->read(b, a_base, 1);
+    ASSERT_TRUE(seen.isOk()) << seen.status().toString();
+    EXPECT_EQ(seen.value(), Bytes{7});
+}
+
+/* The same shadowing from the peer's side: the peer revokes the
+ * stale grant, the owner re-shares and crashes again, and the peer's
+ * trap must resolve the new grant so the owner can share the page
+ * once it recovers. */
+TEST_P(SpmTest, StalePendingGrantDoesNotShadowPeerTrap)
+{
+    PartitionId a = makePartition("gpu0");
+    PartitionId b = makePartition("gpu1");
+    PhysAddr a_base = spm->partition(a).value()->memBase;
+    std::vector<TrapSignal> traps;
+    spm->setTrapHandler(
+        [&](const TrapSignal &sig) { traps.push_back(sig); });
+
+    uint64_t g1 = spm->sharePages(a, b, a_base, 1).value();
+    ASSERT_TRUE(spm->panic(a).isOk());
+    ASSERT_TRUE(spm->revokeGrant(g1, b).isOk());
+    ASSERT_TRUE(spm->recoverPartition(a, image("gpu0.mos")).isOk());
+    uint64_t g2 = spm->sharePages(a, b, a_base, 1).value();
+    ASSERT_TRUE(spm->panic(a).isOk());
+
+    EXPECT_EQ(spm->read(b, a_base, 1).code(), ErrorCode::PeerFailed);
+    ASSERT_EQ(traps.size(), 1u);
+    EXPECT_EQ(traps[0].grantId, g2);
+    EXPECT_EQ(traps[0].failedPeer, a);
+
+    ASSERT_TRUE(spm->recoverPartition(a, image("gpu0.mos")).isOk());
+    EXPECT_TRUE(spm->sharePages(a, b, a_base, 1).isOk());
+}
+
+/* A stale grant's trap may still fire on a page it kept, but it must
+ * leave alone the pages re-shared since: their entries belong to the
+ * later grant, whose own trap must still fire. Here the surviving
+ * owner revokes a two-page grant, re-shares its second page, and the
+ * peer crashes again before the owner touches the first page. */
+TEST_P(SpmTest, StaleTrapLeavesReSharedPagesToTheirGrant)
+{
+    PartitionId a = makePartition("gpu0");
+    PartitionId b = makePartition("gpu1");
+    PhysAddr a_base = spm->partition(a).value()->memBase;
+    PhysAddr second = a_base + hw::kPageSize;
+    std::vector<TrapSignal> traps;
+    spm->setTrapHandler(
+        [&](const TrapSignal &sig) { traps.push_back(sig); });
+
+    uint64_t g1 = spm->sharePages(a, b, a_base, 2).value();
+    ASSERT_TRUE(spm->panic(b).isOk());
+    ASSERT_TRUE(spm->revokeGrant(g1, a).isOk());
+    ASSERT_TRUE(spm->recoverPartition(b, image("gpu1.mos")).isOk());
+    uint64_t g2 = spm->sharePages(a, b, second, 1).value();
+    ASSERT_TRUE(spm->panic(b).isOk());
+
+    EXPECT_EQ(spm->read(a, a_base, 1).code(), ErrorCode::PeerFailed);
+    EXPECT_EQ(spm->read(a, second, 1).code(), ErrorCode::PeerFailed);
+    ASSERT_EQ(traps.size(), 2u);
+    EXPECT_EQ(traps[0].grantId, g1);
+    EXPECT_EQ(traps[1].grantId, g2);
+
+    ASSERT_TRUE(spm->recoverPartition(b, image("gpu1.mos")).isOk());
+    EXPECT_TRUE(spm->sharePages(a, b, a_base, 2).isOk());
+}
+
 TEST_P(SpmTest, RfBlocksNewSharingWithFailedPartition)
 {
     PartitionId a = makePartition("gpu0");
