@@ -12,7 +12,6 @@
 
 #include "accel/builtin_kernels.hh"
 #include "bench_util.hh"
-#include "core/auto_partition.hh"
 #include "core/system.hh"
 #include "crypto/aes.hh"
 #include "hw/translation_cache.hh"
@@ -32,9 +31,7 @@ gpuManifest(const Bytes &image)
     Manifest m;
     m.deviceType = "gpu";
     m.images["a.cubin"] = crypto::digestHex(crypto::sha256(image));
-    for (const auto &fn : CudaRuntime::apiSurface())
-        m.mEcalls.push_back(
-            {fn, AutoPartitioner::cudaCallIsAsync(fn)});
+    m.mEcalls = CudaRuntime::manifestCalls();
     m.memoryBytes = 4ull << 20;
     return m.toJson();
 }

@@ -30,7 +30,6 @@
 
 #include "accel/builtin_kernels.hh"
 #include "bench_util.hh"
-#include "core/auto_partition.hh"
 #include "core/system.hh"
 #include "core/warm_pool.hh"
 
@@ -97,9 +96,7 @@ struct WorkerModule
         m.deviceType = "gpu";
         m.images[imageName] =
             crypto::digestHex(crypto::sha256(image));
-        for (const auto &fn : CudaRuntime::apiSurface())
-            m.mEcalls.push_back(
-                {fn, AutoPartitioner::cudaCallIsAsync(fn)});
+        m.mEcalls = CudaRuntime::manifestCalls();
         m.memoryBytes = 4ull << 20;
         manifestJson = m.toJson();
     }

@@ -25,7 +25,6 @@
 
 #include "accel/builtin_kernels.hh"
 #include "accel/gpu.hh"
-#include "core/auto_partition.hh"
 #include "core/system.hh"
 #include "crypto/aes.hh"
 #include "crypto/dispatch.hh"
@@ -440,9 +439,7 @@ struct SrpcBench
         accel::GpuModuleImage module{"a.cubin", {"fill_f32"}};
         Bytes gb = module.serialize();
         gm.images["a.cubin"] = crypto::digestHex(crypto::sha256(gb));
-        for (const auto &fn : core::CudaRuntime::apiSurface())
-            gm.mEcalls.push_back(
-                {fn, core::AutoPartitioner::cudaCallIsAsync(fn)});
+        gm.mEcalls = core::CudaRuntime::manifestCalls();
         gm.memoryBytes = 4ull << 20;
         gpu = system->createEnclave(gm.toJson(), "a.cubin", gb)
                   .value();

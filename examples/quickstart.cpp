@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "accel/builtin_kernels.hh"
-#include "core/auto_partition.hh"
 #include "core/system.hh"
 
 using namespace cronus;
@@ -92,12 +91,9 @@ main()
      * connects via streaming RPC. */
     accel::GpuModuleImage module{"app.cubin", {"vec_add_f32"}};
     Bytes gpu_image = module.serialize();
-    std::vector<McallDecl> cuda_calls;
-    for (const auto &fn : CudaRuntime::apiSurface())
-        cuda_calls.push_back(
-            {fn, AutoPartitioner::cudaCallIsAsync(fn)});
     auto enclave_c = system.createEnclave(
-        manifestFor("gpu", "app.cubin", gpu_image, cuda_calls),
+        manifestFor("gpu", "app.cubin", gpu_image,
+                    CudaRuntime::manifestCalls()),
         "app.cubin", gpu_image);
     auto channel =
         system.connect(enclave_a.value(), enclave_c.value());

@@ -1,7 +1,6 @@
 #include "attacks.hh"
 
 #include "accel/builtin_kernels.hh"
-#include "core/auto_partition.hh"
 #include "core/system.hh"
 
 namespace cronus::attacks
@@ -61,9 +60,7 @@ gpuManifest()
     m.deviceType = "gpu";
     m.images["atk.cubin"] =
         crypto::digestHex(crypto::sha256(gpuImage()));
-    for (const auto &fn : CudaRuntime::apiSurface())
-        m.mEcalls.push_back(
-            {fn, AutoPartitioner::cudaCallIsAsync(fn)});
+    m.mEcalls = CudaRuntime::manifestCalls();
     m.memoryBytes = 4ull << 20;
     return m.toJson();
 }

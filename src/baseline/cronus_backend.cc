@@ -13,29 +13,14 @@ namespace
 {
 
 std::string
-gpuManifestFor(const std::vector<std::string> &kernels,
-               const Bytes &image_bytes)
+gpuManifestFor(const Bytes &image_bytes)
 {
     core::Manifest m;
     m.deviceType = "gpu";
     m.images["app.cubin"] =
         crypto::digestHex(crypto::sha256(image_bytes));
-    for (const auto &fn : CudaRuntime::apiSurface()) {
-        m.mEcalls.push_back(
-            {fn, core::AutoPartitioner::cudaCallIsAsync(fn)});
-    }
-    (void)kernels;
+    m.mEcalls = CudaRuntime::manifestCalls();
     m.memoryBytes = 8ull << 20;
-    return m.toJson();
-}
-
-std::string
-cpuManifestBasic()
-{
-    core::Manifest m;
-    m.deviceType = "cpu";
-    m.mEcalls.push_back({"noop", false});
-    m.memoryBytes = 4ull << 20;
     return m.toJson();
 }
 
@@ -44,8 +29,7 @@ npuManifestBasic()
 {
     core::Manifest m;
     m.deviceType = "npu";
-    for (const auto &fn : NpuRuntime::apiSurface())
-        m.mEcalls.push_back({fn, false});
+    m.mEcalls = NpuRuntime::manifestCalls();
     m.memoryBytes = 4ull << 20;
     return m.toJson();
 }
@@ -79,7 +63,6 @@ CronusBackend::CronusBackend(const CronusBackendConfig &config)
     CRONUS_ASSERT(cpu.isOk(),
                   "cpu enclave: " + cpu.status().toString());
     cpuEnclave = cpu.value();
-    (void)cpuManifestBasic;
 }
 
 Status
@@ -89,9 +72,8 @@ CronusBackend::ensureGpuChannel()
         return Status::ok();
     accel::GpuModuleImage image{"app.cubin", cfg.gpuKernels};
     Bytes image_bytes = image.serialize();
-    auto gpu = sys->createEnclave(
-        gpuManifestFor(cfg.gpuKernels, image_bytes), "app.cubin",
-        image_bytes);
+    auto gpu = sys->createEnclave(gpuManifestFor(image_bytes),
+                                  "app.cubin", image_bytes);
     if (!gpu.isOk())
         return gpu.status();
     gpuEnclave = gpu.value();

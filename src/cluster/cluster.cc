@@ -12,8 +12,6 @@ namespace
 
 /** Modeled wire overhead of one fleet control message. */
 constexpr uint64_t kMsgOverheadBytes = 64;
-/** Journal entry framing (fn-name length, arg length, rid). */
-constexpr uint64_t kJournalEntryOverheadBytes = 16;
 
 /** Static-lifetime instant names (the tracer stores the pointer). */
 const char *
@@ -93,16 +91,6 @@ Cluster::Cluster(const ClusterConfig &config)
     }
 }
 
-uint64_t
-Cluster::journalBytes(const FleetEnclave &rec) const
-{
-    uint64_t bytes = 0;
-    for (const FleetCall &c : rec.journal)
-        bytes += c.fn.size() + c.args.size() +
-                 kJournalEntryOverheadBytes;
-    return bytes;
-}
-
 void
 Cluster::fireStage(uint64_t seq, MigrationStage stage, NodeId src,
                    NodeId dst)
@@ -140,36 +128,17 @@ Cluster::placeEnclave(const std::string &manifest_json,
                       const std::string &image_name,
                       const Bytes &image)
 {
-    auto target = placer.placeNode(nodes);
-    if (!target.isOk())
-        return target.status();
-    ClusterNode &n = *nodes[target.value()];
-    /* Ship manifest + image to the node before it can create. */
-    CRONUS_RETURN_IF_ERROR(fabric.transfer(
-        kFrontend, target.value(),
-        manifest_json.size() + image.size() + kMsgOverheadBytes));
-    auto h = n.system().createEnclave(manifest_json, image_name,
-                                      image);
-    if (!h.isOk())
-        return h.status();
-
+    /* A new enclave is a rebuild from an empty log. */
     FleetEnclave rec;
-    rec.fid = nextFid++;
-    rec.nodeId = target.value();
-    rec.handle = h.value();
+    rec.fid = nextFid;
+    rec.nodeId = kFrontend;
     rec.manifestJson = manifest_json;
     rec.imageName = image_name;
     rec.image = image;
-    Fid fid = rec.fid;
-    enclaves.emplace(fid, std::move(rec));
-    ++n.liveEnclaves;
-    ++placements;
-    placer.notePlacement(fid, target.value());
-    JsonObject args;
-    args["fid"] = static_cast<int64_t>(fid);
-    args["node"] = static_cast<int64_t>(target.value());
-    fleetInstant("fleet.place", std::move(args));
-    return fid;
+    rec.log = recover::ReplayLog(cfg.autoCheckpointEvery);
+    CRONUS_RETURN_IF_ERROR(place(rec));
+    enclaves.emplace(nextFid, std::move(rec));
+    return nextFid++;
 }
 
 Result<Bytes>
@@ -195,33 +164,15 @@ Cluster::call(Fid fid, const std::string &fn, const Bytes &args)
         r.value().size() + kMsgOverheadBytes));
     /* The call is acked only now; journaling first means an acked
      * call is always reconstructible as watermark + replay. */
-    rec.journal.push_back(FleetCall{fn, args});
+    rec.log.record(fn, args);
     ++rec.acked;
-    if (cfg.autoCheckpointEvery != 0 &&
-        ++rec.callsSinceCkpt >= cfg.autoCheckpointEvery) {
+    rec.log.ack();
+    if (rec.log.checkpointDue()) {
         /* Best effort: a failed checkpoint leaves the journal
          * covering the un-checkpointed tail. */
-        (void)checkpointRec(rec);
+        (void)checkpoint(fid);
     }
     return r;
-}
-
-Status
-Cluster::checkpointRec(FleetEnclave &rec)
-{
-    ClusterNode &n = *nodes[rec.nodeId];
-    auto sealed = n.system().checkpointEnclave(rec.handle);
-    if (!sealed.isOk())
-        return sealed.status();
-    CRONUS_RETURN_IF_ERROR(
-        fabric.transfer(rec.nodeId, kFrontend,
-                        sealed.value().size() + kMsgOverheadBytes));
-    rec.sealed = sealed.value();
-    rec.sealedSecret = rec.handle.secret;
-    rec.haveCheckpoint = true;
-    rec.journal.clear();
-    rec.callsSinceCkpt = 0;
-    return Status::ok();
 }
 
 Status
@@ -236,7 +187,14 @@ Cluster::checkpoint(Fid fid)
     if (n.health() == NodeHealth::Down)
         return Status(ErrorCode::PeerFailed,
                       "node '" + n.name() + "' is down");
-    return checkpointRec(rec);
+    auto sealed = n.system().checkpointEnclave(rec.handle);
+    if (!sealed.isOk())
+        return sealed.status();
+    CRONUS_RETURN_IF_ERROR(
+        fabric.transfer(rec.nodeId, kFrontend,
+                        sealed.value().size() + kMsgOverheadBytes));
+    rec.log.seal(std::move(sealed.value()), rec.handle.secret);
+    return Status::ok();
 }
 
 Status
@@ -272,22 +230,13 @@ Cluster::materialize(FleetEnclave &rec, NodeId target)
     CRONUS_RETURN_IF_ERROR(fabric.transfer(
         kFrontend, target,
         rec.manifestJson.size() + rec.image.size() +
-            rec.sealed.size() + journalBytes(rec) +
-            kMsgOverheadBytes));
-    auto fresh = n.system().createEnclave(rec.manifestJson,
-                                          rec.imageName, rec.image);
+            rec.log.wireBytes() + kMsgOverheadBytes));
+    auto fresh = rec.log.respawn(n.system(), rec.manifestJson,
+                                 rec.imageName, rec.image);
     if (!fresh.isOk())
         return fresh.status();
     core::AppHandle h = fresh.value();
-    if (rec.haveCheckpoint) {
-        Status s = n.system().restoreEnclave(h, rec.sealed,
-                                             rec.sealedSecret);
-        if (!s.isOk()) {
-            (void)n.system().destroyEnclave(h);
-            return s;
-        }
-    }
-    for (const FleetCall &c : rec.journal) {
+    for (const recover::ReplayLog::Call &c : rec.log.journal()) {
         auto r = n.system().ecall(h, c.fn, c.args);
         if (!r.isOk()) {
             (void)n.system().destroyEnclave(h);
@@ -305,21 +254,21 @@ Cluster::materialize(FleetEnclave &rec, NodeId target)
 }
 
 Status
-Cluster::recoverEnclave(FleetEnclave &rec)
+Cluster::place(FleetEnclave &rec)
 {
+    const bool fresh = rec.nodeId == kFrontend;
     auto target = placer.placeNode(nodes);
     if (!target.isOk())
         return target.status();
-    Status s = materialize(rec, target.value());
-    if (s.isOk()) {
-        ++replacements;
-        placer.notePlacement(rec.fid, target.value());
-        JsonObject args;
-        args["fid"] = static_cast<int64_t>(rec.fid);
-        args["node"] = static_cast<int64_t>(target.value());
-        fleetInstant("fleet.replace", std::move(args));
-    }
-    return s;
+    CRONUS_RETURN_IF_ERROR(materialize(rec, target.value()));
+    ++(fresh ? placements : replacements);
+    placer.notePlacement(rec.fid, target.value());
+    JsonObject args;
+    args["fid"] = static_cast<int64_t>(rec.fid);
+    args["node"] = static_cast<int64_t>(target.value());
+    fleetInstant(fresh ? "fleet.place" : "fleet.replace",
+                 std::move(args));
+    return Status::ok();
 }
 
 Status
@@ -352,15 +301,14 @@ Cluster::migrateEnclave(Fid fid, NodeId dstId)
         span.arg("dst", static_cast<int64_t>(dstId));
     }
 
-    core::AppHandle dstHandle;
-    bool dstCreated = false;
+    core::AppHandle dstHandle;  ///< host set once Restore built it
+    MigrationStage stage = MigrationStage::Snapshot;
 
-    auto finish = [&](Status s, const char *outcome,
-                      MigrationStage stage) -> Status {
+    auto finish = [&](Status s) -> Status {
         if (!s.isOk()) {
             /* Abort path: tear down any partial destination copy
              * (possible only while its node is still up). */
-            if (dstCreated &&
+            if (dstHandle.host != nullptr &&
                 nodes[dstId]->health() != NodeHealth::Down)
                 (void)nodes[dstId]->system().destroyEnclave(
                     dstHandle);
@@ -369,7 +317,7 @@ Cluster::migrateEnclave(Fid fid, NodeId dstId)
                             s.message();
             ++migrationsAborted;
         } else {
-            audit.outcome = outcome;
+            audit.outcome = "completed";
             ++migrationsCompleted;
         }
         audit.srcAlive = srcId != dstId && aliveOn(rec, srcId);
@@ -380,97 +328,86 @@ Cluster::migrateEnclave(Fid fid, NodeId dstId)
         migrationLog.push_back(audit);
         return s;
     };
+    /* Enter @p next: fire its hook, then report whether the
+     * destination is still up. */
+    auto enter = [&](MigrationStage next) {
+        stage = next;
+        fireStage(seq, next, srcId, dstId);
+        return nodes[dstId]->health() != NodeHealth::Down;
+    };
+    auto dstDied = [&](const char *when) {
+        return finish(Status(ErrorCode::PeerFailed,
+                             std::string("destination died ") + when));
+    };
 
     /* --- Snapshot: fix the replay set (watermark + journal are
      * already frontend-durable; a dead source does not lose acked
      * calls). The destination must look usable before we start. */
-    fireStage(seq, MigrationStage::Snapshot, srcId, dstId);
+    (void)enter(MigrationStage::Snapshot);
     if (!nodes[dstId]->placeable())
         return finish(Status(ErrorCode::InvalidState,
-                             "destination '" +
-                                 nodes[dstId]->name() +
-                                 "' is not placeable"),
-                      "", MigrationStage::Snapshot);
+                             "destination '" + nodes[dstId]->name() +
+                                 "' is not placeable"));
 
     /* --- ReAttest: the sender verifies the destination's
      * measurement root before any sealed state moves; the
      * destination symmetrically verifies a node sender. */
-    fireStage(seq, MigrationStage::ReAttest, srcId, dstId);
-    if (nodes[dstId]->health() == NodeHealth::Down)
-        return finish(Status(ErrorCode::PeerFailed,
-                             "destination died before attestation"),
-                      "", MigrationStage::ReAttest);
+    if (!enter(MigrationStage::ReAttest))
+        return dstDied("before attestation");
     bool srcUp = aliveOn(rec, srcId) || srcId == dstId;
     NodeId sender = srcUp ? srcId : kFrontend;
     Status att = fabric.ensureAttested(sender, dstId);
     if (att.isOk() && sender != kFrontend)
         att = fabric.ensureAttested(dstId, sender);
     if (!att.isOk())
-        return finish(att, "", MigrationStage::ReAttest);
+        return finish(att);
 
     /* --- Transfer: sealed watermark + journal to the destination
      * (straight from the source, or from the frontend's durable
      * copy when the source is already dead). */
-    fireStage(seq, MigrationStage::Transfer, srcId, dstId);
-    if (nodes[dstId]->health() == NodeHealth::Down)
-        return finish(Status(ErrorCode::PeerFailed,
-                             "destination died in transfer"),
-                      "", MigrationStage::Transfer);
+    if (!enter(MigrationStage::Transfer))
+        return dstDied("in transfer");
     srcUp = aliveOn(rec, srcId) || srcId == dstId;
     sender = srcUp ? srcId : kFrontend;
     Status t = fabric.transfer(
         sender, dstId,
         rec.manifestJson.size() + rec.image.size() +
-            rec.sealed.size() + journalBytes(rec) +
-            kMsgOverheadBytes);
+            rec.log.wireBytes() + kMsgOverheadBytes);
     if (!t.isOk())
-        return finish(t, "", MigrationStage::Transfer);
+        return finish(t);
 
     /* --- Restore: fresh enclave on the destination, watermark
      * restored into it (the blob re-seals under the new secret). */
-    fireStage(seq, MigrationStage::Restore, srcId, dstId);
-    if (nodes[dstId]->health() == NodeHealth::Down)
-        return finish(Status(ErrorCode::PeerFailed,
-                             "destination died before restore"),
-                      "", MigrationStage::Restore);
-    auto fresh = nodes[dstId]->system().createEnclave(
-        rec.manifestJson, rec.imageName, rec.image);
+    if (!enter(MigrationStage::Restore))
+        return dstDied("before restore");
+    auto fresh = rec.log.respawn(nodes[dstId]->system(),
+                                 rec.manifestJson, rec.imageName,
+                                 rec.image);
     if (!fresh.isOk())
-        return finish(fresh.status(), "", MigrationStage::Restore);
+        return finish(fresh.status());
     dstHandle = fresh.value();
-    dstCreated = true;
-    if (rec.haveCheckpoint) {
-        Status s = nodes[dstId]->system().restoreEnclave(
-            dstHandle, rec.sealed, rec.sealedSecret);
-        if (!s.isOk())
-            return finish(s, "", MigrationStage::Restore);
-    }
 
     /* --- Replay: the journaled calls past the watermark, in
      * order. After this the destination state equals the source's
      * acked state. */
-    fireStage(seq, MigrationStage::Replay, srcId, dstId);
-    if (nodes[dstId]->health() == NodeHealth::Down)
-        return finish(Status(ErrorCode::PeerFailed,
-                             "destination died before replay"),
-                      "", MigrationStage::Replay);
-    for (const FleetCall &c : rec.journal) {
+    if (!enter(MigrationStage::Replay))
+        return dstDied("before replay");
+    for (const recover::ReplayLog::Call &c : rec.log.journal()) {
         auto r = nodes[dstId]->system().ecall(dstHandle, c.fn,
                                               c.args);
         if (!r.isOk())
-            return finish(r.status(), "", MigrationStage::Replay);
+            return finish(r.status());
         ++audit.replayedCalls;
     }
 
     /* --- Retire: the commit point. Only after the destination
      * holds the full state does the source copy die; a destination
-     * loss even here aborts back to the intact source. */
-    fireStage(seq, MigrationStage::Retire, srcId, dstId);
-    if (nodes[dstId]->health() == NodeHealth::Down)
-        return finish(Status(ErrorCode::PeerFailed,
-                             "destination died at retire"),
-                      "", MigrationStage::Retire);
-    if (srcId != dstId && aliveOn(rec, srcId)) {
+     * loss even here aborts back to the intact source. The old
+     * copy dies whenever it is alive, also when the destination is
+     * its own node. */
+    if (!enter(MigrationStage::Retire))
+        return dstDied("at retire");
+    if (aliveOn(rec, srcId)) {
         (void)fabric.transfer(kFrontend, srcId, kMsgOverheadBytes);
         (void)nodes[srcId]->system().destroyEnclave(rec.handle);
     }
@@ -479,7 +416,7 @@ Cluster::migrateEnclave(Fid fid, NodeId dstId)
     rec.nodeId = dstId;
     rec.handle = dstHandle;
     ++nodes[dstId]->liveEnclaves;
-    return finish(Status::ok(), "completed", MigrationStage::Retire);
+    return finish(Status::ok());
 }
 
 Status
@@ -643,7 +580,7 @@ Cluster::quarantineNode(NodeId id, const std::string &why)
     for (Fid fid : enclavesOn(id)) {
         auto it = enclaves.find(fid);
         if (it != enclaves.end())
-            (void)recoverEnclave(it->second);
+            (void)place(it->second);
     }
     return Status::ok();
 }
@@ -669,7 +606,7 @@ Cluster::pump()
             stranded.push_back(&rec);
     }
     for (FleetEnclave *rec : stranded)
-        (void)recoverEnclave(*rec);
+        (void)place(*rec);
 }
 
 bool

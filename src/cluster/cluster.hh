@@ -6,12 +6,13 @@
  * A Cluster owns N ClusterNodes on one shared SimClock, an
  * Interconnect between them, and a FleetDispatcher for placement.
  * Every placed enclave is tracked in a FleetEnclave record holding
- * its respawn spec (manifest/image), the latest sealed checkpoint
- * (the *watermark*) and the journal of acked calls made since that
- * watermark -- the ResumableChannel recipe lifted to fleet scope.
- * Because the frontend journals at ack time, the fleet can always
- * rebuild an enclave as watermark + replay, which is what makes
- * both live migration and node-loss recovery acked-call-lossless.
+ * its respawn spec (manifest/image) and a recover::ReplayLog, the
+ * one home of the watermark + journal rule (ResumableChannel keeps
+ * one per callee). The frontend journals a call once it is acked,
+ * so every build -- placement (from an empty log), re-placement,
+ * in-place recovery, migration -- is ReplayLog::respawn plus the
+ * journal, and live migration and node-loss recovery are
+ * acked-call-lossless.
  *
  * Migration state machine (migrateEnclave):
  *
@@ -42,6 +43,7 @@
 #include "fleet_dispatcher.hh"
 #include "interconnect.hh"
 #include "node.hh"
+#include "recover/replay_log.hh"
 
 namespace cronus::cluster
 {
@@ -220,12 +222,6 @@ class Cluster
     uint64_t supervisorEscalations = 0;  ///< node-sup quarantine hooks
 
   private:
-    struct FleetCall
-    {
-        std::string fn;
-        Bytes args;
-    };
-
     struct FleetEnclave
     {
         Fid fid = 0;
@@ -236,33 +232,28 @@ class Cluster
         std::string imageName;
         Bytes image;
         /* Watermark + journal (frontend-durable). */
-        Bytes sealed;
-        Bytes sealedSecret;
-        bool haveCheckpoint = false;
-        std::vector<FleetCall> journal;
+        recover::ReplayLog log;
         uint64_t acked = 0;
-        uint32_t callsSinceCkpt = 0;
     };
 
     /**
      * Rebuild @p rec on @p target from the frontend's durable copy:
-     * transfer + create + restore the watermark + replay the
-     * journal, destroying the partial copy on failure. On success
-     * the record points at the new copy. Shared by cold re-placement
-     * and the drain's in-place recovery.
+     * transfer + respawn (create, restore the watermark) + replay
+     * the journal, destroying the partial copy on failure. On
+     * success the record points at the new copy. Shared by first
+     * placement, cold re-placement and the drain's in-place
+     * recovery.
      */
     Status materialize(FleetEnclave &rec, NodeId target);
 
-    /** Re-place a stranded enclave on the best other node. */
-    Status recoverEnclave(FleetEnclave &rec);
-
-    /** checkpoint() minus the lookup/health guards. */
-    Status checkpointRec(FleetEnclave &rec);
+    /** Build @p rec on the best node: a first placement when it
+     *  lives nowhere yet (nodeId kFrontend), else a re-placement of
+     *  a stranded enclave. */
+    Status place(FleetEnclave &rec);
 
     /** Live copy of @p rec on node @p id right now? */
     bool aliveOn(FleetEnclave &rec, NodeId id);
 
-    uint64_t journalBytes(const FleetEnclave &rec) const;
     void fireStage(uint64_t seq, MigrationStage stage, NodeId src,
                    NodeId dst);
 

@@ -1,5 +1,6 @@
 #include "enclave_runtime.hh"
 
+#include "auto_partition.hh"
 #include "base/logging.hh"
 
 namespace cronus::core
@@ -188,6 +189,15 @@ CudaRuntime::apiSurface()
         "cuMemcpyDtoH", "cuLaunchKernel",   "cuCtxSynchronize",
     };
     return api;
+}
+
+std::vector<McallDecl>
+CudaRuntime::manifestCalls()
+{
+    std::vector<McallDecl> calls;
+    for (const auto &fn : apiSurface())
+        calls.push_back({fn, AutoPartitioner::cudaCallIsAsync(fn)});
+    return calls;
 }
 
 Status
@@ -451,6 +461,15 @@ NpuRuntime::apiSurface()
         "vtaAllocBuffer", "vtaWriteBuffer", "vtaReadBuffer", "vtaRun",
     };
     return api;
+}
+
+std::vector<McallDecl>
+NpuRuntime::manifestCalls()
+{
+    std::vector<McallDecl> calls;
+    for (const auto &fn : apiSurface())
+        calls.push_back({fn, false});
+    return calls;
 }
 
 Status

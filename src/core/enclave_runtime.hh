@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "accel/npu.hh"
+#include "manifest.hh"
 #include "mos/cpu_hal.hh"
 #include "mos/gpu_hal.hh"
 #include "mos/npu_hal.hh"
@@ -196,6 +197,10 @@ class CudaRuntime : public EnclaveRuntime
     /** The set of mECalls this model understands. */
     static const std::vector<std::string> &apiSurface();
 
+    /** apiSurface() as a manifest's mECall list, each call flagged
+     *  async as AutoPartitioner::cudaCallIsAsync says. */
+    static std::vector<McallDecl> manifestCalls();
+
   private:
     mos::GpuHal &gpuHal;
     bool moduleBound = false;
@@ -229,6 +234,9 @@ class NpuRuntime : public EnclaveRuntime
     static Bytes encodeRun(const accel::NpuProgram &program);
 
     static const std::vector<std::string> &apiSurface();
+
+    /** apiSurface() as a manifest's mECall list (all synchronous). */
+    static std::vector<McallDecl> manifestCalls();
 
   private:
     mos::NpuHal &npuHal;

@@ -4,7 +4,6 @@
 
 #include "accel/builtin_kernels.hh"
 #include "base/logging.hh"
-#include "core/auto_partition.hh"
 #include "core/pipe.hh"
 #include "core/system.hh"
 #include "obs/trace.hh"
@@ -87,9 +86,7 @@ fzGpuManifest()
     m.deviceType = "gpu";
     m.images["fz.cubin"] =
         crypto::digestHex(crypto::sha256(fzGpuImage()));
-    for (const auto &fn : CudaRuntime::apiSurface())
-        m.mEcalls.push_back(
-            {fn, AutoPartitioner::cudaCallIsAsync(fn)});
+    m.mEcalls = CudaRuntime::manifestCalls();
     m.memoryBytes = 4ull << 20;
     return m.toJson();
 }
@@ -108,12 +105,9 @@ fzChurnManifest(const std::string &device_type)
     if (device_type == "gpu") {
         m.images["fz.cubin"] =
             crypto::digestHex(crypto::sha256(fzGpuImage()));
-        for (const auto &fn : CudaRuntime::apiSurface())
-            m.mEcalls.push_back(
-                {fn, AutoPartitioner::cudaCallIsAsync(fn)});
+        m.mEcalls = CudaRuntime::manifestCalls();
     } else {
-        for (const auto &fn : NpuRuntime::apiSurface())
-            m.mEcalls.push_back({fn, false});
+        m.mEcalls = NpuRuntime::manifestCalls();
     }
     m.memoryBytes = 256ull << 10;
     return m.toJson();
@@ -124,8 +118,7 @@ fzNpuManifest()
 {
     Manifest m;
     m.deviceType = "npu";
-    for (const auto &fn : NpuRuntime::apiSurface())
-        m.mEcalls.push_back({fn, false});
+    m.mEcalls = NpuRuntime::manifestCalls();
     m.memoryBytes = 4ull << 20;
     return m.toJson();
 }

@@ -37,7 +37,7 @@ ResumableChannel::ResumableChannel(core::CronusSystem &system,
                                    core::AppHandle &caller_handle,
                                    CalleeSpec callee_spec)
     : sys(system), sup(supervisor), caller(caller_handle),
-      spec(std::move(callee_spec))
+      spec(std::move(callee_spec)), log(spec.autoCheckpointEvery)
 {
 }
 
@@ -46,23 +46,31 @@ ResumableChannel::~ResumableChannel() = default;
 Status
 ResumableChannel::open()
 {
-    if (opened)
+    if (calleeHandle.host != nullptr)
         return Status(ErrorCode::InvalidState,
                       "channel already opened");
-    auto fresh = sys.createEnclave(spec.manifestJson, spec.imageName,
-                                   spec.image, spec.deviceName);
+    return attach();
+}
+
+Status
+ResumableChannel::attach()
+{
+    auto fresh = log.respawn(sys, spec.manifestJson, spec.imageName,
+                             spec.image, spec.deviceName);
     if (!fresh.isOk())
         return fresh.status();
-    calleeHandle = fresh.value();
-    currentDevice = calleeHandle.host->deviceName();
-    auto c = sys.connect(caller, calleeHandle, spec.srpc);
+    core::AppHandle h = fresh.value();
+    /* connect() runs local attestation + dCheck against this
+     * incarnation -- a recovered mOS must prove itself again. */
+    auto c = sys.connect(caller, h, spec.srpc);
     if (!c.isOk()) {
-        (void)sys.destroyEnclave(calleeHandle);
+        (void)sys.destroyEnclave(h);
         return c.status();
     }
+    calleeHandle = h;
+    currentDevice = h.host->deviceName();
     chan = std::move(c.value());
     CRONUS_RETURN_IF_ERROR(sup.watch(currentDevice));
-    opened = true;
     st = ChannelState::Live;
     if (onConnect)
         onConnect(*chan);
@@ -99,7 +107,7 @@ ResumableChannel::call(const std::string &fn, const Bytes &args)
         if (!s.isOk())
             return s;
     }
-    journal.push_back(JournalEntry{fn, args});
+    log.record(fn, args);
     auto r = chan->call(fn, args);
     if (!r.isOk()) {
         if (r.status().code() == ErrorCode::PeerFailed ||
@@ -111,10 +119,11 @@ ResumableChannel::call(const std::string &fn, const Bytes &args)
         }
         /* An application-level failure: the call completed (badly)
          * and must not be replayed on reconnect. */
-        journal.pop_back();
+        log.drop(log.journal().size() - 1);
+        return r;
     }
-    if (r.isOk() && spec.autoCheckpointEvery != 0 &&
-        ++callsSinceCkpt >= spec.autoCheckpointEvery) {
+    log.ack();
+    if (log.checkpointDue()) {
         /* Best effort: a failed auto-checkpoint (e.g. the callee
          * died right after answering) parks the channel and the
          * journal still covers the un-checkpointed calls. */
@@ -155,14 +164,8 @@ ResumableChannel::checkpoint()
     auto sealed = sys.checkpointEnclave(calleeHandle);
     if (!sealed.isOk())
         return sealed.status();
-    sealedCheckpoint = sealed.value();
-    checkpointSecret = calleeHandle.secret;
-    haveCheckpoint = true;
-    /* Everything journaled so far is durable in the checkpoint:
-     * the watermark advances to the current request index and the
-     * journal restarts empty. */
-    journal.clear();
-    callsSinceCkpt = 0;
+    /* The watermark advances to the current request index. */
+    log.seal(std::move(sealed.value()), calleeHandle.secret);
     return Status::ok();
 }
 
@@ -178,41 +181,14 @@ ResumableChannel::reconnect()
         reconnect_span.arg("device", currentDevice);
         reconnect_span.arg(
             "haveCheckpoint",
-            static_cast<int64_t>(haveCheckpoint ? 1 : 0));
+            static_cast<int64_t>(log.hasWatermark() ? 1 : 0));
     }
-    auto fresh = sys.createEnclave(spec.manifestJson, spec.imageName,
-                                   spec.image, spec.deviceName);
-    if (!fresh.isOk())
-        return fresh.status();
-    core::AppHandle h = fresh.value();
-    if (haveCheckpoint) {
-        /* The blob is sealed under the *dead* incarnation's secret;
-         * restore re-seals it under the fresh enclave's. */
-        Status s = sys.restoreEnclave(h, sealedCheckpoint,
-                                      checkpointSecret);
-        if (!s.isOk()) {
-            (void)sys.destroyEnclave(h);
-            return s;
-        }
-    }
-    /* connect() re-runs local attestation + dCheck against the new
-     * incarnation -- a recovered mOS must prove itself again. */
-    auto c = sys.connect(caller, h, spec.srpc);
-    if (!c.isOk()) {
-        (void)sys.destroyEnclave(h);
-        return c.status();
-    }
-    calleeHandle = h;
-    currentDevice = h.host->deviceName();
-    chan = std::move(c.value());
+    CRONUS_RETURN_IF_ERROR(attach());
     ++reconnectCount;
-    CRONUS_RETURN_IF_ERROR(sup.watch(currentDevice));
-    st = ChannelState::Live;
-    if (onConnect)
-        onConnect(*chan);
     /* Replay the journaled calls past the checkpoint watermark, in
      * order, straight into the raw channel (no re-journaling: they
      * are already journaled). */
+    const std::vector<ReplayLog::Call> &journal = log.journal();
     obs::Span replay_span;
     if (trc.active() && !journal.empty()) {
         replay_span =
@@ -221,19 +197,24 @@ ResumableChannel::reconnect()
         replay_span.arg("calls",
                         static_cast<int64_t>(journal.size()));
     }
-    for (const JournalEntry &e : journal) {
-        auto r = chan->call(e.fn, e.args);
-        if (!r.isOk()) {
-            if (r.status().code() == ErrorCode::PeerFailed ||
-                chan->failed()) {
-                park();
-                return Status(ErrorCode::PeerFailed,
-                              "callee failed during replay of '" +
-                              e.fn + "'");
-            }
-            return r.status();
+    for (size_t i = 0; i < journal.size();) {
+        auto r = chan->call(journal[i].fn, journal[i].args);
+        if (r.isOk()) {
+            ++replayed;
+            ++i;
+            continue;
         }
-        ++replayed;
+        if (r.status().code() == ErrorCode::PeerFailed ||
+            chan->failed()) {
+            park();
+            return Status(ErrorCode::PeerFailed,
+                          "callee failed during replay of '" +
+                          journal[i].fn + "'");
+        }
+        /* The call completed with an application error, as it did
+         * (or would have) live: call()'s rule drops it, and the
+         * calls journaled after it still replay. */
+        log.drop(i);
     }
     return Status::ok();
 }

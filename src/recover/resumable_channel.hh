@@ -7,20 +7,17 @@
  * request is lost. A ResumableChannel wraps the raw channel with the
  * recovery protocol of §IV-D so the *application* survives:
  *
- *  - every call is journaled (fn, args) until a checkpoint
- *    acknowledges it;
- *  - checkpoint() drains the ring, seals the callee's state
- *    (checkpointEnclave) and records the request-index watermark --
- *    journaled calls at or below the watermark are durable and
- *    dropped from the journal;
+ *  - every call is journaled in the channel's ReplayLog before it is
+ *    sent; one that completes with an application error is dropped
+ *    again, live or on replay;
+ *  - checkpoint() drains the ring and seals the callee's state into
+ *    the log's watermark (the request index): the journal empties;
  *  - on PeerFailed the channel *parks*: it closes the dead ring and
  *    waits for the Supervisor to bring the callee's device back;
- *  - tryResume() re-creates the callee on its recovered (or, after a
- *    quarantine, a different) device, re-runs channel setup --
- *    which repeats local attestation and dCheck against the new
- *    incarnation -- restores the sealed checkpoint into the fresh
- *    enclave, and replays only the journaled calls past the
- *    watermark, in order;
+ *  - tryResume() respawns the callee from the log on its recovered
+ *    (or, after a quarantine, a different) device, re-runs channel
+ *    setup (local attestation + dCheck against the new incarnation)
+ *    and replays the journal in order;
  *  - when the Supervisor gives up (restart budget exhausted) and no
  *    alternative device exists, the channel transitions to GaveUp
  *    and every further call returns ErrorCode::Degraded.
@@ -34,6 +31,7 @@
 
 #include <functional>
 
+#include "replay_log.hh"
 #include "supervisor.hh"
 
 namespace cronus::recover
@@ -121,13 +119,11 @@ class ResumableChannel
     }
 
   private:
-    struct JournalEntry
-    {
-        std::string fn;
-        Bytes args;
-    };
-
     void park();
+    /** Respawn the callee from the log, connect to the fresh
+     *  incarnation (destroying it if the connect fails) and go
+     *  Live on it. */
+    Status attach();
     Status reconnect();
 
     core::CronusSystem &sys;
@@ -136,16 +132,12 @@ class ResumableChannel
     CalleeSpec spec;
 
     ChannelState st = ChannelState::GaveUp;  ///< until open()
-    core::AppHandle calleeHandle;
+    core::AppHandle calleeHandle;  ///< host set once open() built it
     std::string currentDevice;
     std::unique_ptr<core::SrpcChannel> chan;
-    bool opened = false;
 
-    std::vector<JournalEntry> journal;
-    Bytes sealedCheckpoint;
-    Bytes checkpointSecret;
-    bool haveCheckpoint = false;
-    uint64_t callsSinceCkpt = 0;
+    /** Watermark + the calls journaled past it. */
+    ReplayLog log;
 
     uint64_t replayed = 0;
     uint64_t reconnectCount = 0;

@@ -1,7 +1,6 @@
 #include "failover.hh"
 
 #include "accel/builtin_kernels.hh"
-#include "core/auto_partition.hh"
 #include "core/system.hh"
 #include "inject/injector.hh"
 #include "inject/invariant_auditor.hh"
@@ -28,9 +27,7 @@ gpuManifest(const Bytes &image_bytes)
     m.deviceType = "gpu";
     m.images["mat.cubin"] =
         crypto::digestHex(crypto::sha256(image_bytes));
-    for (const auto &fn : CudaRuntime::apiSurface())
-        m.mEcalls.push_back(
-            {fn, AutoPartitioner::cudaCallIsAsync(fn)});
+    m.mEcalls = CudaRuntime::manifestCalls();
     m.memoryBytes = 4ull << 20;
     return m.toJson();
 }

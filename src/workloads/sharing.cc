@@ -1,6 +1,5 @@
 #include "sharing.hh"
 
-#include "core/auto_partition.hh"
 #include "core/system.hh"
 #include "dnn.hh"
 
@@ -22,9 +21,7 @@ gpuManifest(const Bytes &image_bytes)
     m.deviceType = "gpu";
     m.images["train.cubin"] =
         crypto::digestHex(crypto::sha256(image_bytes));
-    for (const auto &fn : CudaRuntime::apiSurface())
-        m.mEcalls.push_back(
-            {fn, AutoPartitioner::cudaCallIsAsync(fn)});
+    m.mEcalls = CudaRuntime::manifestCalls();
     m.memoryBytes = 4ull << 20;
     return m.toJson();
 }

@@ -62,6 +62,17 @@ class ClusterBackendTest
         return rd.getU64();
     }
 
+    /** Enclaves the node's mOSes actually hold (every copy, live
+     *  or orphaned). */
+    size_t
+    enclavesHostedOn(NodeId id)
+    {
+        size_t n = 0;
+        for (core::MicroOS *os : cl->node(id).system().allMos())
+            n += os->enclaveManager().enclaveCount();
+        return n;
+    }
+
     NodeId
     hostOf(Fid fid)
     {
@@ -204,6 +215,34 @@ TEST_P(ClusterBackendTest, MigrateUnderLoadPreservesAckedCalls)
      * the move bit-for-bit. */
     EXPECT_EQ(acc(fid.value(), 7).value(), 42u);
     EXPECT_EQ(cl->ackedCalls(fid.value()), 4u);
+}
+
+TEST_P(ClusterBackendTest, SelfMigrationLeavesOneCopy)
+{
+    build(2);
+    auto fid = place();
+    ASSERT_TRUE(fid.isOk());
+    const NodeId home = hostOf(fid.value());
+    EXPECT_EQ(acc(fid.value(), 10).value(), 10u);
+    ASSERT_TRUE(cl->checkpoint(fid.value()).isOk());
+    EXPECT_EQ(acc(fid.value(), 5).value(), 15u);
+    const size_t before = enclavesHostedOn(home);
+    ASSERT_EQ(before, 1u);
+
+    /* Migrating onto the node it already lives on rebuilds the
+     * enclave there; the old copy must die at Retire. */
+    Status s = cl->migrateEnclave(fid.value(), home);
+    ASSERT_TRUE(s.isOk()) << s.toString();
+    EXPECT_EQ(hostOf(fid.value()), home);
+    EXPECT_EQ(enclavesHostedOn(home), before);
+    EXPECT_EQ(cl->node(home).liveEnclaves, 1u);
+    ASSERT_EQ(cl->migrations().size(), 1u);
+    EXPECT_EQ(cl->migrations().front().outcome, "completed");
+    EXPECT_TRUE(cl->migrations().front().converged());
+
+    /* The surviving copy carries watermark + replayed journal. */
+    EXPECT_TRUE(cl->enclaveAlive(fid.value()));
+    EXPECT_EQ(acc(fid.value(), 7).value(), 22u);
 }
 
 TEST_P(ClusterBackendTest, MigrateToDownNodeAbortsAtSnapshot)

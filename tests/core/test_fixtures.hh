@@ -92,22 +92,14 @@ cpuManifest()
 inline std::string
 gpuManifest()
 {
-    std::vector<McallDecl> calls;
-    for (const auto &fn : CudaRuntime::apiSurface()) {
-        calls.push_back(
-            {fn, AutoPartitioner::cudaCallIsAsync(fn)});
-    }
     return manifestJson("gpu", {{"test.cubin", gpuImageBytes()}},
-                        calls);
+                        CudaRuntime::manifestCalls());
 }
 
 inline std::string
 npuManifest()
 {
-    std::vector<McallDecl> calls;
-    for (const auto &fn : NpuRuntime::apiSurface())
-        calls.push_back({fn, false});
-    return manifestJson("npu", {}, calls);
+    return manifestJson("npu", {}, NpuRuntime::manifestCalls());
 }
 
 /** Machine-building helpers shared by the plain fixture and the

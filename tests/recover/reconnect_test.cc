@@ -155,6 +155,50 @@ TEST_F(ReconnectTest, ReconnectRestoresCheckpointAndReplaysJournal)
     EXPECT_TRUE(auditor.violations().empty());
 }
 
+TEST_F(ReconnectTest, FailedReplayedCallDoesNotBlockLaterReplay)
+{
+    Supervisor sup(*sys);
+    auto ch = openChannel(sup, "gpu0");
+    constexpr uint64_t kN = 16;
+    auto va = alloc(*ch, kN * 4);
+    ASSERT_TRUE(va.isOk());
+    ASSERT_TRUE(ch->checkpoint().isOk());
+
+    /* A read of an unmapped address dies with the callee, so it
+     * stays journaled ... */
+    ASSERT_TRUE(sys->injectPanic("gpu0").isOk());
+    auto bad = ch->call("cuMemcpyDtoH",
+                        CudaRuntime::encodeMemcpyDtoH(0xdead0000, 4));
+    EXPECT_EQ(bad.code(), ErrorCode::PeerFailed);
+    /* ... and on replay it completes with an application error:
+     * the journal drops it, as call() would have, and the resume
+     * still succeeds. */
+    ASSERT_TRUE(ch->awaitResume().isOk());
+    EXPECT_EQ(ch->state(), ChannelState::Live);
+    EXPECT_EQ(ch->replayedCalls(), 0u);
+
+    ASSERT_TRUE(fill(*ch, va.value(), kN, 3.0f).isOk());
+    ASSERT_TRUE(ch->drain().isOk());
+
+    /* The second recovery replays the fill (and the sync that
+     * parked the channel) instead of stopping at the dropped read. */
+    ASSERT_TRUE(sys->injectPanic("gpu0").isOk());
+    auto parked = ch->call("cuCtxSynchronize", Bytes{});
+    EXPECT_EQ(parked.code(), ErrorCode::PeerFailed);
+    ASSERT_TRUE(ch->awaitResume().isOk());
+    EXPECT_EQ(ch->reconnects(), 2u);
+    EXPECT_EQ(ch->replayedCalls(), 2u);
+
+    auto values = readback(*ch, va.value(), kN);
+    ASSERT_TRUE(values.isOk());
+    for (float f : values.value())
+        EXPECT_EQ(f, 3.0f);
+
+    ch.reset();
+    EXPECT_TRUE(auditor.finalCheck().isOk());
+    EXPECT_TRUE(auditor.violations().empty());
+}
+
 TEST_F(ReconnectTest, DoubleFaultMidRecoveryEventuallyResumes)
 {
     Supervisor sup(*sys);
