@@ -20,9 +20,12 @@ family. The SPM copy benches are translation-bound and must show a
 real multiple; the sRPC per-call benches are dominated by fixed
 executor cost (see DESIGN.md section 8), so their floor only asserts
 the fast path never regresses below the uncached walk. The T-table
-AES block must stay at least twice as fast as the byte-wise rounds,
-and so must the i-k-j matmul body against the i-j-k loop; the
-unrolled SHA-256 must never fall behind the rolled loop. AES-NI CTR
+AES block must stay at least twice as fast as the byte-wise rounds;
+the register-blocked matmul body must stay 8x faster than the i-j-k
+loop (its AVX2 path read 11.5-14.8x in ten CI-style runs on a 4-vCPU
+host, where a body that streams the accumulator row through memory
+read at most 6.8x); the unrolled SHA-256 must never fall behind the
+rolled loop. AES-NI CTR
 and SHA-NI compression must beat the portable paths by a real
 multiple; on a CPU without the extension their /1 skips itself and
 the family is reported as skipped, not gated.
@@ -48,7 +51,7 @@ FLOORS = {
     "BM_SrpcCallAsync": 1.0,
     "BM_AesBlock": 2.0,
     "BM_Sha256Block": 1.0,
-    "BM_MatmulKernel": 2.0,
+    "BM_MatmulKernel": 8.0,
     "BM_AesCtrPath": 4.0,
     "BM_Sha256Path": 2.0,
 }

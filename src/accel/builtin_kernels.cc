@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "gpu.hh"
+#include "kernel_dispatch.hh"
 
 namespace cronus::accel
 {
@@ -42,30 +43,129 @@ overlaps(const float *p, uint64_t pn, const float *q, uint64_t qn)
 
 } // namespace
 
+namespace detail
+{
+namespace
+{
+
+/** One register of floats on each target: SSE's four, AVX's
+ *  eight. */
+typedef float Floats4 __attribute__((vector_size(16)));
+typedef float Floats8 __attribute__((vector_size(32)));
+
+/** Columns per register block. */
+constexpr uint64_t kBlock = 48;
+
+/* Inlined into both entry points, so each compiles it for its own
+ * target, with that target's register width as Vec (a wider vector
+ * than the target has would be split through the stack). Every
+ * acc[j] is loaded once, takes s = s + c * r for x ascending, and is
+ * stored once: the textbook loop's order, one rounded product and
+ * one rounded sum per term. */
+template <typename Vec>
+[[gnu::always_inline]] inline void
+accumulateRowsBody(float *acc, const float *coef, const float *rows,
+                   uint64_t count, uint64_t width)
+{
+    constexpr uint64_t kLanes = sizeof(Vec) / sizeof(float);
+    constexpr uint64_t kVectors = kBlock / kLanes;
+    uint64_t j = 0;
+    /* 48 columns at a time: the block's accumulators (six AVX or
+     * twelve SSE registers) stay in registers for the whole x loop,
+     * and each row segment is loaded once. */
+    for (; j + kBlock <= width; j += kBlock) {
+        Vec s[kVectors];
+#pragma GCC unroll 12
+        for (uint64_t v = 0; v < kVectors; ++v)
+            std::memcpy(&s[v], acc + j + v * kLanes, sizeof(Vec));
+        for (uint64_t x = 0; x < count; ++x) {
+            const float *row = rows + x * width + j;
+#pragma GCC unroll 12
+            for (uint64_t v = 0; v < kVectors; ++v) {
+                Vec r;
+                std::memcpy(&r, row + v * kLanes, sizeof(Vec));
+                s[v] = s[v] + coef[x] * r;
+            }
+        }
+#pragma GCC unroll 12
+        for (uint64_t v = 0; v < kVectors; ++v)
+            std::memcpy(acc + j + v * kLanes, &s[v], sizeof(Vec));
+    }
+    /* Then one register of columns at a time, then one column. */
+    for (; j + kLanes <= width; j += kLanes) {
+        Vec s, r;
+        std::memcpy(&s, acc + j, sizeof(Vec));
+        for (uint64_t x = 0; x < count; ++x) {
+            std::memcpy(&r, rows + x * width + j, sizeof(Vec));
+            s = s + coef[x] * r;
+        }
+        std::memcpy(acc + j, &s, sizeof(Vec));
+    }
+    for (; j < width; ++j) {
+        float s = acc[j];
+        for (uint64_t x = 0; x < count; ++x)
+            s = s + coef[x] * rows[x * width + j];
+        acc[j] = s;
+    }
+}
+
+} // namespace
+
+void
+accumulateRowsPortable(float *acc, const float *coef, const float *rows,
+                       uint64_t count, uint64_t width)
+{
+    accumulateRowsBody<Floats4>(acc, coef, rows, count, width);
+}
+
+#if defined(__x86_64__)
+
+/* avx2 alone: a target that enables FMA (fma, avx512f, arch=...)
+ * lets GCC contract s + c * r into one rounding, which moves bytes. */
+__attribute__((target("avx2"))) void
+accumulateRowsAvx2(float *acc, const float *coef, const float *rows,
+                   uint64_t count, uint64_t width)
+{
+    accumulateRowsBody<Floats8>(acc, coef, rows, count, width);
+}
+
+#else
+
+void
+accumulateRowsAvx2(float *acc, const float *coef, const float *rows,
+                   uint64_t count, uint64_t width)
+{
+    accumulateRowsPortable(acc, coef, rows, count, width);
+}
+
+#endif
+
+bool
+avx2Available()
+{
+#if defined(__x86_64__)
+    /* Function-local, so a call during static initialization still
+     * runs __builtin_cpu_init() before reading the feature bits. */
+    static const bool available = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("avx2") != 0;
+    }();
+    return available;
+#else
+    return false;
+#endif
+}
+
+} // namespace detail
+
 void
 accumulateRows(float *acc, const float *coef, const float *rows,
                uint64_t count, uint64_t width)
 {
-    /* Four rows per pass over acc: a quarter of the loads and stores
-     * of acc, and a loop the compiler vectorizes across j. The adds
-     * stay left to right, one term at a time. */
-    uint64_t x = 0;
-    for (; x + 4 <= count; x += 4) {
-        const float c0 = coef[x], c1 = coef[x + 1], c2 = coef[x + 2],
-                    c3 = coef[x + 3];
-        const float *r0 = rows + x * width;
-        const float *r1 = r0 + width, *r2 = r1 + width,
-                    *r3 = r2 + width;
-        for (uint64_t j = 0; j < width; ++j)
-            acc[j] = acc[j] + c0 * r0[j] + c1 * r1[j] + c2 * r2[j] +
-                     c3 * r3[j];
-    }
-    for (; x < count; ++x) {
-        const float c = coef[x];
-        const float *r = rows + x * width;
-        for (uint64_t j = 0; j < width; ++j)
-            acc[j] += c * r[j];
-    }
+    if (detail::avx2Available())
+        detail::accumulateRowsAvx2(acc, coef, rows, count, width);
+    else
+        detail::accumulateRowsPortable(acc, coef, rows, count, width);
 }
 
 void

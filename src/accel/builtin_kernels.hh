@@ -18,10 +18,14 @@ namespace cronus::accel
 /**
  * acc[j] += coef[x] * rows[x * width + j] for every j < width, x
  * ascending over @p count contiguous rows: the inner step of an
- * i-k-j matrix product. Each acc[j] receives its terms one at a time
- * in x order, exactly as a textbook loop that walks column j would
- * add them, so the sums are bit-identical to that loop's. @p acc
- * must not overlap @p coef or @p rows.
+ * i-k-j matrix product. acc is taken 48 columns at a time, each
+ * block held in vector registers for the whole x loop, then one
+ * register of columns at a time, then one column. Each acc[j] still
+ * receives its terms one at a time in x order, exactly as a textbook
+ * loop that walks column j would add them, so the sums are
+ * bit-identical to that loop's. The body runs on AVX2 when the CPU
+ * has it, else on the default target (kernel_dispatch.hh); both give
+ * the same bytes. @p acc must not overlap @p coef or @p rows.
  */
 void accumulateRows(float *acc, const float *coef, const float *rows,
                     uint64_t count, uint64_t width);
