@@ -9,7 +9,11 @@ the crypto benches run the tests' textbook oracle (/0) beside the
 portable src/crypto primitive (/1), BM_AesCtrPath/BM_Sha256Path run
 that portable path (/0) beside AES-NI/SHA-NI (/1), and
 BM_MatmulKernel runs the tests' i-j-k matmul loop (/0) beside the
-registered matmul_f32 body (/1).
+registered matmul_f32 body (/1); BM_GroupPow runs the tests' binary
+square-and-multiply ladder for g^x (/0) beside the fixed-base comb
+(/1). BM_U256PowMod, the sliding window against the same ladder at a
+full-size base, is recorded but not gated: it saves ~1/5 of the
+multiplies, and host noise spread it over 0.93-1.56x in ten runs.
 
 When the run used --benchmark_repetitions, each /0 and /1 time is
 the `median` aggregate, so one jittered repetition cannot flip a
@@ -24,8 +28,10 @@ AES block must stay at least twice as fast as the byte-wise rounds;
 the register-blocked matmul body must stay 8x faster than the i-j-k
 loop (its AVX2 path read 11.5-14.8x in ten CI-style runs on a 4-vCPU
 host, where a body that streams the accumulator row through memory
-read at most 6.8x); the unrolled SHA-256 must never fall behind the
-rolled loop. AES-NI CTR
+read at most 6.8x); the comb for g must stay 3x faster than the binary
+ladder (it read 4.26-7.28x in ten CI-style runs on a 4-vCPU host,
+five tz and five pmp, and a ladder in its place reads ~1x); the
+unrolled SHA-256 must never fall behind the rolled loop. AES-NI CTR
 and SHA-NI compression must beat the portable paths by a real
 multiple; on a CPU without the extension their /1 skips itself and
 the family is reported as skipped, not gated.
@@ -52,6 +58,7 @@ FLOORS = {
     "BM_AesBlock": 2.0,
     "BM_Sha256Block": 1.0,
     "BM_MatmulKernel": 8.0,
+    "BM_GroupPow": 3.0,
     "BM_AesCtrPath": 4.0,
     "BM_Sha256Path": 2.0,
 }

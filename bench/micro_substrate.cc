@@ -16,15 +16,18 @@
  * BM_Sha256Path time that portable path (Arg(0)) against AES-NI /
  * SHA-NI (Arg(1)) at the 37 KB checkpoint size; BM_MatmulKernel,
  * Arg(0) = the textbook matmul loop (tests/accel/reference_kernels.hh),
- * Arg(1) = the registered matmul_f32 body. Results are also written to BENCH_substrate.json
- * (benchmark's JSON format) unless the caller passes its own
- * --benchmark_out.
+ * Arg(1) = the registered matmul_f32 body; BM_U256PowMod and
+ * BM_GroupPow, Arg(0) = the tests' binary square-and-multiply,
+ * Arg(1) = the sliding window / the fixed-base comb for g. Results
+ * are also written to BENCH_substrate.json (benchmark's JSON format)
+ * unless the caller passes its own --benchmark_out.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "accel/builtin_kernels.hh"
 #include "accel/gpu.hh"
+#include "base/rng.hh"
 #include "core/system.hh"
 #include "crypto/aes.hh"
 #include "crypto/dispatch.hh"
@@ -273,20 +276,48 @@ BM_SchnorrVerify(benchmark::State &state)
 }
 BENCHMARK(BM_SchnorrVerify);
 
+/** base^exp mod p at a full-size base, as DH's peer element and
+ *  verify's y are: Arg(0) the tests' binary ladder, Arg(1) the
+ *  sliding window. */
 void
 BM_U256PowMod(benchmark::State &state)
 {
-    crypto::U256 base(123456789);
+    const crypto::U256 base =
+        crypto::deriveKeyPair(toBytes("bench")).pub.element;
     auto exp = crypto::U256::fromHex(
         "0123456789abcdef0123456789abcdef"
         "0123456789abcdef0123456789abcdef").value();
     for (auto _ : state) {
-        auto r = crypto::U256::powMod(base, exp,
-                                      crypto::groupPrime());
+        auto r = state.range(0) == 0
+                     ? crypto::reference::powMod(base, exp,
+                                                 crypto::groupPrime())
+                     : crypto::U256::powMod(base, exp,
+                                            crypto::groupPrime());
         benchmark::DoNotOptimize(r);
     }
 }
-BENCHMARK(BM_U256PowMod);
+BENCHMARK(BM_U256PowMod)->Arg(0)->Arg(1);
+
+/** g^x mod p at a random 255-bit x: Arg(0) the tests' binary ladder,
+ *  Arg(1) the fixed-base comb (table built before timing). */
+void
+BM_GroupPow(benchmark::State &state)
+{
+    Rng rng(0x9e);
+    Bytes bytes(32);
+    rng.fill(bytes);
+    bytes[0] = static_cast<uint8_t>((bytes[0] & 0x7f) | 0x40);
+    const crypto::U256 x = crypto::U256::fromBytesBE(bytes);
+    benchmark::DoNotOptimize(crypto::groupPow(x));
+    for (auto _ : state) {
+        auto r = state.range(0) == 0
+                     ? crypto::reference::powMod(crypto::groupGenerator(),
+                                                 x, crypto::groupPrime())
+                     : crypto::groupPow(x);
+        benchmark::DoNotOptimize(r);
+    }
+}
+BENCHMARK(BM_GroupPow)->Arg(0)->Arg(1);
 
 void
 BM_PageTableTranslate(benchmark::State &state)

@@ -33,6 +33,28 @@ groupGenerator()
 namespace
 {
 
+/** Fixed-base comb: table[i][j] = g^(j * 16^i) mod p, one row per
+ *  nibble of a 256-bit exponent (32 KiB, ~1k mulMods to build). */
+using CombTable = std::array<std::array<U256, 16>, 64>;
+
+const CombTable &
+combTable()
+{
+    static const CombTable table = [] {
+        CombTable t;
+        U256 base = groupGenerator();
+        for (auto &row : t) {
+            row[0] = U256(1);
+            row[1] = base;
+            for (size_t j = 2; j < row.size(); ++j)
+                row[j] = U256::mulMod(row[j - 1], base, groupPrime());
+            base = U256::mulMod(row[15], base, groupPrime());
+        }
+        return t;
+    }();
+    return table;
+}
+
 /** Map arbitrary bytes to a nonzero exponent mod the group order. */
 U256
 hashToScalar(const Bytes &data)
@@ -46,6 +68,20 @@ hashToScalar(const Bytes &data)
 }
 
 } // namespace
+
+U256
+groupPow(const U256 &exponent)
+{
+    const CombTable &table = combTable();
+    U256 result(1);
+    for (size_t i = 0; i < table.size(); ++i) {
+        const unsigned nibble =
+            (exponent.raw()[i / 16] >> (4 * (i % 16))) & 0xf;
+        if (nibble != 0)
+            result = U256::mulMod(result, table[i][nibble], groupPrime());
+    }
+    return result;
+}
 
 KeyPair
 generateKeyPair(Rng &rng)
@@ -61,8 +97,7 @@ deriveKeyPair(const Bytes &seed)
     Bytes material = toBytes("cronus-keygen:");
     material.insert(material.end(), seed.begin(), seed.end());
     U256 x = hashToScalar(material);
-    U256 y = U256::powMod(groupGenerator(), x, groupPrime());
-    return KeyPair{PrivateKey{x}, PublicKey{y}};
+    return KeyPair{PrivateKey{x}, PublicKey{groupPow(x)}};
 }
 
 Bytes
@@ -124,7 +159,7 @@ sign(const KeyPair &keys, const Bytes &message)
                           message.end());
     U256 k = hashToScalar(nonce_material);
 
-    U256 commitment = U256::powMod(groupGenerator(), k, groupPrime());
+    U256 commitment = groupPow(k);
     U256 e = challenge(commitment, keys.pub, message);
     /* s = k + e * x mod order */
     U256 ex = U256::mulMod(e, key.scalar, groupOrder());
@@ -136,25 +171,23 @@ sign(const KeyPair &keys, const Bytes &message)
 Signature
 sign(const PrivateKey &key, const Bytes &message)
 {
-    PublicKey pub{
-        U256::powMod(groupGenerator(), key.scalar, groupPrime())};
-    return sign(KeyPair{key, pub}, message);
+    return sign(KeyPair{key, PublicKey{groupPow(key.scalar)}}, message);
 }
 
 bool
 verify(const PublicKey &key, const Bytes &message,
        const Signature &sig)
 {
-    if (sig.commitment.isZero() || key.element.isZero())
+    /* Only the canonical encoding verifies: s + (p - 1) would pass
+     * the equation too, since g^(p-1) = 1. */
+    if (sig.commitment.isZero() || sig.commitment >= groupPrime() ||
+        sig.response >= groupOrder() || key.element.isZero())
         return false;
     U256 e = challenge(sig.commitment, key, message);
     /* g^s ?= R * y^e (mod p) */
-    U256 lhs = U256::powMod(groupGenerator(), sig.response,
-                            groupPrime());
     U256 ye = U256::powMod(key.element, e, groupPrime());
-    U256 rhs = U256::mulMod(U256::reduce(sig.commitment, groupPrime()),
-                            ye, groupPrime());
-    return lhs == rhs;
+    return groupPow(sig.response) ==
+           U256::mulMod(sig.commitment, ye, groupPrime());
 }
 
 Bytes

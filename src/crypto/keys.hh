@@ -30,6 +30,12 @@ const U256 &groupOrder();
 /** Generator g = 2. */
 const U256 &groupGenerator();
 
+/** g^@p exponent mod p, equal to U256::powMod(g, exponent, p). Reads
+ *  a fixed-base comb table (g^(j * 16^i) for each nibble position i
+ *  and value j, built on first use): one multiply per nonzero nibble,
+ *  at most 64, instead of ~256 squarings. */
+U256 groupPow(const U256 &exponent);
+
 /** A private scalar. */
 struct PrivateKey
 {
@@ -91,11 +97,12 @@ KeyPair deriveKeyPair(const Bytes &seed);
 Signature sign(const KeyPair &keys, const Bytes &message);
 
 /** Sign with the private scalar alone: rebuilds the public key with
- *  one more powMod per call, so callers holding a KeyPair use the
- *  form above. */
+ *  one more groupPow per call (at most 64 multiplies), so callers
+ *  holding a KeyPair use the form above. */
 Signature sign(const PrivateKey &key, const Bytes &message);
 
-/** Verify a signature. */
+/** Verify a signature. Only the canonical form verifies: commitment
+ *  in [1, p) and response below the group order. */
 bool verify(const PublicKey &key, const Bytes &message,
             const Signature &sig);
 

@@ -1,5 +1,8 @@
 #include "uint256.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "base/logging.hh"
 
 namespace cronus::crypto
@@ -15,12 +18,8 @@ int
 highestBit512(const Limbs8 &v)
 {
     for (int limb = 7; limb >= 0; --limb) {
-        if (v[limb] != 0) {
-            int bit = 63;
-            while (!((v[limb] >> bit) & 1))
-                --bit;
-            return limb * 64 + bit;
-        }
+        if (v[limb] != 0)
+            return limb * 64 + 63 - std::countl_zero(v[limb]);
     }
     return -1;
 }
@@ -146,12 +145,8 @@ int
 U256::highestBit() const
 {
     for (int limb = 3; limb >= 0; --limb) {
-        if (limbs[limb] != 0) {
-            int bit = 63;
-            while (!((limbs[limb] >> bit) & 1))
-                --bit;
-            return limb * 64 + bit;
-        }
+        if (limbs[limb] != 0)
+            return limb * 64 + 63 - std::countl_zero(limbs[limb]);
     }
     return -1;
 }
@@ -252,14 +247,33 @@ U256
 U256::powMod(const U256 &base, const U256 &exp, const U256 &mod)
 {
     CRONUS_ASSERT(!mod.isZero(), "powMod by zero modulus");
-    U256 result(1);
-    result = reduce(result, mod);
-    U256 b = reduce(base, mod);
-    int top = exp.highestBit();
-    for (int i = top; i >= 0; --i) {
-        result = mulMod(result, result, mod);
-        if (exp.bit(i))
-            result = mulMod(result, b, mod);
+    /* Left-to-right sliding window over the odd powers
+     * odd[v] = b^(2v + 1): each window starts and ends on a set bit
+     * and spans at most `width` bits, so it costs its length in
+     * squarings plus one multiply. */
+    constexpr int width = 5;
+    std::array<U256, 16> odd;
+    odd[0] = reduce(base, mod);
+    const U256 b2 = mulMod(odd[0], odd[0], mod);
+    for (size_t v = 1; v < odd.size(); ++v)
+        odd[v] = mulMod(odd[v - 1], b2, mod);
+
+    U256 result = reduce(U256(1), mod);
+    for (int i = exp.highestBit(); i >= 0;) {
+        if (!exp.bit(i)) {
+            result = mulMod(result, result, mod);
+            --i;
+            continue;
+        }
+        int low = std::max(i - (width - 1), 0);
+        while (!exp.bit(low))
+            ++low;
+        unsigned window = 0;
+        for (; i >= low; --i) {
+            window = (window << 1) | unsigned(exp.bit(i));
+            result = mulMod(result, result, mod);
+        }
+        result = mulMod(result, odd[window >> 1], mod);
     }
     return result;
 }

@@ -1,20 +1,26 @@
-/** Property tests: the fast symmetric primitives against the slow
+/** Property tests: the fast crypto primitives against the slow
  *  reference oracles in reference_crypto.hh, on seeded random
  *  inputs. The oracles are first pinned to the published vectors.
  *  The bulk primitives are tested twice: through the public API
  *  (whichever path the host's CPUID picks) and path by path through
  *  crypto/dispatch.hh, so the portable path is covered on hosts with
- *  the extensions and the hardware path wherever the CPU has it. */
+ *  the extensions and the hardware path wherever the CPU has it.
+ *  The sliding-window powMod and the comb for g are held to the
+ *  binary square-and-multiply ladder. */
 
 #include <algorithm>
+#include <array>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "base/rng.hh"
 #include "crypto/aes.hh"
 #include "crypto/dispatch.hh"
+#include "crypto/keys.hh"
 #include "crypto/sha256.hh"
+#include "crypto/uint256.hh"
 #include "reference_crypto.hh"
 
 namespace cronus::crypto
@@ -389,6 +395,158 @@ TEST_P(SealPathTest, RoundTripsByteEqual)
 
 INSTANTIATE_TEST_SUITE_P(Paths, SealPathTest, testing::Bool(),
                          pathName);
+
+/* ---- Exponentiation: window and comb against the ladder. ---- */
+
+U256
+randomU256(Rng &rng)
+{
+    return U256::fromBytesBE(randomBytes(rng, 32));
+}
+
+U256
+pow2(int k)
+{
+    std::array<uint64_t, 4> limbs{};
+    limbs[k / 64] = uint64_t(1) << (k % 64);
+    return U256(limbs);
+}
+
+/** 0, 1, 2^k and 2^k - 1 for every k, p - 2, p - 1, p, 2^256 - 1,
+ *  one nonzero nibble at every position, and random values with a
+ *  run of 5-124 bits cleared at a random place. */
+std::vector<U256>
+edgeExponents(Rng &rng)
+{
+    const U256 &p = groupPrime();
+    std::vector<U256> out = {U256(0), U256(1), p - U256(2),
+                             p - U256(1), p, U256(0) - U256(1)};
+    for (int k = 0; k < 256; ++k) {
+        out.push_back(pow2(k));
+        out.push_back(pow2(k) - U256(1));
+    }
+    for (int i = 0; i < 64; ++i) {
+        std::array<uint64_t, 4> limbs{};
+        limbs[i / 16] = uint64_t(1 + rng.nextBelow(15)) << (4 * (i % 16));
+        out.push_back(U256(limbs));
+    }
+    for (int i = 0; i < 64; ++i) {
+        std::array<uint64_t, 4> limbs = randomU256(rng).raw();
+        const int len = 5 + int(rng.nextBelow(120));
+        const int lo = int(rng.nextBelow(256 - len));
+        for (int b = lo; b < lo + len; ++b)
+            limbs[b / 64] &= ~(uint64_t(1) << (b % 64));
+        out.push_back(U256(limbs));
+    }
+    return out;
+}
+
+TEST(ExpOracleTest, MulModMatchesInt128)
+{
+    /* An oracle for the reduction under both exponentiations. */
+    Rng rng(0x128);
+    for (int i = 0; i < 10000; ++i) {
+        const uint64_t m = rng.next() >> rng.nextBelow(64);
+        if (m == 0)
+            continue;
+        const uint64_t a = rng.next() % m, b = rng.next() % m;
+        const uint64_t want =
+            static_cast<uint64_t>((unsigned __int128)a * b % m);
+        ASSERT_EQ(U256::mulMod(U256(a), U256(b), U256(m)), U256(want))
+            << a << " * " << b << " mod " << m;
+    }
+}
+
+/* Every exponentiation here costs ~300 256-bit mulMods of a few
+ * microseconds each, so the random sweeps are hundreds, not 10^4. */
+
+TEST(ExpOracleTest, CombMatchesLadderOnRandomExponents)
+{
+    Rng rng(0xe4b);
+    for (int i = 0; i < 600; ++i) {
+        const U256 x = randomU256(rng);
+        ASSERT_EQ(groupPow(x),
+                  reference::powMod(groupGenerator(), x, groupPrime()))
+            << "x = " << x.toHex();
+    }
+}
+
+TEST(ExpOracleTest, CombMatchesLadderOnEdgeExponents)
+{
+    Rng rng(0xed9);
+    std::vector<U256> exponents = edgeExponents(rng);
+    /* Every nibble value at every position: each table entry alone. */
+    for (int i = 0; i < 64; ++i) {
+        for (uint64_t v = 1; v < 16; ++v) {
+            std::array<uint64_t, 4> limbs{};
+            limbs[i / 16] = v << (4 * (i % 16));
+            exponents.push_back(U256(limbs));
+        }
+    }
+    for (const U256 &x : exponents) {
+        ASSERT_EQ(groupPow(x),
+                  reference::powMod(groupGenerator(), x, groupPrime()))
+            << "x = " << x.toHex();
+    }
+}
+
+TEST(ExpOracleTest, WindowMatchesLadderOnRandomExponents)
+{
+    Rng rng(0x3d1);
+    const U256 &p = groupPrime();
+    for (int i = 0; i < 300; ++i) {
+        /* Full-size bases mod p and p - 1, small ones, and random
+         * odd or even moduli. */
+        const U256 m = i % 3 == 0   ? p
+                       : i % 3 == 1 ? p - U256(1)
+                                    : randomU256(rng) + U256(1);
+        const U256 b = i % 10 == 0 ? U256(rng.next()) : randomU256(rng);
+        const U256 x = randomU256(rng);
+        ASSERT_EQ(U256::powMod(b, x, m), reference::powMod(b, x, m))
+            << b.toHex() << " ^ " << x.toHex() << " mod " << m.toHex();
+    }
+}
+
+TEST(ExpOracleTest, WindowMatchesLadderOnEdgeExponents)
+{
+    Rng rng(0xeda);
+    const U256 &p = groupPrime();
+    const U256 base = randomU256(rng);
+    for (const U256 &x : edgeExponents(rng)) {
+        ASSERT_EQ(U256::powMod(base, x, p), reference::powMod(base, x, p))
+            << "x = " << x.toHex();
+    }
+}
+
+TEST(ExpOracleTest, WindowMatchesLadderOnEdgeBasesAndModuli)
+{
+    Rng rng(0x30d);
+    const U256 &p = groupPrime();
+    std::vector<U256> moduli = {p, p - U256(1), U256(97), U256(1)};
+    for (int i = 0; i < 8; ++i) {
+        const U256 m = randomU256(rng);
+        moduli.push_back(m + U256(m.bit(0) ? 0 : 1)); /* odd */
+        moduli.push_back(m - U256(m.bit(0) ? 1 : 0)); /* even */
+    }
+    std::vector<U256> exponents = {U256(0), U256(1), U256(2),
+                                   p - U256(1), U256(0) - U256(1)};
+    for (int i = 0; i < 4; ++i)
+        exponents.push_back(randomU256(rng));
+    for (const U256 &m : moduli) {
+        ASSERT_FALSE(m.isZero());
+        /* 0, 1, 2, m - 1, and bases at or above the modulus. */
+        const std::vector<U256> bases = {
+            U256(0), U256(1), U256(2), m - U256(1), m, m + U256(5),
+            U256(0) - U256(1), randomU256(rng)};
+        for (const U256 &b : bases) {
+            for (const U256 &x : exponents) {
+                ASSERT_EQ(U256::powMod(b, x, m), reference::powMod(b, x, m))
+                    << b.toHex() << " ^ " << x.toHex() << " mod "
+                    << m.toHex();
+            }
+        }
+    }
+}
 
 } // namespace
 } // namespace cronus::crypto

@@ -25,6 +25,7 @@ TEST(KeysTest, PublicMatchesPrivate)
     U256 y = U256::powMod(groupGenerator(), kp.priv.scalar,
                           groupPrime());
     EXPECT_TRUE(kp.pub.element == y);
+    EXPECT_TRUE(groupPow(kp.priv.scalar) == y);
 }
 
 TEST(KeysTest, SignVerifyRoundTrip)
@@ -83,6 +84,51 @@ TEST(KeysTest, VerifyRejectsTamperedSignature)
     bad_s.response = U256::addMod(bad_s.response, U256(1),
                                   groupOrder());
     EXPECT_FALSE(verify(kp.pub, msg, bad_s));
+}
+
+/** Schnorr's challenge rebuilt from its definition: H("cronus-schnorr:"
+ *  || R || y || m) mod (p - 1), with zero mapped to 1. */
+U256
+challengeOf(const U256 &commitment, const PublicKey &pub,
+            const Bytes &message)
+{
+    Bytes data = toBytes("cronus-schnorr:");
+    for (const Bytes &part : {commitment.toBytesBE(), pub.toBytes(), message})
+        data.insert(data.end(), part.begin(), part.end());
+    U256 e = U256::reduce(U256::fromBytesBE(digestToBytes(sha256(data))),
+                          groupOrder());
+    return e.isZero() ? U256(1) : e;
+}
+
+TEST(KeysTest, VerifyRejectsNonCanonicalSignature)
+{
+    Rng rng(19);
+    KeyPair kp = generateKeyPair(rng);
+    Bytes msg = toBytes("placement");
+    Signature sig = sign(kp, msg);
+    ASSERT_TRUE(verify(kp.pub, msg, sig));
+    ASSERT_LT(sig.response, groupOrder());
+
+    /* s + (p - 1) satisfies g^s = R * y^e as well, since g^(p-1) = 1:
+     * same signature, other bytes. Only the canonical one verifies. */
+    Signature shifted = sig;
+    shifted.response = sig.response + groupOrder();
+    EXPECT_EQ(groupPow(shifted.response), groupPow(sig.response));
+    EXPECT_NE(shifted.toBytes(), sig.toBytes());
+    EXPECT_FALSE(verify(kp.pub, msg, shifted));
+
+    /* A signer who picks its own nonce k can answer the challenge for
+     * R + p too, which reduces to R = g^k. Only R itself verifies. */
+    const U256 k(12345);
+    auto answer = [&](const U256 &commitment) {
+        const U256 e = challengeOf(commitment, kp.pub, msg);
+        return Signature{
+            commitment,
+            U256::addMod(k, U256::mulMod(e, kp.priv.scalar, groupOrder()),
+                         groupOrder())};
+    };
+    EXPECT_TRUE(verify(kp.pub, msg, answer(groupPow(k))));
+    EXPECT_FALSE(verify(kp.pub, msg, answer(groupPow(k) + groupPrime())));
 }
 
 TEST(KeysTest, SignatureSerializationRoundTrip)

@@ -322,4 +322,18 @@ sealMessage(const Bytes &secret, uint64_t nonce, const Bytes &plaintext)
     return out;
 }
 
+U256
+powMod(const U256 &base, const U256 &exp, const U256 &mod)
+{
+    U256 result = U256::reduce(U256(1), mod);
+    const U256 b = U256::reduce(base, mod);
+    /* All 256 bits, so the oracle does not lean on highestBit(). */
+    for (int i = 255; i >= 0; --i) {
+        result = U256::mulMod(result, result, mod);
+        if (exp.bit(i))
+            result = U256::mulMod(result, b, mod);
+    }
+    return result;
+}
+
 } // namespace cronus::crypto::reference

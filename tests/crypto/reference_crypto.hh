@@ -1,12 +1,14 @@
 /**
  * @file
- * Slow reference implementations of the symmetric primitives.
+ * Slow reference implementations of the crypto primitives.
  *
- * Each function follows the standard text step by step and shares no
- * code or tables with src/crypto/, so the property tests can hold the
- * fast paths (T-table AES, unrolled SHA-256, in-place seal/open) to
- * an independent oracle on random inputs. The AES S-box is derived
- * from GF(2^8) inversion and the affine map, not copied.
+ * Each symmetric function follows the standard text step by step and
+ * shares no code or tables with src/crypto/, so the property tests can
+ * hold the fast paths (T-table AES, unrolled SHA-256, in-place
+ * seal/open) to an independent oracle on random inputs. The AES S-box
+ * is derived from GF(2^8) inversion and the affine map, not copied.
+ * powMod is the binary square-and-multiply ladder over
+ * U256::mulMod, the oracle for the sliding window and the comb.
  */
 
 #ifndef CRONUS_TESTS_CRYPTO_REFERENCE_CRYPTO_HH
@@ -18,6 +20,7 @@
 #include "base/bytes.hh"
 #include "crypto/aes.hh"
 #include "crypto/sha256.hh"
+#include "crypto/uint256.hh"
 
 namespace cronus::crypto::reference
 {
@@ -49,6 +52,10 @@ Digest hmacSha256(const Bytes &key, const Bytes &message);
 /** sealMessage's wire format built from the functions above. */
 Bytes sealMessage(const Bytes &secret, uint64_t nonce,
                   const Bytes &plaintext);
+
+/** base^exp mod @p mod, one squaring per exponent bit and one
+ *  multiply per set bit, from bit 255 down. */
+U256 powMod(const U256 &base, const U256 &exp, const U256 &mod);
 
 } // namespace cronus::crypto::reference
 

@@ -72,6 +72,16 @@ TEST(U256Test, HighestBit)
         "8000000000000000000000000000000000000000"
         "000000000000000000000000").value();
     EXPECT_EQ(top.highestBit(), 255);
+
+    /* Every position, with random bits below it. */
+    Rng rng(0xb17);
+    for (int k = 0; k < 256; ++k) {
+        std::array<uint64_t, 4> limbs = randomU256(rng).raw();
+        limbs[k / 64] |= uint64_t(1) << (k % 64);
+        for (int b = k + 1; b < 256; ++b)
+            limbs[b / 64] &= ~(uint64_t(1) << (b % 64));
+        EXPECT_EQ(U256(limbs).highestBit(), k) << "k = " << k;
+    }
 }
 
 TEST(U256Test, MulModSmall)
