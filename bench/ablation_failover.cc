@@ -49,13 +49,7 @@ struct Rig
                 std::make_unique<accel::GpuDevice>(gc), 40 + i);
         }
         monitor = std::make_unique<SecureMonitor>(*platform);
-        hw::DeviceTree dt = platform->buildDeviceTree();
-        hw::DeviceTree secure;
-        for (auto node : dt.all()) {
-            node.world = hw::World::Secure;
-            secure.addNode(node);
-        }
-        monitor->boot(secure);
+        monitor->bootAllSecure();
         spm = std::make_unique<Spm>(*monitor);
         auditor.attachSpm(*spm);
     }

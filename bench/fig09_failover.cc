@@ -13,9 +13,12 @@
  * it. A second run crash-loops the partition (every incarnation is
  * killed) and must end in deterministic quarantine with the channel
  * reporting GaveUp. The bench exits nonzero on any invariant-audit
- * violation, a failed recovery, or a crash-loop that does not end
- * quarantined. The stdout is pinned at full scale by
- * bench/golden/fig09_failover.txt (ctest golden_fig09_failover).
+ * violation, a failed recovery, a recovery outside [100 ms, 2 s) or
+ * not under 1/50 of the reboot, a task B that stalls during the
+ * outage, a task A that does not serve on both sides of the crash,
+ * or a crash-loop that does not end quarantined. The stdout is
+ * pinned at full scale by bench/golden/fig09_failover.txt (ctest
+ * golden_fig09_failover).
  */
 
 #include "bench_util.hh"
@@ -102,6 +105,36 @@ main()
     if (t.recoveryNs == 0 || t.reconnects == 0 || t.gaveUp) {
         std::printf("FAILED: task A did not recover through the "
                     "supervised path\n");
+        failed = true;
+    }
+    /* The figure's claims: recovery takes hundreds of ms, not
+     * minutes; task B keeps working through A's outage; task A
+     * serves both before the crash and after recovery. */
+    if (t.recoveryNs < 100 * kNsPerMs || t.recoveryNs >= 2 * kNsPerSec) {
+        std::printf("FAILED: recovery outside [100 ms, 2 s)\n");
+        failed = true;
+    }
+    if (t.recoveryNs * 50 >= t.machineRebootNs) {
+        std::printf("FAILED: recovery not under 1/50 of the machine "
+                    "reboot\n");
+        failed = true;
+    }
+    if (t.taskBStepsDuringOutage == 0) {
+        std::printf("FAILED: task B made no progress during the "
+                    "outage\n");
+        failed = true;
+    }
+    size_t crash_bucket = kFailoverCrashAtNs / kFailoverBucketNs;
+    double before = 0, after = 0;
+    for (size_t i = 0; i < t.taskARate.size(); ++i) {
+        if (i < crash_bucket)
+            before += t.taskARate[i];
+        else if (i > crash_bucket + 6)
+            after += t.taskARate[i];
+    }
+    if (before <= 0 || after <= 0) {
+        std::printf("FAILED: task A did not serve both before the "
+                    "crash and after recovery\n");
         failed = true;
     }
 

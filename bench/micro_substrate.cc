@@ -373,13 +373,7 @@ struct SpmBench
         platform->registerDevice(
             std::make_unique<accel::GpuDevice>(), 40);
         monitor = std::make_unique<tee::SecureMonitor>(*platform);
-        hw::DeviceTree dt;
-        hw::DeviceTree discovered = platform->buildDeviceTree();
-        for (auto node : discovered.all()) {
-            node.world = hw::World::Secure;
-            dt.addNode(node);
-        }
-        monitor->boot(dt);
+        monitor->bootAllSecure();
         spm = std::make_unique<tee::Spm>(*monitor);
         tee::MosImage image{"gpu0.mos", "gpu", toBytes("bench")};
         pid = spm->createPartition(image, "gpu0", 1 << 20).value();

@@ -7,7 +7,8 @@
  * every driver for every device into everyone's TCB. We measure the
  * actual line counts of this repository's modules (CMake passes the
  * source directory), and report both the per-mOS TCB and the
- * monolithic sum.
+ * monolithic sum. Exits nonzero unless the GPU-only tenant's TCB is
+ * strictly smaller than the monolithic sum (ctest table3_tcb).
  */
 
 #include <filesystem>
@@ -108,5 +109,10 @@ main()
     std::printf("\n(paper Table III: e.g. nouveau 194,927 -> 52,912 "
                 "LoC after mOS-izing; the reduction ratio is the "
                 "reproducible shape)\n");
+    if (shared + gpu_mos >= monolithic) {
+        std::printf("FAILED: a GPU-only tenant's TCB is not smaller "
+                    "than the monolithic one\n");
+        return 1;
+    }
     return 0;
 }

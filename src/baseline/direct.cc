@@ -20,13 +20,7 @@ DirectBackend::DirectBackend(Kind backend_kind,
 
     if (kind == Kind::TrustZone) {
         monitor = std::make_unique<tee::SecureMonitor>(*plat);
-        hw::DeviceTree dt = plat->buildDeviceTree();
-        hw::DeviceTree secure_dt;
-        for (auto node : dt.all()) {
-            node.world = hw::World::Secure;
-            secure_dt.addNode(node);
-        }
-        Status booted = monitor->boot(secure_dt);
+        Status booted = monitor->bootAllSecure();
         CRONUS_ASSERT(booted.isOk(), "monolithic boot failed");
     }
 

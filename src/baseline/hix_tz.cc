@@ -26,13 +26,7 @@ HixTzBackend::HixTzBackend(std::vector<std::string> gpu_kernels)
         std::make_unique<accel::GpuDevice>(), 40));
 
     monitor = std::make_unique<tee::SecureMonitor>(*plat);
-    hw::DeviceTree dt = plat->buildDeviceTree();
-    hw::DeviceTree secure_dt;
-    for (auto node : dt.all()) {
-        node.world = hw::World::Secure;
-        secure_dt.addNode(node);
-    }
-    Status booted = monitor->boot(secure_dt);
+    Status booted = monitor->bootAllSecure();
     CRONUS_ASSERT(booted.isOk(), "HIX boot failed");
 
     gpuCtx = gpu->createContext().value();

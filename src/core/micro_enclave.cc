@@ -443,12 +443,6 @@ MicroOS::incarnation() const
     return p.value()->incarnation;
 }
 
-Status
-MicroOS::panic()
-{
-    return partitionManager.panic(pid);
-}
-
 void
 MicroOS::onReboot()
 {

@@ -26,7 +26,7 @@
 #include "enclave_runtime.hh"
 #include "manifest.hh"
 #include "module_store.hh"
-#include "tee/normal_world.hh"
+#include "tee/spm.hh"
 
 namespace cronus::core
 {
@@ -282,9 +282,6 @@ class MicroOS
     /** The partition's current mOS measurement (from the SPM). */
     Result<crypto::Digest> mosMeasurement() const;
     Result<uint64_t> incarnation() const;
-
-    /** Panic: hand control to the SPM (failure circumstance 2). */
-    Status panic();
 
     /**
      * Called after the SPM reloaded this partition's mOS: all

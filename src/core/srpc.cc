@@ -34,11 +34,10 @@ decodeU32(const uint8_t *buf)
 
 SrpcChannel::SrpcChannel(MicroOS &caller_os, Eid caller_eid,
                          MicroOS &callee_os, Eid callee_eid,
-                         Bytes secret, tee::NormalWorld &nw,
-                         const SrpcConfig &config)
+                         Bytes secret, const SrpcConfig &config)
     : callerOs(caller_os), callerEid(caller_eid), calleeOs(callee_os),
       calleeEid(callee_eid), secretDhke(std::move(secret)),
-      normalWorld(nw), cfg(config), region(caller_os, callee_os)
+      cfg(config), region(caller_os, callee_os)
 {
     region.setFailureCallback([this] { markFailed(); });
 }
@@ -80,12 +79,11 @@ SrpcChannel::markFailed()
 Result<std::unique_ptr<SrpcChannel>>
 SrpcChannel::connect(MicroOS &caller_os, Eid caller_eid,
                      MicroOS &callee_os, Eid callee_eid,
-                     const Bytes &secret, tee::NormalWorld &nw,
-                     const SrpcConfig &config)
+                     const Bytes &secret, const SrpcConfig &config)
 {
     std::unique_ptr<SrpcChannel> channel(
         new SrpcChannel(caller_os, caller_eid, callee_os, callee_eid,
-                        secret, nw, config));
+                        secret, config));
     CRONUS_RETURN_IF_ERROR(channel->setup());
     return channel;
 }
@@ -176,12 +174,6 @@ SrpcChannel::setup()
      * once per stream -- not per call). */
     monitor.worldSwitch();
     ++channelStats.setupWorldSwitches;
-    normalWorld.spawnThread([this] {
-        if (failed() || !open)
-            return false;
-        pump(4);
-        return open && !failed();
-    });
 
     channelStats.setupExecutorNs = plat.clock().now() - phase_start;
 

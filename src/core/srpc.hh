@@ -8,6 +8,8 @@
  * to B's through the SPM), and a dedicated executor thread for mE_B
  * drains the ring -- no per-call context switch. The caller checks
  * progress only when it needs a result or a synchronization point.
+ * The simulation runs that executor as pump(), driven by the
+ * caller's flow control, callSync and drain.
  *
  * Security structure:
  *  - setup does local attestation of the callee over untrusted
@@ -116,12 +118,12 @@ class SrpcChannel
      * (which is the caller) and the callee enclave.
      *
      * Performs: local attestation -> smem allocation from the
-     * caller's partition -> SPM page grant -> dCheck -> executor
-     * thread creation in the normal world.
+     * caller's partition -> SPM page grant -> dCheck -> the world
+     * switch that asks the normal world for an executor.
      */
     static Result<std::unique_ptr<SrpcChannel>> connect(
         MicroOS &caller_os, Eid caller_eid, MicroOS &callee_os,
-        Eid callee_eid, const Bytes &secret, tee::NormalWorld &nw,
+        Eid callee_eid, const Bytes &secret,
         const SrpcConfig &config = SrpcConfig());
 
     ~SrpcChannel();
@@ -149,7 +151,7 @@ class SrpcChannel
     /** Result of the async request @p rid (drain first). */
     Result<Bytes> resultOf(uint64_t rid);
 
-    /** Close the stream and stop the executor thread. */
+    /** Close the stream. */
     Status close();
 
     bool failed() const { return region.failed(); }
@@ -169,15 +171,15 @@ class SrpcChannel
     /**
      * Executor step: process up to @p max pending requests in the
      * callee partition. Returns requests executed; sets the channel
-     * failed state if the callee's memory access traps. Used by the
-     * normal-world thread and by callSync's progress checks.
+     * failed state if the callee's memory access traps. Called by
+     * flow control, callSync and drain.
      */
     uint64_t pump(uint64_t max = ~0ull);
 
   private:
     SrpcChannel(MicroOS &caller_os, Eid caller_eid,
                 MicroOS &callee_os, Eid callee_eid, Bytes secret,
-                tee::NormalWorld &nw, const SrpcConfig &config);
+                const SrpcConfig &config);
 
     Status setup();
     uint64_t slotOffset(uint64_t index) const;
@@ -188,7 +190,6 @@ class SrpcChannel
     MicroOS &calleeOs;
     Eid calleeEid;
     Bytes secretDhke;
-    tee::NormalWorld &normalWorld;
     SrpcConfig cfg;
 
     /** The ring: owned by the caller's partition, shared to the

@@ -46,8 +46,6 @@ CronusSystem::CronusSystem(const CronusConfig &config) : cfg(config)
     vendorKeys["nvidia"] =
         crypto::deriveKeyPair(toBytes("vendor-nvidia"));
     vendorKeys["vta"] = crypto::deriveKeyPair(toBytes("vendor-vta"));
-    for (const auto &[name, keys] : vendorKeys)
-        plat->vendors().addVendor(name, keys.pub);
 
     /* Devices. */
     struct DevicePlan
@@ -87,17 +85,11 @@ CronusSystem::CronusSystem(const CronusConfig &config) : cfg(config)
 
     /* Secure boot with all devices assigned to the secure world. */
     sm = std::make_unique<tee::SecureMonitor>(*plat);
-    hw::DeviceTree dt;
-    hw::DeviceTree discovered = plat->buildDeviceTree();
-    for (auto node : discovered.all()) {
-        node.world = hw::World::Secure;
-        dt.addNode(node);
-    }
-    Status booted = sm->boot(dt);
+    Status booted = sm->bootAllSecure();
     CRONUS_ASSERT(booted.isOk(), "secure boot: " + booted.toString());
 
     partitionManager = std::make_unique<tee::Spm>(*sm, cfg.backend);
-    nw = std::make_unique<tee::NormalWorld>(*sm, *partitionManager);
+    nw = std::make_unique<tee::NormalWorld>(*sm);
 
     /* Module store: opt-in (cache hits change virtual time). */
     if (cfg.moduleStoreBytes > 0)
@@ -383,7 +375,7 @@ CronusSystem::connect(const AppHandle &caller, const AppHandle &callee,
                       "handles must be created first");
     return SrpcChannel::connect(*caller.host, caller.eid,
                                 *callee.host, callee.eid,
-                                callee.secret, *nw, config);
+                                callee.secret, config);
 }
 
 Result<Bytes>

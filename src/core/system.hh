@@ -21,6 +21,7 @@
 #include "obs/metrics.hh"
 #include "srpc.hh"
 #include "tee/isolation_backend.hh"
+#include "tee/normal_world.hh"
 
 namespace cronus::core
 {

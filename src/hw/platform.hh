@@ -109,7 +109,6 @@ class Platform
     Tzpc &tzpc() { return protectionController; }
     Smmu &smmu() { return systemMmu; }
     RootOfTrust &rootOfTrust() { return rot; }
-    VendorRegistry &vendors() { return vendorRegistry; }
 
     SimClock &clock() { return cfg.externalClock ? *cfg.externalClock
                                                  : simClock; }
@@ -160,7 +159,6 @@ class Platform
     Tzpc protectionController;
     Smmu systemMmu;
     RootOfTrust rot;
-    VendorRegistry vendorRegistry;
     SimClock simClock;
     CostModel costModel;
     StatGroup statGroup;

@@ -114,27 +114,4 @@ Pmp::check(PhysAddr addr, uint64_t len, PmpAccess access) const
                   "no PMP entry matches (default deny)");
 }
 
-Result<Pmp>
-pmpForPartition(const std::vector<PmpRegion> &regions)
-{
-    if (regions.size() > Pmp::kEntries)
-        return Status(ErrorCode::ResourceExhausted,
-                      "more regions than PMP entries");
-    Pmp pmp;
-    size_t index = 0;
-    for (const auto &region : regions) {
-        auto encoded = Pmp::napotEncode(region.base, region.size);
-        if (!encoded.isOk())
-            return encoded.status();
-        PmpEntry entry;
-        entry.mode = PmpMode::Napot;
-        entry.addr = encoded.value();
-        entry.read = true;
-        entry.write = region.write;
-        entry.exec = false;
-        CRONUS_RETURN_IF_ERROR(pmp.configure(index++, entry));
-    }
-    return pmp;
-}
-
 } // namespace cronus::hw

@@ -7,17 +7,14 @@
  * to PMP entries over device MMIO, and shared TEE memory to
  * overlapped PMP configurations. This module models the PMP unit
  * (16 entries, priority-ordered, NA4/NAPOT/TOR address matching,
- * lockable entries) and an adapter that derives a partition's PMP
- * configuration from the same region descriptions the SPM uses, so
- * tests can show the stage-2-based isolation outcomes and the
- * PMP-based ones agree.
+ * lockable entries). tee::PmpBackend programs it with per-partition
+ * TOR pairs when the PMP isolation backend is selected.
  */
 
 #ifndef CRONUS_HW_PMP_HH
 #define CRONUS_HW_PMP_HH
 
 #include <array>
-#include <vector>
 
 #include "base/status.hh"
 #include "types.hh"
@@ -86,22 +83,6 @@ class Pmp
 
     std::array<PmpEntry, kEntries> entries{};
 };
-
-/** A memory region a partition may access (the SPM's view). */
-struct PmpRegion
-{
-    PhysAddr base = 0;
-    uint64_t size = 0;  ///< power-of-two, >= 8
-    bool write = true;
-};
-
-/**
- * Derive a PMP configuration granting exactly @p regions.
- * Demonstrates the §VII-A mapping: partition-private memory and
- * shared grants become NAPOT entries; everything else is denied by
- * the no-match default.
- */
-Result<Pmp> pmpForPartition(const std::vector<PmpRegion> &regions);
 
 } // namespace cronus::hw
 

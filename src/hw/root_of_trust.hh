@@ -10,9 +10,6 @@
 #ifndef CRONUS_HW_ROOT_OF_TRUST_HH
 #define CRONUS_HW_ROOT_OF_TRUST_HH
 
-#include <map>
-#include <string>
-
 #include "base/bytes.hh"
 #include "crypto/keys.hh"
 
@@ -40,33 +37,6 @@ class RootOfTrust
 
   private:
     crypto::KeyPair keys;
-};
-
-/**
- * A vendor endorsement registry standing in for the accelerator
- * vendors' PKI: clients check that an accelerator's PubK_acc is
- * endorsed by a known vendor key.
- */
-class VendorRegistry
-{
-  public:
-    /** Register a vendor key (e.g. "nvidia"). */
-    void addVendor(const std::string &vendor,
-                   const crypto::PublicKey &key);
-
-    /** Endorsement = vendor signature over the device public key. */
-    Result<crypto::Signature> endorse(
-        const std::string &vendor,
-        const crypto::KeyPair &vendor_keys,
-        const crypto::PublicKey &device_key) const;
-
-    /** Verify that @p device_key carries a valid endorsement. */
-    bool verifyEndorsement(const std::string &vendor,
-                           const crypto::PublicKey &device_key,
-                           const crypto::Signature &endorsement) const;
-
-  private:
-    std::map<std::string, crypto::PublicKey> vendors;
 };
 
 } // namespace cronus::hw

@@ -160,43 +160,6 @@ isFleetEvent(const FaultTrigger &t, const FaultAction &a)
     }
 }
 
-FaultPlan
-FaultPlan::randomPlan(uint64_t seed, const RandomPlanSpec &spec)
-{
-    FaultPlan plan(seed);
-    Rng draw(seed ^ 0xfa017d1a5ULL);
-    uint64_t span = (spec.maxEvents >= spec.minEvents)
-                        ? spec.maxEvents - spec.minEvents + 1
-                        : 1;
-    uint32_t count = spec.minEvents +
-                     static_cast<uint32_t>(draw.nextBelow(span));
-    uint64_t nth_span = (spec.maxNth >= spec.minNth)
-                            ? spec.maxNth - spec.minNth + 1
-                            : 1;
-    static const char *kFields[] = {"rid", "sid"};
-    for (uint32_t i = 0; i < count; ++i) {
-        uint64_t nth = spec.minNth + draw.nextBelow(nth_span);
-        /* Weighted kinds: kill 40%, fail 25%, corrupt 20%, skew
-         * 15%; disallowed kinds fall through to the next one. */
-        uint64_t roll = draw.nextBelow(100);
-        if (roll < 40 && !spec.killVictims.empty()) {
-            PartitionId victim = spec.killVictims[draw.nextBelow(
-                spec.killVictims.size())];
-            plan.killOnAccess(nth, victim);
-        } else if (roll < 65 && spec.allowFailAccess) {
-            plan.failAccess(nth);
-        } else if (roll < 85 && spec.channelCount > 0) {
-            plan.corruptHeader(nth, kFields[draw.nextBelow(2)],
-                               draw.nextBelow(32),
-                               draw.nextBelow(spec.channelCount));
-        } else if (spec.allowSkewClock && spec.maxSkewNs > 0) {
-            plan.skewClock(nth,
-                           1 + draw.nextBelow(spec.maxSkewNs));
-        }
-    }
-    return plan;
-}
-
 namespace
 {
 

@@ -146,32 +146,6 @@ struct FaultEvent
 };
 
 /**
- * Shape of a plan drawn by FaultPlan::randomPlan. The caller lists
- * what is allowed (candidate kill victims, attached-channel count for
- * header corruption, the access-ordinal window) and the helper draws
- * a schedule from the seed -- the scenario fuzzer's source of
- * randomized-but-replayable fault schedules.
- */
-struct RandomPlanSpec
-{
-    /** Candidate victims for KillPartition (empty disables kills). */
-    std::vector<PartitionId> killVictims;
-    /** Channels that will be attached, for CorruptHeader targets
-     *  (0 disables corruption events). */
-    size_t channelCount = 0;
-    /** Events to draw, inclusive bounds. */
-    uint32_t minEvents = 0;
-    uint32_t maxEvents = 2;
-    /** Access-ordinal window for NthAccess triggers. */
-    uint64_t minNth = 5;
-    uint64_t maxNth = 80;
-    /** Upper bound on SkewClock skews. */
-    SimTime maxSkewNs = kNsPerMs;
-    bool allowFailAccess = true;
-    bool allowSkewClock = true;
-};
-
-/**
  * Builder for a deterministic fault schedule. All helpers return
  * *this for chaining.
  */
@@ -233,16 +207,6 @@ class FaultPlan
      *  @p stage ("snapshot" ... "retire"). */
     FaultPlan &killMigration(uint64_t nth, const std::string &stage,
                              bool kill_dst = false);
-
-    /**
-     * Draw a whole schedule from @p seed within @p spec. The same
-     * (seed, spec) pair always produces the identical plan; event
-     * kinds are weighted toward kills (the interesting failure
-     * mode), and corrupt-header values stay small so a corrupted
-     * ring index perturbs rather than wedges the executor.
-     */
-    static FaultPlan randomPlan(uint64_t seed,
-                                const RandomPlanSpec &spec);
 
     const std::vector<FaultEvent> &events() const { return schedule; }
     size_t size() const { return schedule.size(); }

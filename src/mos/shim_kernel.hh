@@ -86,7 +86,7 @@ class ShimKernel
 
     /* --- liveness --- */
 
-    /** Tick the partition heartbeat (SPM hang detection input). */
+    /** Tick the partition heartbeat (Supervisor hang detection input). */
     void heartbeat();
 
     PartitionId partitionId() const { return pid; }

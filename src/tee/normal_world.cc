@@ -3,85 +3,16 @@
 namespace cronus::tee
 {
 
-NormalWorld::NormalWorld(SecureMonitor &monitor, Spm &spm)
-    : sm(monitor), partitionManager(spm),
-      nextAlloc(monitor.platform().normalBase() + hw::kPageSize)
-{
-}
-
-Result<PhysAddr>
-NormalWorld::allocate(uint64_t bytes)
-{
-    uint64_t aligned = hw::pageAlignUp(bytes);
-    hw::Platform &plat = sm.platform();
-    if (nextAlloc + aligned > plat.normalBase() + plat.normalSize())
-        return Status(ErrorCode::ResourceExhausted,
-                      "normal memory exhausted");
-    PhysAddr addr = nextAlloc;
-    nextAlloc += aligned;
-    return addr;
-}
-
 Result<Bytes>
-NormalWorld::read(PhysAddr addr, uint64_t len)
+NormalWorld::read(hw::PhysAddr addr, uint64_t len)
 {
     return sm.platform().busRead(hw::World::Normal, addr, len);
 }
 
 Status
-NormalWorld::write(PhysAddr addr, const Bytes &data)
+NormalWorld::write(hw::PhysAddr addr, const Bytes &data)
 {
     return sm.platform().busWrite(hw::World::Normal, addr, data);
 }
-
-uint64_t
-NormalWorld::spawnThread(std::function<bool()> step)
-{
-    uint64_t id = nextThread++;
-    threads.push_back(Thread{id, std::move(step), false});
-    return id;
-}
-
-uint64_t
-NormalWorld::runThreads(uint64_t max_steps)
-{
-    uint64_t steps = 0;
-    bool progress = true;
-    while (progress && steps < max_steps) {
-        progress = false;
-        for (auto &t : threads) {
-            if (t.done)
-                continue;
-            bool more = t.step();
-            ++steps;
-            if (!more)
-                t.done = true;
-            else
-                progress = true;
-        }
-        /* Sweep finished threads. */
-        std::erase_if(threads,
-                      [](const Thread &t) { return t.done; });
-        if (threads.empty())
-            break;
-    }
-    return steps;
-}
-
-size_t
-NormalWorld::liveThreads() const
-{
-    size_t live = 0;
-    for (const auto &t : threads)
-        live += !t.done;
-    return live;
-}
-
-Status
-NormalWorld::requestMosRestart(PartitionId pid, const MosImage &image)
-{
-    return partitionManager.requestRestart(pid, image);
-}
-
 
 } // namespace cronus::tee

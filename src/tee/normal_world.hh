@@ -2,20 +2,18 @@
  * @file
  * The untrusted normal world: a full-fledged OS stand-in.
  *
- * Provides untrusted memory for cross-world message passing, thread
- * scheduling for sRPC execution loops, and the (legitimate) restart
- * request path. All of its memory accesses go through the platform
- * bus as World::Normal, so TZASC filtering genuinely applies; the
- * attack suite drives its raw interfaces to emulate a malicious OS.
+ * Its raw memory accesses go through the platform bus as
+ * World::Normal, so TZASC filtering genuinely applies; the attack
+ * suite and the fuzzer drive them to emulate a malicious OS. The
+ * sRPC executor is the caller's own pump(), not a normal-world
+ * thread: setting a channel up charges the one world switch that
+ * asks the normal world for it.
  */
 
 #ifndef CRONUS_TEE_NORMAL_WORLD_HH
 #define CRONUS_TEE_NORMAL_WORLD_HH
 
-#include <functional>
-#include <vector>
-
-#include "spm.hh"
+#include "secure_monitor.hh"
 
 namespace cronus::tee
 {
@@ -23,54 +21,14 @@ namespace cronus::tee
 class NormalWorld
 {
   public:
-    explicit NormalWorld(SecureMonitor &monitor, Spm &spm);
-
-    /* --- untrusted memory --- */
-
-    /** Allocate page-aligned untrusted memory. */
-    Result<PhysAddr> allocate(uint64_t bytes);
+    explicit NormalWorld(SecureMonitor &monitor) : sm(monitor) {}
 
     /** Raw access as the (possibly malicious) normal world. */
-    Result<Bytes> read(PhysAddr addr, uint64_t len);
-    Status write(PhysAddr addr, const Bytes &data);
-
-    /* --- scheduling --- */
-
-    /**
-     * Create an execution-loop "thread" (the paper: CRONUS asks the
-     * normal world to create a thread T which enters the execution
-     * loop in mE_B). Returns a thread id. The body is a polling
-     * step invoked by runThreads(); it returns false when done.
-     */
-    uint64_t spawnThread(std::function<bool()> step);
-
-    /** Run all live threads round-robin until none makes progress
-     *  or all finish. Returns steps executed. */
-    uint64_t runThreads(uint64_t max_steps = 1 << 20);
-
-    size_t liveThreads() const;
-
-    /* --- legitimate control-plane requests --- */
-
-    /** Ask the SPM to restart a partition's mOS (update path). */
-    Status requestMosRestart(PartitionId pid, const MosImage &image);
-
-    SecureMonitor &monitor() { return sm; }
-    Spm &spm() { return partitionManager; }
+    Result<Bytes> read(hw::PhysAddr addr, uint64_t len);
+    Status write(hw::PhysAddr addr, const Bytes &data);
 
   private:
-    struct Thread
-    {
-        uint64_t id;
-        std::function<bool()> step;
-        bool done = false;
-    };
-
     SecureMonitor &sm;
-    Spm &partitionManager;
-    PhysAddr nextAlloc;
-    std::vector<Thread> threads;
-    uint64_t nextThread = 1;
 };
 
 } // namespace cronus::tee

@@ -44,6 +44,18 @@ SecureMonitor::boot(const hw::DeviceTree &dt)
     return Status::ok();
 }
 
+Status
+SecureMonitor::bootAllSecure()
+{
+    hw::DeviceTree discovered = plat.buildDeviceTree();
+    hw::DeviceTree dt;
+    for (auto node : discovered.all()) {
+        node.world = hw::World::Secure;
+        dt.addNode(node);
+    }
+    return boot(dt);
+}
+
 const hw::DeviceTree &
 SecureMonitor::deviceTree() const
 {

@@ -36,6 +36,11 @@ class SecureMonitor
      */
     Status boot(const hw::DeviceTree &dt);
 
+    /** boot() the platform's discovered device tree with every
+     *  node assigned to the secure world (every device is managed
+     *  by an mOS, §III-A). */
+    Status bootAllSecure();
+
     bool booted() const { return bootedFlag; }
 
     /** The frozen device tree (panics if not booted). */

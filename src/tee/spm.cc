@@ -125,9 +125,6 @@ Spm::createPartition(const MosImage &image,
 
     PartitionId pid = p.id;
     partitions.emplace(pid, std::move(p));
-    /* Seed hang detection: a partition that never heartbeats after
-     * boot (born hung) is caught within one poll interval. */
-    lastHeartbeat[pid] = 0;
     return pid;
 }
 
@@ -163,44 +160,11 @@ Spm::heartbeat(PartitionId pid)
     return Status::ok();
 }
 
-std::vector<PartitionId>
-Spm::pollHangs()
-{
-    sm.platform().clock().advance(sm.platform().costs().hangPollNs);
-    std::vector<PartitionId> failed;
-    for (auto &[pid, p] : partitions) {
-        if (p.state != PartitionState::Ready)
-            continue;
-        auto it = lastHeartbeat.find(pid);
-        if (it != lastHeartbeat.end() &&
-            it->second == p.heartbeat) {
-            /* No progress since last poll: hang. */
-            failPartition(pid);
-            failed.push_back(pid);
-        }
-        lastHeartbeat[pid] = p.heartbeat;
-    }
-    return failed;
-}
-
 Status
 Spm::panic(PartitionId pid)
 {
     stats.counter("panics").inc();
     return failPartition(pid);
-}
-
-Status
-Spm::requestRestart(PartitionId pid, const MosImage &new_image)
-{
-    auto pr = partition(pid);
-    if (!pr.isOk())
-        return pr.status();
-    /* The fail step is idempotent: a partition that already crashed
-     * (panic/hang) skips straight to recovery. */
-    if (pr.value()->state != PartitionState::Failed)
-        CRONUS_RETURN_IF_ERROR(failPartition(pid));
-    return recoverPartition(pid, new_image);
 }
 
 Status
@@ -303,9 +267,6 @@ Spm::scrubPartition(Partition &p, const MosImage &image)
     p.image = image;
     p.mosHash = image.measure();
     p.heartbeat = 0;
-    /* Re-seed hang detection so a born-hung new incarnation is
-     * caught within one poll interval. */
-    lastHeartbeat[p.id] = 0;
     ++p.incarnation;
     p.rf = false;
     p.state = PartitionState::Ready;

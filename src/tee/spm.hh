@@ -151,24 +151,12 @@ class Spm
     Result<const Partition *> partition(PartitionId pid) const;
     size_t partitionCount() const { return partitions.size(); }
 
-    /** mOS liveness tick (hang detection input). */
+    /** mOS liveness tick, read by recover::Supervisor's hang
+     *  detection. */
     Status heartbeat(PartitionId pid);
-
-    /**
-     * Hang detection: compare each Ready partition's heartbeat with
-     * the last poll; a partition that made no progress is failed.
-     * Returns the list of newly failed partitions.
-     */
-    std::vector<PartitionId> pollHangs();
 
     /** A partition panicked (hardware/software failure). */
     Status panic(PartitionId pid);
-
-    /**
-     * The normal world (or the partition itself) requests a restart,
-     * e.g. for an mOS update. Runs fail + recover with @p new_image.
-     */
-    Status requestRestart(PartitionId pid, const MosImage &new_image);
 
     /** Failure step 1 (see file comment). */
     Status failPartition(PartitionId pid);
@@ -313,7 +301,6 @@ class Spm
     std::map<uint64_t, ShareGrant> grants;
     /** Share-once budget: the grant holding each shared page. */
     std::map<PhysAddr, uint64_t> pageGrant;
-    std::map<PartitionId, uint64_t> lastHeartbeat;
     void notifyGrant(GrantEvent::Kind kind, const ShareGrant &g);
 
     /* One-entry partition-lookup cache for the access paths. Safe to

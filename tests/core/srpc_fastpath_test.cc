@@ -145,13 +145,7 @@ class SpinLockFastPathTest : public ::testing::Test
         platform->registerDevice(
             std::make_unique<accel::GpuDevice>(), 40);
         monitor = std::make_unique<tee::SecureMonitor>(*platform);
-        hw::DeviceTree dt;
-        hw::DeviceTree discovered = platform->buildDeviceTree();
-        for (auto node : discovered.all()) {
-            node.world = hw::World::Secure;
-            dt.addNode(node);
-        }
-        ASSERT_TRUE(monitor->boot(dt).isOk());
+        ASSERT_TRUE(monitor->bootAllSecure().isOk());
         spm = std::make_unique<tee::Spm>(*monitor);
         tee::MosImage image{"gpu0.mos", "gpu", toBytes("x")};
         pid = spm->createPartition(image, "gpu0", 4ull << 20)

@@ -175,6 +175,17 @@ TEST_F(SrpcTest, NoWorldSwitchesInSteadyState)
     EXPECT_EQ(system->monitor().worldSwitchCount(), switches_before);
 }
 
+TEST_F(SrpcTest, ConnectCostsFiveWorldSwitches)
+{
+    /* Two round trips of local attestation over untrusted memory,
+     * plus one switch asking the normal world for the executor. */
+    uint64_t switches_before = system->monitor().worldSwitchCount();
+    auto channel = makeChannel();
+    EXPECT_EQ(channel->stats().setupWorldSwitches, 5u);
+    EXPECT_EQ(system->monitor().worldSwitchCount() - switches_before,
+              5u);
+}
+
 TEST_F(SrpcTest, RingWrapsAroundManyCalls)
 {
     auto channel = makeChannel();

@@ -184,17 +184,6 @@ TEST_F(SystemTest, AutoPartitionerRunsMonolithicProgram)
     EXPECT_GE(result.value().gpuStats.executed, 3u);
 }
 
-TEST_F(SystemTest, HangDetectionRecoversGpuPartition)
-{
-    auto gpu = makeGpuEnclave().value();
-    (void)gpu;
-    /* The heartbeat table is seeded at partition creation, so idle
-     * partitions (no heartbeat since boot) fail on the very first
-     * poll -- a born-hung mOS is caught within one interval. */
-    auto failed = system->spm().pollHangs();
-    EXPECT_FALSE(failed.empty());
-}
-
 TEST_F(SystemTest, DispatcherBalancesAcrossIdenticalGpus)
 {
     CronusConfig cfg;

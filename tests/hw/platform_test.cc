@@ -160,27 +160,5 @@ TEST(PlatformTest, RootOfTrustSigns)
     EXPECT_TRUE(crypto::verify(p.rootOfTrust().publicKey(), msg, sig));
 }
 
-TEST(VendorRegistryTest, EndorsementFlow)
-{
-    VendorRegistry reg;
-    crypto::KeyPair vendor = crypto::deriveKeyPair(toBytes("nvidia"));
-    crypto::KeyPair device = crypto::deriveKeyPair(toBytes("gpu-rot"));
-    reg.addVendor("nvidia", vendor.pub);
-
-    auto endorsement = reg.endorse("nvidia", vendor, device.pub);
-    ASSERT_TRUE(endorsement.isOk());
-    EXPECT_TRUE(reg.verifyEndorsement("nvidia", device.pub,
-                                      endorsement.value()));
-
-    /* Wrong vendor or fabricated device key is rejected. */
-    EXPECT_FALSE(reg.verifyEndorsement("amd", device.pub,
-                                       endorsement.value()));
-    crypto::KeyPair fake = crypto::deriveKeyPair(toBytes("fake"));
-    EXPECT_FALSE(reg.verifyEndorsement("nvidia", fake.pub,
-                                       endorsement.value()));
-    EXPECT_FALSE(reg.endorse("unknown", vendor,
-                             device.pub).isOk());
-}
-
 } // namespace
 } // namespace cronus::hw

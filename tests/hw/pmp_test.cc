@@ -1,4 +1,4 @@
-/** Tests for the RISC-V PMP model and the §VII-A adaptation. */
+/** Tests for the RISC-V PMP hardware model. */
 
 #include <gtest/gtest.h>
 
@@ -108,51 +108,6 @@ TEST(PmpTest, LockedEntriesSurviveReset)
               ErrorCode::PermissionDenied);
     pmp.reset();
     EXPECT_TRUE(pmp.check(0x10000, 8, PmpAccess::Read).isOk());
-}
-
-TEST(PmpTest, PartitionAdapterMirrorsSpmSemantics)
-{
-    /* Two partitions: A owns [1M, 2M), B owns [2M, 3M); A shares a
-     * page at 1M with B (overlapped PMP configuration, §VII-A). */
-    PhysAddr a_base = 1ull << 20, b_base = 2ull << 20;
-    uint64_t part_size = 1ull << 20;
-    PhysAddr shared = a_base;
-
-    auto pmp_a = pmpForPartition({{a_base, part_size, true}});
-    auto pmp_b = pmpForPartition(
-        {{b_base, part_size, true}, {shared, kPageSize, true}});
-    ASSERT_TRUE(pmp_a.isOk());
-    ASSERT_TRUE(pmp_b.isOk());
-
-    /* Own memory: allowed. */
-    EXPECT_TRUE(pmp_a.value()
-                    .check(a_base + 64, 8, PmpAccess::Write).isOk());
-    EXPECT_TRUE(pmp_b.value()
-                    .check(b_base + 64, 8, PmpAccess::Write).isOk());
-    /* Foreign memory: denied -- same outcome as the stage-2 test. */
-    EXPECT_FALSE(pmp_a.value()
-                     .check(b_base, 8, PmpAccess::Read).isOk());
-    /* Shared page: both sides reach it. */
-    EXPECT_TRUE(pmp_a.value()
-                    .check(shared, 8, PmpAccess::Write).isOk());
-    EXPECT_TRUE(pmp_b.value()
-                    .check(shared, 8, PmpAccess::Write).isOk());
-    /* Failure step 1 on PMP: drop B's overlap entry; B's next
-     * access faults, like the invalidated stage-2 entry. */
-    Pmp &b = pmp_b.value();
-    PmpEntry off;
-    off.mode = PmpMode::Off;
-    ASSERT_TRUE(b.configure(1, off).isOk());
-    EXPECT_FALSE(b.check(shared, 8, PmpAccess::Read).isOk());
-    EXPECT_TRUE(b.check(b_base, 8, PmpAccess::Read).isOk());
-}
-
-TEST(PmpTest, AdapterRejectsTooManyRegions)
-{
-    std::vector<PmpRegion> regions(Pmp::kEntries + 1,
-                                   {0x10000, 4096, true});
-    EXPECT_EQ(pmpForPartition(regions).code(),
-              ErrorCode::ResourceExhausted);
 }
 
 /* ---- TOR boundary cases ---- */
@@ -354,40 +309,6 @@ TEST(PmpTest, ConfigureRejectsOutOfRangeIndex)
 {
     Pmp pmp;
     EXPECT_EQ(pmp.configure(Pmp::kEntries, PmpEntry{}).code(),
-              ErrorCode::InvalidArgument);
-}
-
-TEST(PmpTest, AdapterFillsEveryEntryWhenAsked)
-{
-    /* Exactly kEntries regions fit, and each one enforces. */
-    std::vector<PmpRegion> regions;
-    for (size_t i = 0; i < Pmp::kEntries; ++i)
-        regions.push_back({(1ull + i) << 20, 4096, i % 2 == 0});
-    auto pmp = pmpForPartition(regions);
-    ASSERT_TRUE(pmp.isOk());
-    for (size_t i = 0; i < Pmp::kEntries; ++i) {
-        PhysAddr base = (1ull + i) << 20;
-        EXPECT_TRUE(
-            pmp.value().check(base, 8, PmpAccess::Read).isOk())
-            << i;
-        EXPECT_EQ(
-            pmp.value().check(base, 8, PmpAccess::Write).isOk(),
-            i % 2 == 0)
-            << i;
-        /* The gap above each region stays denied. */
-        EXPECT_FALSE(
-            pmp.value().check(base + 4096, 8, PmpAccess::Read)
-                .isOk())
-            << i;
-    }
-}
-
-TEST(PmpTest, AdapterPropagatesEncodeFailures)
-{
-    /* A misaligned grant must fail closed, not silently shrink. */
-    EXPECT_EQ(pmpForPartition({{0x10100, 4096, true}}).code(),
-              ErrorCode::InvalidArgument);
-    EXPECT_EQ(pmpForPartition({{0x10000, 24, true}}).code(),
               ErrorCode::InvalidArgument);
 }
 

@@ -6,7 +6,7 @@
 #include "mos/cpu_hal.hh"
 #include "mos/gpu_hal.hh"
 #include "mos/npu_hal.hh"
-#include "tee/normal_world.hh"
+#include "tee/spm.hh"
 
 namespace cronus::mos
 {
@@ -103,13 +103,7 @@ class MosTest : public ::testing::Test
             std::make_unique<BadMagic<accel::CpuDevice>>(bad_cpu), 33);
 
         monitor = std::make_unique<tee::SecureMonitor>(*platform);
-        hw::DeviceTree dt;
-        hw::DeviceTree discovered = platform->buildDeviceTree();
-        for (auto node : discovered.all()) {
-            node.world = hw::World::Secure;
-            dt.addNode(node);
-        }
-        ASSERT_TRUE(monitor->boot(dt).isOk());
+        ASSERT_TRUE(monitor->bootAllSecure().isOk());
         spm = std::make_unique<tee::Spm>(*monitor);
         tee::MosImage image{"gpu0.mos", "gpu", toBytes("x")};
         pid = spm->createPartition(image, "gpu0",

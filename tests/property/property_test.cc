@@ -106,13 +106,7 @@ TEST_P(SpmPropertyTest, RandomShareFailRecoverKeepsInvariants)
             std::make_unique<accel::GpuDevice>(gc), 40 + i);
     }
     tee::SecureMonitor monitor(platform);
-    hw::DeviceTree dt;
-    hw::DeviceTree discovered = platform.buildDeviceTree();
-    for (auto node : discovered.all()) {
-        node.world = hw::World::Secure;
-        dt.addNode(node);
-    }
-    ASSERT_TRUE(monitor.boot(dt).isOk());
+    ASSERT_TRUE(monitor.bootAllSecure().isOk());
     tee::Spm spm(monitor);
 
     std::vector<tee::PartitionId> pids;

@@ -3,7 +3,7 @@
  * Supervisor unit tests (src/recover/): staged recovery under a
  * restart budget, deterministic backoff schedule, quarantine of
  * crash-looping partitions with dispatcher re-placement, and
- * born-hung detection through the seeded heartbeat table.
+ * heartbeat-based hang detection (the machine's only hang detector).
  */
 
 #include <limits>
@@ -196,6 +196,74 @@ TEST(SupervisorTest, BornHungPartitionCaughtWithinOnePoll)
 
     ASSERT_TRUE(sup.awaitRecovery("gpu0").isOk());
     EXPECT_EQ(sup.restartsOf("gpu0"), 1u);
+}
+
+TEST(SupervisorTest, HeartbeatKeepsHealthyAndSilenceFailsInOnePoll)
+{
+    auto sys = makeTwoGpuSystem();
+    Supervisor sup(*sys);
+    ASSERT_TRUE(sup.watch("gpu0", /*hang_detect=*/true).isOk());
+    ASSERT_TRUE(sup.watch("gpu1", /*hang_detect=*/true).isOk());
+    tee::PartitionId gpu0 =
+        sys->mosForDevice("gpu0").value()->partitionId();
+    tee::PartitionId gpu1 =
+        sys->mosForDevice("gpu1").value()->partitionId();
+
+    /* pump() polls each watch at most once; advancing past one
+     * period plus both polls' cost makes every pump a poll. */
+    SimClock &clock = sys->platform().clock();
+    SimTime round = Supervisor::kPollPeriodNs +
+                    2 * sys->platform().costs().hangPollNs;
+    for (int i = 0; i < 3; ++i) {
+        ASSERT_TRUE(sys->spm().heartbeat(gpu0).isOk());
+        ASSERT_TRUE(sys->spm().heartbeat(gpu1).isOk());
+        clock.advance(round);
+        sup.pump();
+        EXPECT_EQ(sup.healthOf("gpu0"), DeviceHealth::Healthy);
+        EXPECT_EQ(sup.healthOf("gpu1"), DeviceHealth::Healthy);
+    }
+
+    /* gpu1 stops heartbeating: the very next poll fails it, while
+     * gpu0, still ticking, stays Healthy. */
+    ASSERT_TRUE(sys->spm().heartbeat(gpu0).isOk());
+    clock.advance(round);
+    sup.pump();
+    EXPECT_EQ(sup.healthOf("gpu0"), DeviceHealth::Healthy);
+    EXPECT_EQ(sup.healthOf("gpu1"), DeviceHealth::BackingOff);
+    EXPECT_EQ(sys->spm().partition(gpu1).value()->state,
+              tee::PartitionState::Failed);
+    EXPECT_EQ(sys->spm().partition(gpu0).value()->state,
+              tee::PartitionState::Ready);
+    ASSERT_FALSE(sup.events().empty());
+    EXPECT_EQ(sup.events().front().device, "gpu1");
+    EXPECT_EQ(sup.events().front().what, "hang");
+}
+
+TEST(SupervisorTest, RecoveredIncarnationThatNeverTicksIsCaughtInOnePoll)
+{
+    auto sys = makeTwoGpuSystem();
+    Supervisor sup(*sys);
+    ASSERT_TRUE(sup.watch("gpu0", /*hang_detect=*/true).isOk());
+
+    ASSERT_TRUE(sys->injectPanic("gpu0").isOk());
+    ASSERT_TRUE(sup.awaitRecovery("gpu0").isOk());
+    tee::PartitionId pid =
+        sys->mosForDevice("gpu0").value()->partitionId();
+    ASSERT_EQ(sys->spm().partition(pid).value()->incarnation, 2u);
+
+    /* The new incarnation never heartbeats: one poll period after
+     * the reboot it is failed again and recovery is staged. */
+    sys->platform().clock().advance(Supervisor::kPollPeriodNs);
+    sup.pump();
+    EXPECT_EQ(sup.healthOf("gpu0"), DeviceHealth::BackingOff);
+    EXPECT_EQ(sys->spm().partition(pid).value()->state,
+              tee::PartitionState::Failed);
+    const auto &events = sup.events();
+    ASSERT_GE(events.size(), 2u);
+    EXPECT_EQ(events[events.size() - 2].what, "hang");
+
+    ASSERT_TRUE(sup.awaitRecovery("gpu0").isOk());
+    EXPECT_EQ(sup.restartsOf("gpu0"), 2u);
 }
 
 TEST(SupervisorTest, EventLogIsByteIdenticalAcrossRuns)

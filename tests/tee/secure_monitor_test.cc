@@ -1,9 +1,10 @@
-/** Tests for the secure monitor (EL3). */
+/** Tests for the secure monitor (EL3) and the normal world. */
 
 #include <gtest/gtest.h>
 
+#include "accel/gpu.hh"
+#include "accel/npu.hh"
 #include "tee/normal_world.hh"
-#include "tee/secure_monitor.hh"
 
 namespace cronus::tee
 {
@@ -99,35 +100,48 @@ TEST(SecureMonitorTest, LocalSealKeyStablePerPlatform)
     EXPECT_NE(a.localSealKey(), c.localSealKey());
 }
 
+TEST(SecureMonitorTest, BootAllSecureAssignsEveryDevice)
+{
+    Logger::instance().setQuiet(true);
+    hw::Platform platform;
+    platform.registerDevice(std::make_unique<accel::GpuDevice>(), 40);
+    platform.registerDevice(std::make_unique<accel::NpuDevice>(), 60);
+    SecureMonitor sm(platform);
+    ASSERT_TRUE(sm.bootAllSecure().isOk());
+    EXPECT_TRUE(sm.booted());
+    EXPECT_TRUE(platform.tzasc().isLocked());
+    EXPECT_TRUE(platform.tzpc().isLocked());
+
+    /* Every registered device is secure on the TZPC ... */
+    hw::DeviceTree discovered = platform.buildDeviceTree();
+    ASSERT_EQ(discovered.all().size(), 2u);
+    for (const auto &node : discovered.all())
+        EXPECT_EQ(platform.tzpc().deviceWorld(node.name),
+                  hw::World::Secure)
+            << node.name;
+    /* ... and the frozen tree is the discovered one, all-secure. */
+    const hw::DeviceTree &frozen = sm.deviceTree();
+    ASSERT_EQ(frozen.all().size(), discovered.all().size());
+    for (size_t i = 0; i < frozen.all().size(); ++i) {
+        EXPECT_EQ(frozen.all()[i].name, discovered.all()[i].name);
+        EXPECT_EQ(frozen.all()[i].world, hw::World::Secure);
+    }
+
+    EXPECT_EQ(sm.bootAllSecure().code(), ErrorCode::InvalidState);
+}
+
 TEST(NormalWorldTest, AllocationAndAccess)
 {
     hw::Platform platform;
     SecureMonitor sm(platform);
-    Spm spm(sm);
-    NormalWorld nw(sm, spm);
-    auto addr = nw.allocate(100);
-    ASSERT_TRUE(addr.isOk());
-    ASSERT_TRUE(nw.write(addr.value(), Bytes{1, 2, 3}).isOk());
-    EXPECT_EQ(nw.read(addr.value(), 3).value(), (Bytes{1, 2, 3}));
+    NormalWorld nw(sm);
+    /* Untrusted memory is the normal OS's to hand out; take a page. */
+    hw::PhysAddr addr = platform.normalBase() + hw::kPageSize;
+    ASSERT_TRUE(nw.write(addr, Bytes{1, 2, 3}).isOk());
+    EXPECT_EQ(nw.read(addr, 3).value(), (Bytes{1, 2, 3}));
     /* Normal world cannot reach secure memory. */
     EXPECT_EQ(nw.read(platform.secureBase(), 4).code(),
               ErrorCode::AccessFault);
-}
-
-TEST(NormalWorldTest, ThreadSchedulerRunsUntilDone)
-{
-    hw::Platform platform;
-    SecureMonitor sm(platform);
-    Spm spm(sm);
-    NormalWorld nw(sm, spm);
-    int a_steps = 0, b_steps = 0;
-    nw.spawnThread([&] { return ++a_steps < 3; });
-    nw.spawnThread([&] { return ++b_steps < 5; });
-    EXPECT_EQ(nw.liveThreads(), 2u);
-    nw.runThreads();
-    EXPECT_EQ(a_steps, 3);
-    EXPECT_EQ(b_steps, 5);
-    EXPECT_EQ(nw.liveThreads(), 0u);
 }
 
 } // namespace

@@ -32,13 +32,7 @@ class SpmChurnTest
                 std::make_unique<accel::GpuDevice>(gc), 40 + i);
         }
         monitor = std::make_unique<SecureMonitor>(*platform);
-        hw::DeviceTree dt = platform->buildDeviceTree();
-        hw::DeviceTree secure_dt;
-        for (auto node : dt.all()) {
-            node.world = hw::World::Secure;
-            secure_dt.addNode(node);
-        }
-        ASSERT_TRUE(monitor->boot(secure_dt).isOk());
+        ASSERT_TRUE(monitor->bootAllSecure().isOk());
         spm = std::make_unique<Spm>(*monitor, GetParam());
 
         spm->setGrantHook([this](const GrantEvent &ev) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "accel/gpu.hh"
-#include "tee/normal_world.hh"
 #include "tee/spm.hh"
 
 namespace cronus::tee
@@ -36,14 +35,7 @@ class SpmTest : public ::testing::TestWithParam<BackendSelect>
             std::make_unique<accel::GpuDevice>(gc2), 41);
 
         monitor = std::make_unique<SecureMonitor>(*platform);
-        hw::DeviceTree dt = platform->buildDeviceTree();
-        /* Mark devices secure in the DT. */
-        hw::DeviceTree secure_dt;
-        for (auto node : dt.all()) {
-            node.world = hw::World::Secure;
-            secure_dt.addNode(node);
-        }
-        ASSERT_TRUE(monitor->boot(secure_dt).isOk());
+        ASSERT_TRUE(monitor->bootAllSecure().isOk());
         spm = std::make_unique<Spm>(*monitor, GetParam());
     }
 
@@ -447,66 +439,6 @@ TEST_P(SpmTest, ConcurrentRecoveryChargesMaxCost)
     ASSERT_TRUE(spm->recoverPartition(b2, image("gpu1.mos")).isOk());
     SimTime serial = platform->clock().now() - before;
     EXPECT_LT(concurrent, serial);
-}
-
-TEST_P(SpmTest, HangDetection)
-{
-    PartitionId a = makePartition("gpu0");
-    ASSERT_TRUE(spm->heartbeat(a).isOk());
-    /* First poll records progress; partition stays alive. */
-    EXPECT_TRUE(spm->pollHangs().empty());
-    ASSERT_TRUE(spm->heartbeat(a).isOk());
-    EXPECT_TRUE(spm->pollHangs().empty());
-    /* No heartbeat between polls: hang detected, partition failed. */
-    auto failed = spm->pollHangs();
-    ASSERT_EQ(failed.size(), 1u);
-    EXPECT_EQ(failed[0], a);
-    EXPECT_EQ(spm->partition(a).value()->state,
-              PartitionState::Failed);
-}
-
-TEST_P(SpmTest, BornHungPartitionFailsOnFirstPoll)
-{
-    /* A partition that never heartbeats after boot must be caught
-     * by the very first poll: createPartition seeds the heartbeat
-     * table, so "no entry yet" can't read as progress. */
-    PartitionId a = makePartition("gpu0");
-    auto failed = spm->pollHangs();
-    ASSERT_EQ(failed.size(), 1u);
-    EXPECT_EQ(failed[0], a);
-    EXPECT_EQ(spm->partition(a).value()->state,
-              PartitionState::Failed);
-
-    /* The same holds after a restart: the re-seeded entry catches a
-     * born-hung new incarnation within one poll too. */
-    ASSERT_TRUE(spm->recoverPartition(a, image("gpu0.mos")).isOk());
-    auto again = spm->pollHangs();
-    ASSERT_EQ(again.size(), 1u);
-    EXPECT_EQ(again[0], a);
-}
-
-TEST_P(SpmTest, RequestRestartIsIdempotentForFailedPartitions)
-{
-    /* Regression: requestRestart used to fail-then-recover
-     * unconditionally, so calling it on a partition that already
-     * panicked bounced with InvalidState from the fail step. */
-    PartitionId a = makePartition("gpu0");
-    ASSERT_TRUE(spm->panic(a).isOk());
-    ASSERT_EQ(spm->partition(a).value()->state,
-              PartitionState::Failed);
-
-    ASSERT_TRUE(spm->requestRestart(a, image("gpu0.mos")).isOk());
-    auto p = spm->partition(a);
-    ASSERT_TRUE(p.isOk());
-    EXPECT_EQ(p.value()->state, PartitionState::Ready);
-    EXPECT_EQ(p.value()->incarnation, 2u);
-
-    /* The Ready path still runs both steps. */
-    ASSERT_TRUE(spm->requestRestart(a, image("gpu0.mos")).isOk());
-    EXPECT_EQ(spm->partition(a).value()->incarnation, 3u);
-
-    EXPECT_EQ(spm->requestRestart(99, image("x")).code(),
-              ErrorCode::NotFound);
 }
 
 TEST_P(SpmTest, RevokeGrantRestoresShareBudget)

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "accel/gpu.hh"
-#include "tee/normal_world.hh"
 #include "tee/spm.hh"
 
 namespace cronus::tee
@@ -41,13 +40,7 @@ class TlbShootdownTest
             std::make_unique<accel::GpuDevice>(gc2), 41);
 
         monitor = std::make_unique<SecureMonitor>(*platform);
-        hw::DeviceTree dt = platform->buildDeviceTree();
-        hw::DeviceTree secure_dt;
-        for (auto node : dt.all()) {
-            node.world = hw::World::Secure;
-            secure_dt.addNode(node);
-        }
-        ASSERT_TRUE(monitor->boot(secure_dt).isOk());
+        ASSERT_TRUE(monitor->bootAllSecure().isOk());
         spm = std::make_unique<Spm>(*monitor, GetParam());
     }
 

@@ -1,8 +1,8 @@
-/** Tests for the spatial-sharing, multi-GPU and failover drivers. */
+/** Tests for the spatial-sharing and multi-GPU drivers (fig09 checks
+ *  the failover driver's claims itself). */
 
 #include <gtest/gtest.h>
 
-#include "workloads/failover.hh"
 #include "workloads/sharing.hh"
 
 namespace cronus::workloads
@@ -81,34 +81,6 @@ TEST(DataParallelTest, TransportNames)
                  "secure-mem");
     EXPECT_STREQ(gradTransportName(GradTransport::EncryptedStaging),
                  "encrypted");
-}
-
-TEST(FailoverTimelineTest, RecoversFastAndIsolatesTaskB)
-{
-    FailoverConfig cfg;
-    auto timeline = runFailoverTimeline(cfg);
-    ASSERT_TRUE(timeline.isOk()) << timeline.status().toString();
-    const FailoverTimeline &t = timeline.value();
-
-    /* Recovery in hundreds of ms, not minutes. */
-    EXPECT_GE(t.recoveryNs, 100 * kNsPerMs);
-    EXPECT_LT(t.recoveryNs, 2 * kNsPerSec);
-    EXPECT_LT(t.recoveryNs * 50, t.machineRebootNs);
-
-    /* Task B kept completing work while A's partition recovered. */
-    EXPECT_GT(t.taskBStepsDuringOutage, 0u);
-
-    /* Task A served before the crash and after recovery. */
-    size_t crash_bucket = kFailoverCrashAtNs / kFailoverBucketNs;
-    double before = 0, after = 0;
-    for (size_t i = 0; i < t.taskARate.size(); ++i) {
-        if (i < crash_bucket)
-            before += t.taskARate[i];
-        else if (i > crash_bucket + 6)
-            after += t.taskARate[i];
-    }
-    EXPECT_GT(before, 0.0);
-    EXPECT_GT(after, 0.0);
 }
 
 } // namespace
