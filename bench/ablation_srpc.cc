@@ -28,23 +28,15 @@ constexpr int kCalls = 200;
 std::string
 gpuManifest(const Bytes &image)
 {
-    Manifest m;
-    m.deviceType = "gpu";
-    m.images["a.cubin"] = crypto::digestHex(crypto::sha256(image));
-    m.mEcalls = CudaRuntime::manifestCalls();
-    m.memoryBytes = 4ull << 20;
-    return m.toJson();
+    return Manifest::build("gpu", "a.cubin", image,
+                           CudaRuntime::manifestCalls(), 4ull << 20);
 }
 
 std::string
 cpuManifest(const Bytes &image)
 {
-    Manifest m;
-    m.deviceType = "cpu";
-    m.images["a.so"] = crypto::digestHex(crypto::sha256(image));
-    m.mEcalls.push_back({"ab_noop", false});
-    m.memoryBytes = 4ull << 20;
-    return m.toJson();
+    return Manifest::build("cpu", "a.so", image, {{"ab_noop", false}},
+                           4ull << 20);
 }
 
 struct Setup

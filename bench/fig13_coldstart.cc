@@ -92,13 +92,9 @@ struct WorkerModule
             module.kernels.push_back(kernels[i % 3]);
         image = module.serialize();
 
-        Manifest m;
-        m.deviceType = "gpu";
-        m.images[imageName] =
-            crypto::digestHex(crypto::sha256(image));
-        m.mEcalls = CudaRuntime::manifestCalls();
-        m.memoryBytes = 4ull << 20;
-        manifestJson = m.toJson();
+        manifestJson =
+            Manifest::build("gpu", imageName, image,
+                            CudaRuntime::manifestCalls(), 4ull << 20);
     }
 };
 
@@ -128,17 +124,12 @@ struct Rig
         config.moduleStoreBytes = 16ull << 20;
         system = std::make_unique<CronusSystem>(config);
 
-        Manifest dm;
-        dm.deviceType = "cpu";
-        dm.mEcalls.push_back({"fig13_noop", false});
         CpuImage di;
         di.exports = {"fig13_noop"};
         Bytes db = di.serialize();
-        dm.images["driver.so"] =
-            crypto::digestHex(crypto::sha256(db));
-        dm.memoryBytes = 2ull << 20;
-        driver = system->createEnclave(dm.toJson(), "driver.so", db)
-                     .value();
+        std::string dm = Manifest::build(
+            "cpu", "driver.so", db, {{"fig13_noop", false}}, 2ull << 20);
+        driver = system->createEnclave(dm, "driver.so", db).value();
     }
 
     SimTime now() const

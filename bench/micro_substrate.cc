@@ -449,25 +449,19 @@ struct SrpcBench
                 });
         }
         system = std::make_unique<core::CronusSystem>();
-        core::Manifest cm;
-        cm.deviceType = "cpu";
-        cm.mEcalls.push_back({"bench_noop", false});
         core::CpuImage ci;
         ci.exports = {"bench_noop"};
         Bytes cb = ci.serialize();
-        cm.images["a.so"] = crypto::digestHex(crypto::sha256(cb));
-        cm.memoryBytes = 4ull << 20;
-        cpu = system->createEnclave(cm.toJson(), "a.so", cb).value();
+        std::string cm = core::Manifest::build(
+            "cpu", "a.so", cb, {{"bench_noop", false}}, 4ull << 20);
+        cpu = system->createEnclave(cm, "a.so", cb).value();
 
-        core::Manifest gm;
-        gm.deviceType = "gpu";
         accel::GpuModuleImage module{"a.cubin", {"fill_f32"}};
         Bytes gb = module.serialize();
-        gm.images["a.cubin"] = crypto::digestHex(crypto::sha256(gb));
-        gm.mEcalls = core::CudaRuntime::manifestCalls();
-        gm.memoryBytes = 4ull << 20;
-        gpu = system->createEnclave(gm.toJson(), "a.cubin", gb)
-                  .value();
+        std::string gm = core::Manifest::build(
+            "gpu", "a.cubin", gb, core::CudaRuntime::manifestCalls(),
+            4ull << 20);
+        gpu = system->createEnclave(gm, "a.cubin", gb).value();
         channel = std::move(system->connect(cpu, gpu).value());
     }
 };

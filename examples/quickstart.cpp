@@ -33,20 +33,6 @@ cpuImage()
     return image.serialize();
 }
 
-std::string
-manifestFor(const std::string &device, const std::string &image_name,
-            const Bytes &image, const std::vector<McallDecl> &calls)
-{
-    Manifest m;
-    m.deviceType = device;
-    if (!image_name.empty())
-        m.images[image_name] =
-            crypto::digestHex(crypto::sha256(image));
-    m.mEcalls = calls;
-    m.memoryBytes = 4ull << 20;
-    return m.toJson();
-}
-
 } // namespace
 
 int
@@ -63,8 +49,8 @@ main()
     /* 2. The application creates its CPU mEnclave (mEnclave A). */
     Bytes cpu_image = cpuImage();
     auto enclave_a = system.createEnclave(
-        manifestFor("cpu", "app.so", cpu_image,
-                    {{"process", false}}),
+        Manifest::build("cpu", "app.so", cpu_image,
+                        {{"process", false}}, 4ull << 20),
         "app.so", cpu_image);
     if (!enclave_a.isOk()) {
         std::printf("create failed: %s\n",
@@ -92,8 +78,8 @@ main()
     accel::GpuModuleImage module{"app.cubin", {"vec_add_f32"}};
     Bytes gpu_image = module.serialize();
     auto enclave_c = system.createEnclave(
-        manifestFor("gpu", "app.cubin", gpu_image,
-                    CudaRuntime::manifestCalls()),
+        Manifest::build("gpu", "app.cubin", gpu_image,
+                        CudaRuntime::manifestCalls(), 4ull << 20),
         "app.cubin", gpu_image);
     auto channel =
         system.connect(enclave_a.value(), enclave_c.value());

@@ -129,7 +129,9 @@ NpuDevice::writeBuffer(NpuContextId ctx, uint32_t buffer,
         return Status(ErrorCode::NotFound, "no such NPU buffer");
     if (!fits(offset, len, it->second.data.size()))
         return Status(ErrorCode::AccessFault, "NPU buffer overflow");
-    std::memcpy(it->second.data.data() + offset, data, len);
+    /* An empty Bytes hands over a null pointer: memcpy must not see it. */
+    if (len != 0)
+        std::memcpy(it->second.data.data() + offset, data, len);
     return Status::ok();
 }
 
@@ -145,7 +147,8 @@ NpuDevice::readBuffer(NpuContextId ctx, uint32_t buffer,
         return Status(ErrorCode::NotFound, "no such NPU buffer");
     if (!fits(offset, len, it->second.data.size()))
         return Status(ErrorCode::AccessFault, "NPU buffer overflow");
-    std::memcpy(out, it->second.data.data() + offset, len);
+    if (len != 0)
+        std::memcpy(out, it->second.data.data() + offset, len);
     return Status::ok();
 }
 
@@ -268,13 +271,6 @@ NpuDevice::run(NpuContextId ctx, const NpuProgram &program,
     SimTime start = std::max(now, context.busy);
     context.busy = start + static_cast<SimTime>(total_ns);
     return context.busy;
-}
-
-SimTime
-NpuDevice::busyUntil(NpuContextId ctx) const
-{
-    auto it = contexts.find(ctx);
-    return it == contexts.end() ? 0 : it->second.busy;
 }
 
 } // namespace cronus::accel

@@ -130,8 +130,6 @@ class NpuDevice : public AttestedDevice
     Result<SimTime> run(NpuContextId ctx, const NpuProgram &program,
                         SimTime now);
 
-    SimTime busyUntil(NpuContextId ctx) const;
-
     uint64_t configWord() const override { return kSramBytes; }
 
     const NpuConfig &config() const { return cfg; }

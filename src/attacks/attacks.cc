@@ -45,24 +45,15 @@ gpuImage()
 std::string
 cpuManifest()
 {
-    Manifest m;
-    m.deviceType = "cpu";
-    m.images["atk.so"] = crypto::digestHex(crypto::sha256(cpuImage()));
-    m.mEcalls.push_back({"atk_echo", false});
-    m.memoryBytes = 4ull << 20;
-    return m.toJson();
+    return Manifest::build("cpu", "atk.so", cpuImage(),
+                           {{"atk_echo", false}}, 4ull << 20);
 }
 
 std::string
 gpuManifest()
 {
-    Manifest m;
-    m.deviceType = "gpu";
-    m.images["atk.cubin"] =
-        crypto::digestHex(crypto::sha256(gpuImage()));
-    m.mEcalls = CudaRuntime::manifestCalls();
-    m.memoryBytes = 4ull << 20;
-    return m.toJson();
+    return Manifest::build("gpu", "atk.cubin", gpuImage(),
+                           CudaRuntime::manifestCalls(), 4ull << 20);
 }
 
 struct Scene

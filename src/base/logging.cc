@@ -18,16 +18,10 @@ Logger::log(LogLevel level, const std::string &msg)
 {
     if (level == LogLevel::Warn)
         ++numWarnings;
-    if (quietMode || level < minLevel)
+    if (quietMode)
         return;
-    const char *tag = "info";
-    switch (level) {
-      case LogLevel::Debug: tag = "debug"; break;
-      case LogLevel::Info:  tag = "info";  break;
-      case LogLevel::Warn:  tag = "warn";  break;
-      case LogLevel::Error: tag = "error"; break;
-    }
-    std::fprintf(stderr, "[%s] %s\n", tag, msg.c_str());
+    std::fprintf(stderr, "[%s] %s\n",
+                 level == LogLevel::Warn ? "warn" : "error", msg.c_str());
 }
 
 namespace detail
@@ -68,18 +62,6 @@ void
 warn(const std::string &msg)
 {
     Logger::instance().log(LogLevel::Warn, msg);
-}
-
-void
-inform(const std::string &msg)
-{
-    Logger::instance().log(LogLevel::Info, msg);
-}
-
-void
-trace(const std::string &msg)
-{
-    Logger::instance().log(LogLevel::Debug, msg);
 }
 
 } // namespace cronus

@@ -4,7 +4,7 @@
  *
  * Follows the gem5 convention: panic() is for internal invariant
  * violations (simulator bugs), fatal() is for unrecoverable user
- * errors, warn()/inform() report conditions without stopping the run.
+ * errors, warn() reports a condition without stopping the run.
  */
 
 #ifndef CRONUS_BASE_LOGGING_HH
@@ -23,8 +23,6 @@ namespace cronus
 /** Severity of a log record. */
 enum class LogLevel
 {
-    Debug,
-    Info,
     Warn,
     Error,
 };
@@ -37,10 +35,6 @@ class Logger
 {
   public:
     static Logger &instance();
-
-    /** Minimum level that is actually emitted. */
-    void setLevel(LogLevel level) { minLevel = level; }
-    LogLevel level() const { return minLevel; }
 
     /** Completely silence the logger (used by benches/tests). */
     void setQuiet(bool quiet) { quietMode = quiet; }
@@ -56,7 +50,6 @@ class Logger
   private:
     Logger() = default;
 
-    LogLevel minLevel = LogLevel::Info;
     bool quietMode = false;
     uint64_t numWarnings = 0;
 };
@@ -96,12 +89,6 @@ std::string formatString(const char *fmt, ...)
 
 /** Report a suspicious-but-survivable condition. */
 void warn(const std::string &msg);
-
-/** Report normal operating status. */
-void inform(const std::string &msg);
-
-/** Debug-level trace message. */
-void trace(const std::string &msg);
 
 /**
  * Assert a simulator invariant; throws PanicError on failure so tests

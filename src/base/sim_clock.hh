@@ -75,8 +75,6 @@ class SimClock
  */
 struct CostModel
 {
-    /** One exception-level switch (EL0<->EL1 etc.). */
-    SimTime elSwitchNs = 800;
     /** Normal-world <-> secure-world switch through EL3. */
     SimTime worldSwitchNs = 2400;
     /** Context switches for one synchronous S-EL2 cross-partition

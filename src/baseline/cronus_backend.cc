@@ -15,23 +15,70 @@ namespace
 std::string
 gpuManifestFor(const Bytes &image_bytes)
 {
-    core::Manifest m;
-    m.deviceType = "gpu";
-    m.images["app.cubin"] =
-        crypto::digestHex(crypto::sha256(image_bytes));
-    m.mEcalls = CudaRuntime::manifestCalls();
-    m.memoryBytes = 8ull << 20;
-    return m.toJson();
+    return core::Manifest::build("gpu", "app.cubin", image_bytes,
+                                 CudaRuntime::manifestCalls(),
+                                 8ull << 20);
 }
 
 std::string
 npuManifestBasic()
 {
-    core::Manifest m;
-    m.deviceType = "npu";
-    m.mEcalls = NpuRuntime::manifestCalls();
-    m.memoryBytes = 4ull << 20;
-    return m.toJson();
+    return core::Manifest::build("npu", "", {},
+                                 NpuRuntime::manifestCalls(),
+                                 4ull << 20);
+}
+
+/** Room each ring slot keeps for a copy call's own encoding. */
+constexpr uint64_t kCallHeaderBytes = 64;
+
+/**
+ * Send @p data as @p fn calls that each fit one request slot of
+ * @p ring, in order; @p encode(offset, piece) builds one call's
+ * arguments. Empty data sends one empty call when @p send_empty,
+ * else nothing.
+ */
+template <typename Encode>
+Status
+sendChunked(core::SrpcChannel &channel, const core::SrpcConfig &ring,
+            const std::string &fn, const Bytes &data, bool send_empty,
+            Encode encode)
+{
+    const uint64_t chunk = ring.requestBytes() - kCallHeaderBytes;
+    if (data.empty() && !send_empty)
+        return Status::ok();
+    uint64_t off = 0;
+    do {
+        uint64_t len = std::min<uint64_t>(chunk, data.size() - off);
+        Bytes piece(data.begin() + off, data.begin() + off + len);
+        auto r = channel.call(fn, encode(off, piece));
+        if (!r.isOk())
+            return r.status();
+        off += len;
+    } while (off < data.size());
+    return Status::ok();
+}
+
+/**
+ * Fetch @p len bytes as @p fn calls whose results each fit one
+ * response slot of @p ring, concatenated in order; @p encode(offset,
+ * n) builds one call's arguments.
+ */
+template <typename Encode>
+Result<Bytes>
+fetchChunked(core::SrpcChannel &channel, const core::SrpcConfig &ring,
+             const std::string &fn, uint64_t len, Encode encode)
+{
+    const uint64_t chunk = ring.responseBytes() - kCallHeaderBytes;
+    Bytes out;
+    out.reserve(len);
+    for (uint64_t off = 0; off < len; off += chunk) {
+        uint64_t n = std::min<uint64_t>(chunk, len - off);
+        auto r = channel.call(fn, encode(off, n));
+        if (!r.isOk())
+            return r.status();
+        out.insert(out.end(), r.value().begin(), r.value().end());
+    }
+    return out;
 }
 
 } // namespace
@@ -54,12 +101,10 @@ CronusBackend::CronusBackend(const CronusBackendConfig &config)
     core::CpuImage cpu_image;
     cpu_image.exports = {"noop"};
     Bytes cpu_bytes = cpu_image.serialize();
-    core::Manifest cm;
-    cm.deviceType = "cpu";
-    cm.images["app.so"] = crypto::digestHex(crypto::sha256(cpu_bytes));
-    cm.mEcalls.push_back({"noop", false});
-    cm.memoryBytes = 4ull << 20;
-    auto cpu = sys->createEnclave(cm.toJson(), "app.so", cpu_bytes);
+    auto cpu = sys->createEnclave(
+        core::Manifest::build("cpu", "app.so", cpu_bytes,
+                              {{"noop", false}}, 4ull << 20),
+        "app.so", cpu_bytes);
     CRONUS_ASSERT(cpu.isOk(),
                   "cpu enclave: " + cpu.status().toString());
     cpuEnclave = cpu.value();
@@ -125,51 +170,25 @@ CronusBackend::gpuFree(uint64_t va)
 }
 
 Status
-CronusBackend::streamCopy(uint64_t va, const Bytes &data)
-{
-    uint64_t chunk = srpcConfig.requestBytes() - 64;
-    for (uint64_t off = 0; off < data.size(); off += chunk) {
-        uint64_t len = std::min<uint64_t>(chunk, data.size() - off);
-        Bytes piece(data.begin() + off, data.begin() + off + len);
-        auto r = gpuChannel->call(
-            "cuMemcpyHtoD",
-            CudaRuntime::encodeMemcpyHtoD(va + off, piece));
-        if (!r.isOk())
-            return r.status();
-    }
-    if (data.empty()) {
-        auto r = gpuChannel->call(
-            "cuMemcpyHtoD", CudaRuntime::encodeMemcpyHtoD(va, data));
-        if (!r.isOk())
-            return r.status();
-    }
-    return Status::ok();
-}
-
-Status
 CronusBackend::copyToGpu(uint64_t va, const Bytes &data)
 {
     CRONUS_RETURN_IF_ERROR(ensureGpuChannel());
-    return streamCopy(va, data);
+    return sendChunked(
+        *gpuChannel, srpcConfig, "cuMemcpyHtoD", data, true,
+        [va](uint64_t off, const Bytes &piece) {
+            return CudaRuntime::encodeMemcpyHtoD(va + off, piece);
+        });
 }
 
 Result<Bytes>
 CronusBackend::copyFromGpu(uint64_t va, uint64_t len)
 {
     CRONUS_RETURN_IF_ERROR(ensureGpuChannel());
-    uint64_t chunk = srpcConfig.responseBytes() - 64;
-    Bytes out;
-    out.reserve(len);
-    for (uint64_t off = 0; off < len; off += chunk) {
-        uint64_t n = std::min<uint64_t>(chunk, len - off);
-        auto r = gpuChannel->call(
-            "cuMemcpyDtoH",
-            CudaRuntime::encodeMemcpyDtoH(va + off, n));
-        if (!r.isOk())
-            return r.status();
-        out.insert(out.end(), r.value().begin(), r.value().end());
-    }
-    return out;
+    return fetchChunked(
+        *gpuChannel, srpcConfig, "cuMemcpyDtoH", len,
+        [va](uint64_t off, uint64_t n) {
+            return CudaRuntime::encodeMemcpyDtoH(va + off, n);
+        });
 }
 
 Status
@@ -209,18 +228,12 @@ CronusBackend::npuWriteBuffer(uint32_t buffer, uint64_t offset,
                               const Bytes &data)
 {
     CRONUS_RETURN_IF_ERROR(ensureNpuChannel());
-    uint64_t chunk = srpcConfig.requestBytes() - 64;
-    for (uint64_t off = 0; off < data.size(); off += chunk) {
-        uint64_t len = std::min<uint64_t>(chunk, data.size() - off);
-        Bytes piece(data.begin() + off, data.begin() + off + len);
-        auto r = npuChannel->call(
-            "vtaWriteBuffer",
-            NpuRuntime::encodeWriteBuffer(buffer, offset + off,
-                                          piece));
-        if (!r.isOk())
-            return r.status();
-    }
-    return Status::ok();
+    return sendChunked(
+        *npuChannel, srpcConfig, "vtaWriteBuffer", data, false,
+        [buffer, offset](uint64_t off, const Bytes &piece) {
+            return NpuRuntime::encodeWriteBuffer(buffer, offset + off,
+                                                 piece);
+        });
 }
 
 Result<Bytes>
@@ -228,18 +241,11 @@ CronusBackend::npuReadBuffer(uint32_t buffer, uint64_t offset,
                              uint64_t len)
 {
     CRONUS_RETURN_IF_ERROR(ensureNpuChannel());
-    uint64_t chunk = srpcConfig.responseBytes() - 64;
-    Bytes out;
-    for (uint64_t off = 0; off < len; off += chunk) {
-        uint64_t n = std::min<uint64_t>(chunk, len - off);
-        auto r = npuChannel->call(
-            "vtaReadBuffer",
-            NpuRuntime::encodeReadBuffer(buffer, offset + off, n));
-        if (!r.isOk())
-            return r.status();
-        out.insert(out.end(), r.value().begin(), r.value().end());
-    }
-    return out;
+    return fetchChunked(
+        *npuChannel, srpcConfig, "vtaReadBuffer", len,
+        [buffer, offset](uint64_t off, uint64_t n) {
+            return NpuRuntime::encodeReadBuffer(buffer, offset + off, n);
+        });
 }
 
 Status

@@ -54,16 +54,10 @@ class CronusBackend : public ComputeBackend
     bool othersAlive() override;
 
     core::CronusSystem &system() { return *sys; }
-    const core::SrpcStats *gpuChannelStats() const
-    {
-        return gpuChannel ? &gpuChannel->stats() : nullptr;
-    }
 
   private:
     Status ensureGpuChannel();
     Status ensureNpuChannel();
-    /** Split a copy into slot-sized sRPC requests. */
-    Status streamCopy(uint64_t va, const Bytes &data);
 
     CronusBackendConfig cfg;
     std::unique_ptr<core::CronusSystem> sys;

@@ -98,8 +98,6 @@ HixTzBackend::rpcRoundTrip(const Bytes &payload)
     auto ack_open = crypto::openMessage(sessionSecret, ack);
     if (!ack_open.isOk())
         return ack_open.status();
-
-    ++roundTrips;
     return Status::ok();
 }
 

@@ -74,7 +74,6 @@ class HixTzBackend : public ComputeBackend
     {
         return observed;
     }
-    uint64_t rpcRoundTrips() const { return roundTrips; }
 
     hw::Platform &platform() { return *plat; }
 
@@ -90,7 +89,6 @@ class HixTzBackend : public ComputeBackend
     accel::GpuContextId gpuCtx = 0;
     Bytes sessionSecret;
     uint64_t nonce = 0;
-    uint64_t roundTrips = 0;
     std::vector<ObservedMessage> observed;
     hw::PhysAddr mailbox = 0;
     bool gpuEnclaveDown = false;

@@ -68,12 +68,12 @@ migrationStageFromName(const std::string &name)
 }
 
 Cluster::Cluster(const ClusterConfig &config)
-    : cfg(config), fabric(fleetClock, config.link)
+    : cfg(config), fabric(fleetClock)
 {
     for (uint32_t i = 0; i < cfg.numNodes; ++i) {
         auto n = std::make_unique<ClusterNode>(
             i, "node" + std::to_string(i), cfg.nodeSystem,
-            &fleetClock, cfg.supervisor);
+            &fleetClock);
         NodeCredential cred = n->credential();
         fabric.registerNode(i, cred);
         fabric.trustMeasurement(cred.dtMeasurement);
@@ -82,7 +82,6 @@ Cluster::Cluster(const ClusterConfig &config)
          * re-quarantine what the node already handled). */
         n->supervisor().setOnQuarantine(
             [this, i](const std::string &) {
-                ++supervisorEscalations;
                 ClusterNode &esc = *nodes[i];
                 if (esc.health() == NodeHealth::Healthy)
                     esc.setHealth(NodeHealth::Degraded);
@@ -444,15 +443,12 @@ Cluster::drainNode(NodeId id, const DrainBudget &budget)
                          "cluster");
         span.arg("node", static_cast<int64_t>(id));
     }
-    const SimTime start = fleetClock.now();
     const std::vector<Fid> fids = enclavesOn(id);
     uint32_t migrated = 0;
     uint32_t failures = 0;
     bool exhausted = false;
     for (Fid fid : fids) {
-        if (migrated >= budget.maxMigrations ||
-            (budget.maxNs != 0 &&
-             fleetClock.now() - start >= budget.maxNs)) {
+        if (migrated >= budget.maxMigrations) {
             exhausted = true;
             break;
         }
@@ -609,12 +605,6 @@ Cluster::pump()
         (void)place(*rec);
 }
 
-bool
-Cluster::exists(Fid fid) const
-{
-    return enclaves.count(fid) != 0;
-}
-
 Result<NodeId>
 Cluster::nodeOf(Fid fid) const
 {
@@ -650,55 +640,6 @@ Cluster::enclavesOn(NodeId id) const
             fids.push_back(fid);
     }
     return fids;
-}
-
-JsonValue
-Cluster::report()
-{
-    JsonArray nodeArr;
-    for (auto &n : nodes) {
-        JsonObject o;
-        o["name"] = n->name();
-        o["health"] = nodeHealthName(n->health());
-        o["live_enclaves"] =
-            static_cast<int64_t>(n->liveEnclaves);
-        nodeArr.push_back(JsonValue(std::move(o)));
-    }
-    JsonArray migArr;
-    for (const MigrationAudit &m : migrationLog) {
-        JsonObject o;
-        o["seq"] = static_cast<int64_t>(m.seq);
-        o["fid"] = static_cast<int64_t>(m.fid);
-        o["src"] = static_cast<int64_t>(m.src);
-        o["dst"] = static_cast<int64_t>(m.dst);
-        o["outcome"] = m.outcome;
-        o["src_alive"] = m.srcAlive;
-        o["dst_alive"] = m.dstAlive;
-        o["converged"] = m.converged();
-        o["replayed_calls"] =
-            static_cast<int64_t>(m.replayedCalls);
-        o["start_ns"] = static_cast<int64_t>(m.startNs);
-        o["end_ns"] = static_cast<int64_t>(m.endNs);
-        migArr.push_back(JsonValue(std::move(o)));
-    }
-    JsonObject r;
-    r["num_nodes"] = static_cast<int64_t>(nodes.size());
-    r["placements"] = static_cast<int64_t>(placements);
-    r["migrations_completed"] =
-        static_cast<int64_t>(migrationsCompleted);
-    r["migrations_aborted"] =
-        static_cast<int64_t>(migrationsAborted);
-    r["drains"] = static_cast<int64_t>(drains);
-    r["fleet_quarantines"] =
-        static_cast<int64_t>(fleetQuarantines);
-    r["replacements"] = static_cast<int64_t>(replacements);
-    r["supervisor_escalations"] =
-        static_cast<int64_t>(supervisorEscalations);
-    r["nodes"] = JsonValue(std::move(nodeArr));
-    r["migrations"] = JsonValue(std::move(migArr));
-    r["interconnect"] = fabric.report();
-    r["end_time_ns"] = static_cast<int64_t>(fleetClock.now());
-    return JsonValue(std::move(r));
 }
 
 } // namespace cronus::cluster

@@ -27,8 +27,8 @@
  * destination. Either way exactly one live copy survives, which is
  * the fuzzer's convergence oracle.
  *
- * drainNode evacuates a node under a DrainBudget: live-migrate
- * while budget lasts, fall back to in-place recovery for enclaves
+ * drainNode evacuates a node under a DrainBudget (a cap on live
+ * migrations): live-migrate while budget lasts, fall back to in-place recovery for enclaves
  * that cannot move, and finally quarantine the node at fleet level
  * (idempotent with the node Supervisor's own quarantine -- see
  * Supervisor::quarantineDevice) re-placing whatever remained.
@@ -51,13 +51,13 @@ namespace cronus::cluster
 /** Fleet-wide enclave id (stable across migrations). */
 using Fid = uint64_t;
 
+/** Fleet shape. Every node's Supervisor runs the default
+ *  SupervisorConfig, and every link the Interconnect's fixed costs. */
 struct ClusterConfig
 {
     uint32_t numNodes = 2;
     /** Per-node machine shape (sharedClock/nodeName overwritten). */
     core::CronusConfig nodeSystem;
-    recover::SupervisorConfig supervisor;
-    LinkCostModel link;
     /** Auto-checkpoint after this many acked calls (0 = manual). */
     uint32_t autoCheckpointEvery = 0;
     /** Ignored: the fleet always runs serially. Kept only so that
@@ -102,8 +102,6 @@ struct DrainBudget
 {
     /** Live migrations allowed (the rest re-place cold). */
     uint32_t maxMigrations = 0xffffffffu;
-    /** Virtual-time ceiling for the whole drain (0 = none). */
-    SimTime maxNs = 0;
 };
 
 class Cluster
@@ -187,7 +185,6 @@ class Cluster
 
     /* --- introspection + audit --- */
 
-    bool exists(Fid fid) const;
     /** The node currently hosting @p fid. */
     Result<NodeId> nodeOf(Fid fid) const;
     /** A live, callable copy exists (host node up, partition Ready). */
@@ -209,9 +206,6 @@ class Cluster
         uint64_t seq, MigrationStage stage, NodeId src, NodeId dst)>;
     void setStageHook(StageHook hook) { stageHook = std::move(hook); }
 
-    /** Fleet counters + per-node health + interconnect report. */
-    JsonValue report();
-
     /* --- fleet counters (public for bench assertions) --- */
     uint64_t placements = 0;
     uint64_t migrationsCompleted = 0;
@@ -219,7 +213,6 @@ class Cluster
     uint64_t drains = 0;
     uint64_t fleetQuarantines = 0;
     uint64_t replacements = 0;  ///< cold re-places after node loss
-    uint64_t supervisorEscalations = 0;  ///< node-sup quarantine hooks
 
   private:
     struct FleetEnclave

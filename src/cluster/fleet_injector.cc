@@ -120,29 +120,4 @@ FleetInjector::onStage(uint64_t seq, MigrationStage stage,
     }
 }
 
-size_t
-FleetInjector::pending() const
-{
-    return events.size() - firedIds.size();
-}
-
-JsonValue
-FleetInjector::report() const
-{
-    JsonObject o;
-    o["fleet_events"] = static_cast<int64_t>(events.size());
-    o["fired"] = static_cast<int64_t>(firings.size());
-    o["pending"] = static_cast<int64_t>(pending());
-    JsonArray arr;
-    for (const auto &f : firings) {
-        JsonObject fo;
-        fo["event"] = static_cast<int64_t>(f.eventId);
-        fo["what"] = f.what;
-        fo["at_ns"] = static_cast<int64_t>(f.atNs);
-        arr.push_back(JsonValue(std::move(fo)));
-    }
-    o["firings"] = JsonValue(std::move(arr));
-    return JsonValue(std::move(o));
-}
-
 } // namespace cronus::cluster

@@ -15,8 +15,8 @@
  * stage hook fires synchronously inside migrateEnclave, which is
  * what makes migration-window kills land deterministically at a
  * specific stage. Every firing (including refusals, e.g. killNode
- * declining to take out the last placeable node) is logged for the
- * run report and the differential oracle.
+ * declining to take out the last placeable node) is logged in
+ * fired() for the differential oracle.
  */
 
 #ifndef CRONUS_CLUSTER_FLEET_INJECTOR_HH
@@ -49,11 +49,6 @@ class FleetInjector
     };
 
     const std::vector<Firing> &fired() const { return firings; }
-    /** Fleet events still pending (AtTime not yet due, NthMigration
-     *  not yet reached). */
-    size_t pending() const;
-
-    JsonValue report() const;
 
   private:
     void onStage(uint64_t seq, MigrationStage stage, NodeId src,

@@ -5,9 +5,16 @@
 namespace cronus::cluster
 {
 
-Interconnect::Interconnect(SimClock &fleet_clock,
-                           const LinkCostModel &costs)
-    : clock(fleet_clock), cost(costs)
+namespace
+{
+
+/** Per-transfer fabric cost: hop latency + per-byte cost. */
+constexpr SimTime kHopLatencyNs = 5 * kNsPerUs;
+constexpr double kNsPerByte = 0.1;
+
+} // namespace
+
+Interconnect::Interconnect(SimClock &fleet_clock) : clock(fleet_clock)
 {
 }
 
@@ -39,12 +46,6 @@ Interconnect::setLinkDown(NodeId a, NodeId b, bool down)
         downLinks.insert(linkKey(a, b));
     else
         downLinks.erase(linkKey(a, b));
-}
-
-bool
-Interconnect::linkUp(NodeId a, NodeId b) const
-{
-    return downLinks.find(linkKey(a, b)) == downLinks.end();
 }
 
 Status
@@ -91,8 +92,8 @@ Interconnect::transfer(NodeId src, NodeId dst, uint64_t bytes)
                       "interconnect link is partitioned");
     }
     CRONUS_RETURN_IF_ERROR(ensureAttested(src, dst));
-    clock.advance(cost.hopLatencyNs +
-                  static_cast<SimTime>(bytes * cost.nsPerByte));
+    clock.advance(kHopLatencyNs +
+                  static_cast<SimTime>(bytes * kNsPerByte));
     ++messages;
     bytesMoved += bytes;
     return Status::ok();
@@ -108,20 +109,6 @@ Interconnect::invalidateAttestation(NodeId node)
         else
             ++it;
     }
-}
-
-JsonValue
-Interconnect::report() const
-{
-    JsonObject o;
-    o["messages"] = static_cast<int64_t>(messages);
-    o["bytes_moved"] = static_cast<int64_t>(bytesMoved);
-    o["attestations"] = static_cast<int64_t>(attestations);
-    o["refusals"] = static_cast<int64_t>(refusals);
-    o["partitioned_drops"] =
-        static_cast<int64_t>(partitionedDrops);
-    o["links_down"] = static_cast<int64_t>(downLinks.size());
-    return JsonValue(std::move(o));
 }
 
 } // namespace cronus::cluster

@@ -3,10 +3,10 @@
  * Simulated secure interconnect between the SoCs of a fleet.
  *
  * The interconnect is the only path between nodes (and between the
- * fleet frontend and any node). It charges virtual time from a
- * per-transfer cost model (hop latency + per-byte cost on the
- * shared fleet clock) and enforces two policies before moving a
- * single byte:
+ * fleet frontend and any node). Each transfer charges a fixed hop
+ * latency plus a per-byte cost on the shared fleet clock (a
+ * PCIe/CXL-class fabric: 5 us per hop, 10 GB/s effective), and the
+ * fabric enforces two policies before moving a single byte:
  *
  *  - *link attestation*: the sending side must have verified the
  *    receiver's NodeCredential -- RoT signature over the node's
@@ -35,19 +35,10 @@
 namespace cronus::cluster
 {
 
-/** Per-transfer cost model (defaults ~= a PCIe/CXL-class fabric:
- *  5us per hop, 10 GB/s effective). */
-struct LinkCostModel
-{
-    SimTime hopLatencyNs = 5 * kNsPerUs;
-    double nsPerByte = 0.1;
-};
-
 class Interconnect
 {
   public:
-    Interconnect(SimClock &fleet_clock, const LinkCostModel &costs =
-                                            LinkCostModel());
+    explicit Interconnect(SimClock &fleet_clock);
 
     /** Present @p cred as @p id's identity on the fabric. */
     void registerNode(NodeId id, const NodeCredential &cred);
@@ -57,7 +48,6 @@ class Interconnect
 
     /** Sever / heal the (symmetric) link between @p a and @p b. */
     void setLinkDown(NodeId a, NodeId b, bool down);
-    bool linkUp(NodeId a, NodeId b) const;
 
     /**
      * Verify @p dst's credential on behalf of @p src (cached per
@@ -81,8 +71,6 @@ class Interconnect
      *  credential is stale after a crash/reboot). */
     void invalidateAttestation(NodeId node);
 
-    const LinkCostModel &costs() const { return cost; }
-
     /* --- counters (fleet metrics) --- */
     uint64_t messages = 0;
     uint64_t bytesMoved = 0;
@@ -90,13 +78,10 @@ class Interconnect
     uint64_t refusals = 0;       ///< attestation failures
     uint64_t partitionedDrops = 0;
 
-    JsonValue report() const;
-
   private:
     static std::pair<NodeId, NodeId> linkKey(NodeId a, NodeId b);
 
     SimClock &clock;
-    LinkCostModel cost;
     std::map<NodeId, NodeCredential> credentials;
     std::set<std::string> trustedMeasurements;  ///< hex digests
     std::set<std::pair<NodeId, NodeId>> downLinks;

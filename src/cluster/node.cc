@@ -27,14 +27,13 @@ NodeCredential::signedMessage() const
 
 ClusterNode::ClusterNode(NodeId id, std::string name,
                          core::CronusConfig system_template,
-                         SimClock *fleet_clock,
-                         const recover::SupervisorConfig &sup_cfg)
+                         SimClock *fleet_clock)
     : nodeId(id), nodeName(std::move(name))
 {
     system_template.sharedClock = fleet_clock;
     system_template.nodeName = nodeName;
     sys = std::make_unique<core::CronusSystem>(system_template);
-    sup = std::make_unique<recover::Supervisor>(*sys, sup_cfg);
+    sup = std::make_unique<recover::Supervisor>(*sys);
     for (core::MicroOS *os : sys->allMos())
         (void)sup->watch(os->deviceName());
 }

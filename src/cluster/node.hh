@@ -65,13 +65,12 @@ class ClusterNode
   public:
     /**
      * Build the node's machine from @p system_template with the
-     * name and fleet clock filled in. The supervisor watches every
-     * device from boot.
+     * name and fleet clock filled in. The supervisor (default
+     * SupervisorConfig) watches every device from boot.
      */
     ClusterNode(NodeId id, std::string name,
                 core::CronusConfig system_template,
-                SimClock *fleet_clock,
-                const recover::SupervisorConfig &sup_cfg);
+                SimClock *fleet_clock);
 
     NodeId id() const { return nodeId; }
     const std::string &name() const { return nodeName; }

@@ -16,19 +16,8 @@ AutoPartitioner::cudaCallIsAsync(const std::string &fn)
 namespace
 {
 
-std::string
-manifestFor(const std::string &device_type,
-            const std::vector<McallDecl> &calls,
-            const std::map<std::string, Bytes> &images)
-{
-    Manifest m;
-    m.deviceType = device_type;
-    m.mEcalls = calls;
-    m.memoryBytes = 4ull << 20;
-    for (const auto &[name, bytes] : images)
-        m.images[name] = crypto::digestHex(crypto::sha256(bytes));
-    return m.toJson();
-}
+/** Memory quota of every generated mEnclave. */
+constexpr uint64_t kEnclaveMemBytes = 4ull << 20;
 
 } // namespace
 
@@ -67,18 +56,21 @@ AutoPartitioner::partition(const MonolithicProgram &program)
 
     if (plan.needsCpu) {
         plan.cpuImageBytes = program.cpuImage.serialize();
-        plan.cpuManifest = manifestFor(
-            "cpu", cpu_calls,
-            {{program.name + ".so", plan.cpuImageBytes}});
+        plan.cpuManifest =
+            Manifest::build("cpu", program.name + ".so",
+                            plan.cpuImageBytes, cpu_calls,
+                            kEnclaveMemBytes);
     }
     if (plan.needsGpu) {
         plan.gpuImageBytes = program.gpuImage.serialize();
-        plan.gpuManifest = manifestFor(
-            "gpu", gpu_calls,
-            {{program.name + ".cubin", plan.gpuImageBytes}});
+        plan.gpuManifest =
+            Manifest::build("gpu", program.name + ".cubin",
+                            plan.gpuImageBytes, gpu_calls,
+                            kEnclaveMemBytes);
     }
     if (plan.needsNpu) {
-        plan.npuManifest = manifestFor("npu", npu_calls, {});
+        plan.npuManifest = Manifest::build("npu", "", {}, npu_calls,
+                                           kEnclaveMemBytes);
     }
     return plan;
 }

@@ -16,18 +16,12 @@ EnclaveDispatcher::route(Eid eid)
 {
     if (misroute) {
         MicroOS *forced = misroute(eid);
-        if (forced != nullptr) {
-            if (routeObserver)
-                routeObserver(eid, forced);
+        if (forced != nullptr)
             return forced;
-        }
     }
     for (MicroOS *os : registered) {
-        if (os->partitionId() == mosIdOf(eid)) {
-            if (routeObserver)
-                routeObserver(eid, os);
+        if (os->partitionId() == mosIdOf(eid))
             return os;
-        }
     }
     return Status(ErrorCode::NotFound,
                   "no partition for eid " + eidToString(eid));

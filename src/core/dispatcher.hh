@@ -68,16 +68,6 @@ class EnclaveDispatcher
     }
 
     /**
-     * Observes every successful route decision (fault injection /
-     * invariant auditing); called with the eid and the chosen mOS.
-     */
-    using RouteObserver = std::function<void(Eid, MicroOS *)>;
-    void setRouteObserver(RouteObserver observer)
-    {
-        routeObserver = std::move(observer);
-    }
-
-    /**
      * Observes every successful placement decision made by
      * partitionFor() (the fuzzer records these in its decision
      * trace); called with the requested type/name and the chosen
@@ -95,7 +85,6 @@ class EnclaveDispatcher
     std::vector<MicroOS *> registered;
     std::set<std::string> degradedDevices;
     std::function<MicroOS *(Eid)> misroute;
-    RouteObserver routeObserver;
     PlacementObserver placementObserver;
 };
 

@@ -44,6 +44,20 @@ Manifest::parseMemorySize(const std::string &text)
     return value * scale;
 }
 
+std::string
+Manifest::build(const std::string &device_type,
+                const std::string &image_name, const Bytes &image,
+                std::vector<McallDecl> calls, uint64_t memory_bytes)
+{
+    Manifest m;
+    m.deviceType = device_type;
+    if (!image_name.empty())
+        m.images[image_name] = crypto::digestHex(crypto::sha256(image));
+    m.mEcalls = std::move(calls);
+    m.memoryBytes = memory_bytes;
+    return m.toJson();
+}
+
 Result<Manifest>
 Manifest::fromJson(const std::string &text)
 {

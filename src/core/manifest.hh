@@ -43,6 +43,18 @@ class Manifest
     std::vector<McallDecl> mEcalls;
     uint64_t memoryBytes = 0;
 
+    /**
+     * Canonical JSON of a one-module manifest: @p device_type,
+     * @p calls, a @p memory_bytes quota and, unless @p image_name is
+     * empty, @p image declared under that name by its sha256 hex.
+     * The one place that writes an image hash into a manifest.
+     */
+    static std::string build(const std::string &device_type,
+                             const std::string &image_name,
+                             const Bytes &image,
+                             std::vector<McallDecl> calls,
+                             uint64_t memory_bytes);
+
     /** Parse from JSON text (untrusted input). */
     static Result<Manifest> fromJson(const std::string &text);
 

@@ -166,7 +166,6 @@ class SrpcChannel
     /** Physical base of the ring in the caller's partition. */
     tee::PhysAddr ringBase() const { return region.base(); }
     uint64_t requestIndex() const { return rid; }
-    uint64_t progressIndex() const { return sid; }
 
     /**
      * Executor step: process up to @p max pending requests in the

@@ -1,10 +1,15 @@
 #include "warm_pool.hh"
 
+#include <algorithm>
+
 namespace cronus::core
 {
 
 namespace
 {
+
+/** Memory quota of every shell. */
+constexpr uint64_t kShellMemBytes = 4ull << 20;
 
 bool
 digestIsZero(const crypto::Digest &d)
@@ -28,7 +33,7 @@ WarmPool::prefill(size_t count, const AppHandle *driver)
 {
     for (size_t i = 0; i < count; ++i) {
         auto handle = sys.createEnclaveShell(cfg.deviceType,
-                                             cfg.shellMemBytes,
+                                             kShellMemBytes,
                                              cfg.deviceName);
         if (!handle.isOk())
             return handle.status();
@@ -115,7 +120,10 @@ WarmPool::acquire(const ModuleRecord &record)
 Status
 WarmPool::release(WarmShell *shell)
 {
-    if (shell == nullptr || !shell->inUse)
+    auto owned = std::find_if(
+        shells.begin(), shells.end(),
+        [shell](const auto &own) { return own.get() == shell; });
+    if (owned == shells.end() || !shell->inUse)
         return Status(ErrorCode::InvalidState,
                       "shell is not leased from this pool");
     shell->inUse = false;

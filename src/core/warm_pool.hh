@@ -54,7 +54,6 @@ class WarmPool
         /** Optional device pin ("gpu1"); empty lets the dispatcher
          *  place shells. */
         std::string deviceName;
-        uint64_t shellMemBytes = 4ull << 20;
     };
 
     WarmPool(CronusSystem &system, Config config);
@@ -75,7 +74,8 @@ class WarmPool
      */
     Result<WarmShell *> acquire(const ModuleRecord &record);
 
-    /** Return a leased shell (binding is kept for affinity). */
+    /** Return a shell leased from this pool (binding is kept for
+     *  affinity). InvalidState for any other pointer. */
     Status release(WarmShell *shell);
 
     size_t size() const { return shells.size(); }

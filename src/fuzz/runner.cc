@@ -59,13 +59,9 @@ fzCpuImage()
 std::string
 fzCpuManifest()
 {
-    Manifest m;
-    m.deviceType = "cpu";
-    m.images["fz.so"] =
-        crypto::digestHex(crypto::sha256(fzCpuImage()));
-    m.mEcalls = {{"fz_echo", false}, {"fz_accumulate", false}};
-    m.memoryBytes = 4ull << 20;
-    return m.toJson();
+    return Manifest::build("cpu", "fz.so", fzCpuImage(),
+                           {{"fz_echo", false}, {"fz_accumulate", false}},
+                           4ull << 20);
 }
 
 namespace
@@ -82,13 +78,8 @@ fzGpuImage()
 std::string
 fzGpuManifest()
 {
-    Manifest m;
-    m.deviceType = "gpu";
-    m.images["fz.cubin"] =
-        crypto::digestHex(crypto::sha256(fzGpuImage()));
-    m.mEcalls = CudaRuntime::manifestCalls();
-    m.memoryBytes = 4ull << 20;
-    return m.toJson();
+    return Manifest::build("gpu", "fz.cubin", fzGpuImage(),
+                           CudaRuntime::manifestCalls(), 4ull << 20);
 }
 
 /**
@@ -100,27 +91,19 @@ fzGpuManifest()
 std::string
 fzChurnManifest(const std::string &device_type)
 {
-    Manifest m;
-    m.deviceType = device_type;
-    if (device_type == "gpu") {
-        m.images["fz.cubin"] =
-            crypto::digestHex(crypto::sha256(fzGpuImage()));
-        m.mEcalls = CudaRuntime::manifestCalls();
-    } else {
-        m.mEcalls = NpuRuntime::manifestCalls();
-    }
-    m.memoryBytes = 256ull << 10;
-    return m.toJson();
+    if (device_type == "gpu")
+        return Manifest::build("gpu", "fz.cubin", fzGpuImage(),
+                               CudaRuntime::manifestCalls(),
+                               256ull << 10);
+    return Manifest::build(device_type, "", {},
+                           NpuRuntime::manifestCalls(), 256ull << 10);
 }
 
 std::string
 fzNpuManifest()
 {
-    Manifest m;
-    m.deviceType = "npu";
-    m.mEcalls = NpuRuntime::manifestCalls();
-    m.memoryBytes = 4ull << 20;
-    return m.toJson();
+    return Manifest::build("npu", "", {}, NpuRuntime::manifestCalls(),
+                           4ull << 20);
 }
 
 uint64_t

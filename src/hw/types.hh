@@ -18,7 +18,6 @@ using VirtAddr = uint64_t;
 constexpr uint64_t kPageSize = 4096;
 constexpr uint64_t kPageShift = 12;
 
-inline PhysAddr pageAlignDown(PhysAddr a) { return a & ~(kPageSize - 1); }
 inline PhysAddr pageAlignUp(PhysAddr a)
 {
     return (a + kPageSize - 1) & ~(kPageSize - 1);
@@ -31,12 +30,6 @@ enum class World : uint8_t
     Normal,
     Secure,
 };
-
-inline const char *
-worldName(World w)
-{
-    return w == World::Normal ? "normal" : "secure";
-}
 
 /** Identifier of an S-EL2 partition (0 is reserved for the SPM). */
 using PartitionId = uint32_t;

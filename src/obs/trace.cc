@@ -283,12 +283,6 @@ Tracer::eventCount() const
     return events.size();
 }
 
-uint64_t
-Tracer::droppedEvents() const
-{
-    return dropped;
-}
-
 void
 Tracer::clear()
 {

@@ -140,7 +140,6 @@ class Tracer
     JsonValue traceJson() const;
     Status writeTraceFile(const std::string &path) const;
     uint64_t eventCount() const;
-    uint64_t droppedEvents() const;
 
     /** Drop events, tracks, ring and retained dumps (keeps mode and
      *  attached clocks). Tests and sequential benches use this to

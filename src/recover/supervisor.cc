@@ -88,17 +88,17 @@ SimTime
 Supervisor::backoffDelay(uint32_t restart_number) const
 {
     SimTime delay = cfg.backoffBaseNs;
-    if (delay >= cfg.backoffMaxNs || cfg.backoffFactor < 2)
-        return delay < cfg.backoffMaxNs ? delay : cfg.backoffMaxNs;
+    if (delay >= kBackoffMaxNs || cfg.backoffFactor < 2)
+        return delay < kBackoffMaxNs ? delay : kBackoffMaxNs;
     for (uint32_t i = 1; i < restart_number; ++i) {
         /* Stop before the multiply that would cross the ceiling:
          * checking against max/factor keeps the growth itself free
          * of SimTime overflow at high restart counts. */
-        if (delay > cfg.backoffMaxNs / cfg.backoffFactor)
-            return cfg.backoffMaxNs;
+        if (delay > kBackoffMaxNs / cfg.backoffFactor)
+            return kBackoffMaxNs;
         delay *= cfg.backoffFactor;
     }
-    return delay < cfg.backoffMaxNs ? delay : cfg.backoffMaxNs;
+    return delay < kBackoffMaxNs ? delay : kBackoffMaxNs;
 }
 
 void

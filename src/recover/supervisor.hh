@@ -46,13 +46,9 @@ struct SupervisorConfig
     /** Restarts allowed per partition before quarantine. */
     uint32_t restartBudget = 3;
     /** Backoff before the Nth restart: base * factor^(N-1),
-     *  clamped to backoffMaxNs. */
+     *  clamped to Supervisor::kBackoffMaxNs. */
     SimTime backoffBaseNs = 20 * kNsPerMs;
     uint32_t backoffFactor = 2;
-    /** Ceiling on the exponential backoff: without it, a large
-     *  restart budget (or a hand-tuned factor) overflows SimTime
-     *  after ~64 doublings and schedules deadlines in the past. */
-    SimTime backoffMaxNs = 10 * kNsPerSec;
 };
 
 enum class DeviceHealth
@@ -83,6 +79,10 @@ class Supervisor
 
     /** Hang-poll cadence for watches with hang detection. */
     static constexpr SimTime kPollPeriodNs = 50 * kNsPerMs;
+    /** Ceiling on the exponential backoff: without it, a large
+     *  restart budget (or a hand-tuned factor) overflows SimTime
+     *  after ~64 doublings and schedules deadlines in the past. */
+    static constexpr SimTime kBackoffMaxNs = 10 * kNsPerSec;
 
     /**
      * Start supervising @p device. With @p hang_detect the

@@ -220,13 +220,6 @@ PmpBackend::classifyBus(hw::World from, PhysAddr addr, uint64_t len,
     return Status::ok();
 }
 
-const std::vector<hw::Pmp> *
-PmpBackend::unitsOf(PartitionId pid) const
-{
-    auto it = parts.find(pid);
-    return it == parts.end() ? nullptr : &it->second.units;
-}
-
 std::unique_ptr<IsolationBackend>
 makeBackend(BackendKind kind, PhysAddr untrusted_base,
             uint64_t untrusted_bytes, StatGroup &stat_group)

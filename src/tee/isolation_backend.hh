@@ -182,9 +182,6 @@ class PmpBackend final : public IsolationBackend
                        bool is_write) override;
     bool wantsBusFilter() const override { return true; }
 
-    /** PMP units currently programmed for @p pid (tests). */
-    const std::vector<hw::Pmp> *unitsOf(PartitionId pid) const;
-
   private:
     struct Window
     {

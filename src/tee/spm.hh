@@ -263,7 +263,6 @@ class Spm
 
     /** The isolation substrate enforcing partition boundaries. */
     IsolationBackend &isolation() { return *backend; }
-    BackendKind backendKind() const { return backend->kind(); }
 
     /** Aggregated stage-2 software-TLB counters over all partitions
      *  (SMMU stream caches are reported by Platform::smmu()). */

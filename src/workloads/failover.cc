@@ -23,25 +23,15 @@ constexpr uint64_t kCheckpointEvery = 8;
 std::string
 gpuManifest(const Bytes &image_bytes)
 {
-    Manifest m;
-    m.deviceType = "gpu";
-    m.images["mat.cubin"] =
-        crypto::digestHex(crypto::sha256(image_bytes));
-    m.mEcalls = CudaRuntime::manifestCalls();
-    m.memoryBytes = 4ull << 20;
-    return m.toJson();
+    return Manifest::build("gpu", "mat.cubin", image_bytes,
+                           CudaRuntime::manifestCalls(), 4ull << 20);
 }
 
 std::string
 cpuManifest(const Bytes &image_bytes)
 {
-    Manifest m;
-    m.deviceType = "cpu";
-    m.images["mat.so"] =
-        crypto::digestHex(crypto::sha256(image_bytes));
-    m.mEcalls.push_back({"fo_noop", false});
-    m.memoryBytes = 4ull << 20;
-    return m.toJson();
+    return Manifest::build("cpu", "mat.so", image_bytes,
+                           {{"fo_noop", false}}, 4ull << 20);
 }
 
 /** One matrix task riding a resumable channel to a GPU enclave. */

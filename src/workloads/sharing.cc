@@ -17,25 +17,15 @@ constexpr uint32_t kGlobalBatch = 256;
 std::string
 gpuManifest(const Bytes &image_bytes)
 {
-    Manifest m;
-    m.deviceType = "gpu";
-    m.images["train.cubin"] =
-        crypto::digestHex(crypto::sha256(image_bytes));
-    m.mEcalls = CudaRuntime::manifestCalls();
-    m.memoryBytes = 4ull << 20;
-    return m.toJson();
+    return Manifest::build("gpu", "train.cubin", image_bytes,
+                           CudaRuntime::manifestCalls(), 4ull << 20);
 }
 
 std::string
 cpuManifest(const Bytes &image_bytes)
 {
-    Manifest m;
-    m.deviceType = "cpu";
-    m.images["train.so"] =
-        crypto::digestHex(crypto::sha256(image_bytes));
-    m.mEcalls.push_back({"share_noop", false});
-    m.memoryBytes = 4ull << 20;
-    return m.toJson();
+    return Manifest::build("cpu", "train.so", image_bytes,
+                           {{"share_noop", false}}, 4ull << 20);
 }
 
 struct Trainer

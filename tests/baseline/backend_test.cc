@@ -18,6 +18,21 @@ using Factory = std::function<std::unique_ptr<ComputeBackend>()>;
 const std::vector<std::string> kKernels = {"fill_f32", "vec_add_f32",
                                            "matmul_f32"};
 
+/** CronusBackend splits copies into ring-slot chunks of this size
+ *  (default SrpcConfig, less the call's header room). */
+const uint64_t kChunkBytes = core::SrpcConfig().requestBytes() - 64;
+/** Two chunks plus an odd tail: the multi-chunk copy path. */
+const uint64_t kMultiChunkBytes = 2 * kChunkBytes + 777;
+
+Bytes
+patternBytes(uint64_t size)
+{
+    Bytes out(size);
+    for (size_t i = 0; i < out.size(); ++i)
+        out[i] = static_cast<uint8_t>(i * 31);
+    return out;
+}
+
 std::unique_ptr<ComputeBackend>
 makeBackend(const std::string &which)
 {
@@ -74,15 +89,39 @@ TEST_P(BackendConformanceTest, GpuRoundTripComputesVecAdd)
 TEST_P(BackendConformanceTest, LargeCopyRoundTrips)
 {
     auto &b = *backend;
-    Bytes big(64 * 1024);
-    for (size_t i = 0; i < big.size(); ++i)
-        big[i] = static_cast<uint8_t>(i * 31);
-    auto va = b.gpuAlloc(big.size());
-    ASSERT_TRUE(va.isOk());
-    ASSERT_TRUE(b.copyToGpu(va.value(), big).isOk());
-    auto back = b.copyFromGpu(va.value(), big.size());
-    ASSERT_TRUE(back.isOk());
-    EXPECT_EQ(back.value(), big);
+    for (uint64_t size : {uint64_t(64 * 1024), kMultiChunkBytes}) {
+        Bytes big = patternBytes(size);
+        auto va = b.gpuAlloc(big.size());
+        ASSERT_TRUE(va.isOk()) << size;
+        ASSERT_TRUE(b.copyToGpu(va.value(), big).isOk()) << size;
+        auto back = b.copyFromGpu(va.value(), big.size());
+        ASSERT_TRUE(back.isOk()) << size;
+        EXPECT_EQ(back.value(), big) << size;
+    }
+}
+
+TEST_P(BackendConformanceTest, NpuCopyRoundTripsAcrossChunks)
+{
+    auto &b = *backend;
+    /* At a nonzero buffer offset, so each chunk's offset adds to
+     * the caller's. */
+    const uint64_t offset = 13;
+    auto buf = b.npuAllocBuffer(offset + kMultiChunkBytes);
+    if (GetParam() == "hix") {
+        /* HIX-TZ models a GPU only. */
+        EXPECT_EQ(buf.status().code(), ErrorCode::Unsupported);
+        return;
+    }
+    ASSERT_TRUE(buf.isOk()) << buf.status().toString();
+    Bytes data = patternBytes(kMultiChunkBytes);
+    ASSERT_TRUE(b.npuWriteBuffer(buf.value(), offset, data).isOk());
+    ASSERT_TRUE(b.npuWriteBuffer(buf.value(), 0, Bytes{}).isOk());
+    auto back = b.npuReadBuffer(buf.value(), offset, data.size());
+    ASSERT_TRUE(back.isOk()) << back.status().toString();
+    EXPECT_EQ(back.value(), data);
+    auto head = b.npuReadBuffer(buf.value(), 0, offset);
+    ASSERT_TRUE(head.isOk());
+    EXPECT_EQ(head.value(), Bytes(offset, 0));
 }
 
 TEST_P(BackendConformanceTest, TimeAdvancesMonotonically)
@@ -114,6 +153,24 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::string> &info) {
         return info.param;
     });
+
+TEST(CronusBackendCopy, EmptyCopiesKeepTheirCallCount)
+{
+    /* An empty GPU copy is still one (charged) cuMemcpyHtoD call; an
+     * empty NPU write sends no call at all. */
+    auto b = makeBackend("cronus");
+    auto va = b->gpuAlloc(4096);
+    ASSERT_TRUE(va.isOk());
+    SimTime t0 = b->now();
+    ASSERT_TRUE(b->copyToGpu(va.value(), Bytes{}).isOk());
+    EXPECT_GT(b->now(), t0);
+
+    auto buf = b->npuAllocBuffer(64);
+    ASSERT_TRUE(buf.isOk());
+    SimTime t1 = b->now();
+    ASSERT_TRUE(b->npuWriteBuffer(buf.value(), 0, Bytes{}).isOk());
+    EXPECT_EQ(b->now(), t1);
+}
 
 TEST(BaselineContrast, CronusRecoveryIsOrdersOfMagnitudeFaster)
 {

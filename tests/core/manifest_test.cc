@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/enclave_runtime.hh"
 #include "core/manifest.hh"
 
 namespace cronus::core
@@ -106,6 +107,47 @@ TEST(ManifestTest, MeasurementSensitiveToContent)
     c.mEcalls[0].async = false;
     EXPECT_NE(crypto::digestHex(a.measure()),
               crypto::digestHex(c.measure()));
+}
+
+TEST(ManifestTest, BuildMatchesAHandBuiltManifestByteForByte)
+{
+    struct Case
+    {
+        std::string device;
+        std::string imageName;
+        Bytes image;
+        std::vector<McallDecl> calls;
+        uint64_t memory;
+    };
+    const std::vector<Case> cases = {
+        {"cpu", "app.so", toBytes("cpu image bytes"),
+         {{"process", false}}, 4ull << 20},
+        {"gpu", "app.cubin", toBytes("gpu module bytes"),
+         CudaRuntime::manifestCalls(), 8ull << 20},
+        {"npu", "", Bytes{}, NpuRuntime::manifestCalls(), 256ull << 10},
+    };
+    for (const Case &c : cases) {
+        Manifest hand;
+        hand.deviceType = c.device;
+        if (!c.imageName.empty())
+            hand.images[c.imageName] =
+                crypto::digestHex(crypto::sha256(c.image));
+        hand.mEcalls = c.calls;
+        hand.memoryBytes = c.memory;
+
+        const std::string built = Manifest::build(
+            c.device, c.imageName, c.image, c.calls, c.memory);
+        EXPECT_EQ(built, hand.toJson()) << c.device;
+
+        auto verified = verifyModule(built, c.imageName, c.image);
+        ASSERT_TRUE(verified.isOk())
+            << c.device << ": " << verified.status().toString();
+        EXPECT_EQ(verified.value().measurement,
+                  measureEnclave(hand, c.image.empty()
+                                           ? crypto::Digest{}
+                                           : crypto::sha256(c.image)))
+            << c.device;
+    }
 }
 
 } // namespace

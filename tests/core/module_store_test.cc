@@ -505,6 +505,35 @@ TEST_F(ModuleStoreTest, WarmPoolAcquireBeforePrefillIsNotFound)
     EXPECT_EQ(lease.status().code(), ErrorCode::NotFound);
 }
 
+TEST_F(ModuleStoreTest, WarmPoolRefusesToReleaseAnotherPoolsShell)
+{
+    WarmPool mine(*system, WarmPool::Config{});
+    WarmPool other(*system, WarmPool::Config{});
+    ASSERT_TRUE(mine.prefill(1).isOk());
+    ASSERT_TRUE(other.prefill(1).isOk());
+    auto rec = system->moduleStore().admit(
+        gpuManifest(), "test.cubin", gpuImageBytes());
+    ASSERT_TRUE(rec.isOk());
+
+    auto lease = other.acquire(*rec.value());
+    ASSERT_TRUE(lease.isOk());
+    WarmShell *foreign = lease.value();
+
+    /* Releasing the other pool's shell here must neither succeed
+     * nor free it: its holder is still using it. */
+    Status s = mine.release(foreign);
+    EXPECT_FALSE(s.isOk());
+    EXPECT_EQ(s.code(), ErrorCode::InvalidState);
+    EXPECT_TRUE(foreign->inUse);
+    EXPECT_EQ(other.available(), 0u);
+    EXPECT_EQ(mine.available(), 1u);
+    EXPECT_EQ(mine.statistics().counter("releases").value(), 0u);
+
+    /* The owning pool still takes it back. */
+    EXPECT_TRUE(other.release(foreign).isOk());
+    EXPECT_EQ(other.available(), 1u);
+}
+
 /* ---------------- store-less system ---------------- */
 
 TEST_F(ModuleStoreTest, StorelessSystemUsesTheLegacyPath)

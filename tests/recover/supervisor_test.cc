@@ -55,7 +55,6 @@ TEST(SupervisorTest, BackoffClampsAtCeilingWithoutOverflow)
     SupervisorConfig cfg;
     cfg.backoffBaseNs = 20 * kNsPerMs;
     cfg.backoffFactor = 2;
-    cfg.backoffMaxNs = 10 * kNsPerSec;
     Supervisor sup(*sys, cfg);
 
     /* Within the default restart budget the schedule is untouched. */
@@ -66,16 +65,16 @@ TEST(SupervisorTest, BackoffClampsAtCeilingWithoutOverflow)
     /* 20ms * 2^9 = 10.24s crosses the 10s ceiling at restart 10;
      * from there on the delay pins to the ceiling exactly. */
     EXPECT_EQ(sup.backoffDelay(9), 20 * kNsPerMs << 8);
-    EXPECT_EQ(sup.backoffDelay(10), cfg.backoffMaxNs);
-    EXPECT_EQ(sup.backoffDelay(11), cfg.backoffMaxNs);
+    EXPECT_EQ(sup.backoffDelay(10), Supervisor::kBackoffMaxNs);
+    EXPECT_EQ(sup.backoffDelay(11), Supervisor::kBackoffMaxNs);
 
     /* Unclamped, restart 100 would need 20ms * 2^99 -- far past
      * SimTime's 64-bit range. The clamp must short-circuit before
      * the multiply wraps instead of returning a wrapped value. */
-    EXPECT_EQ(sup.backoffDelay(64), cfg.backoffMaxNs);
-    EXPECT_EQ(sup.backoffDelay(100), cfg.backoffMaxNs);
+    EXPECT_EQ(sup.backoffDelay(64), Supervisor::kBackoffMaxNs);
+    EXPECT_EQ(sup.backoffDelay(100), Supervisor::kBackoffMaxNs);
     EXPECT_EQ(sup.backoffDelay(std::numeric_limits<uint32_t>::max()),
-              cfg.backoffMaxNs);
+              Supervisor::kBackoffMaxNs);
 }
 
 TEST(SupervisorTest, BackoffClampDegenerateConfigs)
@@ -85,10 +84,9 @@ TEST(SupervisorTest, BackoffClampDegenerateConfigs)
     /* A base above the ceiling clamps immediately. */
     SupervisorConfig high;
     high.backoffBaseNs = 30 * kNsPerSec;
-    high.backoffMaxNs = 10 * kNsPerSec;
     Supervisor sup_high(*sys, high);
-    EXPECT_EQ(sup_high.backoffDelay(1), high.backoffMaxNs);
-    EXPECT_EQ(sup_high.backoffDelay(50), high.backoffMaxNs);
+    EXPECT_EQ(sup_high.backoffDelay(1), Supervisor::kBackoffMaxNs);
+    EXPECT_EQ(sup_high.backoffDelay(50), Supervisor::kBackoffMaxNs);
 
     /* Factor < 2 means no growth: constant base, never past max,
      * and no division-by-zero inside the clamp arithmetic. */
