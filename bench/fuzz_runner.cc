@@ -9,14 +9,11 @@
  *                                   (its dialect comes from the file)
  *   fuzz_runner --plant-bug         enable the test-only planted bug
  *   fuzz_runner --no-shrink         skip minimization on failure
- *   fuzz_runner --diff-backends     replay N coverage-scheduled
- *                                   seeds on both isolation
- *                                   substrates (tz and pmp) and
- *                                   flag any verdict divergence (no
- *                                   oracles, so no shrink or bug)
- *   fuzz_runner --scheduled         use coverage-guided seed
- *                                   scheduling for the oracle corpus
- *                                   instead of the sequential walk
+ *   fuzz_runner --diff-backends     replay seeds 1..N on both
+ *                                   isolation substrates (tz and
+ *                                   pmp) and flag any verdict
+ *                                   divergence (no oracles, so no
+ *                                   shrink or bug)
  *   fuzz_runner --cluster           generate multi-SoC fleet
  *                                   scenarios (fleet calls, live
  *                                   migration, node kill/drain)
@@ -30,8 +27,8 @@
  *                                   the file lists every seed)
  *
  * A flag the chosen mode does not read is a usage error (exit 2),
- * never silently dropped: --seed takes none of --runs, --verdicts
- * and --scheduled; --replay takes only --plant-bug and --no-shrink;
+ * never silently dropped: --seed takes neither --runs nor
+ * --verdicts; --replay takes only --plant-bug and --no-shrink;
  * --diff-backends takes only --runs and --cluster.
  *
  * On any oracle failure it prints the seed, the failure list, the
@@ -57,7 +54,6 @@
 #include <vector>
 
 #include "fuzz/fuzz.hh"
-#include "fuzz/scheduler.hh"
 #include "obs/trace.hh"
 
 using namespace cronus;
@@ -90,8 +86,7 @@ usage()
                  "usage: fuzz_runner [--seed S] [--runs N] "
                  "[--replay FILE] [--plant-bug] "
                  "[--no-shrink] [--diff-backends] "
-                 "[--scheduled] [--cluster] "
-                 "[--verdicts FILE]\n");
+                 "[--cluster] [--verdicts FILE]\n");
     return 2;
 }
 
@@ -185,30 +180,19 @@ replayFile(const std::string &path, const FuzzOptions &opts)
 }
 
 /**
- * Differential substrate mode: coverage-scheduled seeds, each
- * replayed on the TrustZone and the PMP backend; any field-level
- * verdict mismatch is a divergence (and an exit-1 failure). Run
- * results feed behaviour edges back into the scheduler, so the
- * corpus drifts toward scenarios with novel outcome paths.
+ * Differential substrate mode: seeds 1..@p runs, each replayed on the
+ * TrustZone and the PMP backend; any field-level verdict mismatch is
+ * a divergence (and an exit-1 failure).
  */
 int
 runDiffBackends(size_t runs, bool cluster)
 {
-    SeedScheduler sched;
     size_t divergent = 0;
-    for (size_t i = 0; i < runs; ++i) {
-        uint64_t seed = sched.next();
+    size_t done = 0;
+    for (uint64_t seed : defaultCorpus(runs)) {
         Scenario sc = cluster ? generateClusterScenario(seed)
                               : generateScenario(seed);
         DiffReport rep = diffBackends(sc);
-
-        CoverageSet edges = scenarioEdges(sc);
-        for (const OpRecord &r : rep.tz.records)
-            edges.insert(behaviorEdge(r.kind, r.code, r.blocked));
-        for (const OpRecord &r : rep.pmp.records)
-            edges.insert(behaviorEdge(r.kind, r.code, r.blocked));
-        sched.feedback(seed, edges);
-
         if (!rep.ok) {
             ++divergent;
             std::printf(
@@ -221,20 +205,16 @@ runDiffBackends(size_t runs, bool cluster)
             std::printf("--- scenario ---\n%s\n",
                         sc.toJson().dump().c_str());
         }
-        if ((i + 1) % 25 == 0 || i + 1 == runs)
-            std::printf("... %zu/%zu seeds diffed (%zu edges, "
-                        "%zu deduped)\n",
-                        i + 1, runs, sched.edgesCovered(),
-                        sched.deduped());
+        ++done;
+        if (done % 25 == 0 || done == runs)
+            std::printf("... %zu/%zu seeds diffed\n", done, runs);
     }
     if (divergent) {
-        std::printf("FAIL %zu/%zu scheduled seeds diverged between "
-                    "backends\n",
+        std::printf("FAIL %zu/%zu seeds diverged between backends\n",
                     divergent, runs);
         return 1;
     }
-    std::printf("PASS %zu scheduled seeds, tz and pmp verdicts "
-                "identical\n",
+    std::printf("PASS %zu seeds, tz and pmp verdicts identical\n",
                 runs);
     return 0;
 }
@@ -250,7 +230,6 @@ main(int argc, char **argv)
     size_t runs = 50;
     bool haveRuns = false;
     bool diffMode = false;
-    bool scheduled = false;
     bool cluster = false;
     std::string replayPath;
     std::string verdictsPath;
@@ -292,8 +271,6 @@ main(int argc, char **argv)
             opts.shrink = false;
         } else if (arg == "--diff-backends") {
             diffMode = true;
-        } else if (arg == "--scheduled") {
-            scheduled = true;
         } else if (arg == "--cluster") {
             cluster = true;
         } else if (arg == "--verdicts") {
@@ -305,11 +282,11 @@ main(int argc, char **argv)
     /* A flag the chosen mode would not read is a usage error. */
     bool replay = !replayPath.empty();
     bool verdicts = !verdictsPath.empty();
-    if ((haveSeed && (haveRuns || verdicts || scheduled)) ||
-        (replay && (haveSeed || haveRuns || verdicts || scheduled ||
-                    diffMode || cluster)) ||
-        (diffMode && (haveSeed || verdicts || scheduled ||
-                      opts.plantBug || !opts.shrink)))
+    if ((haveSeed && (haveRuns || verdicts)) ||
+        (replay && (haveSeed || haveRuns || verdicts || diffMode ||
+                    cluster)) ||
+        (diffMode && (haveSeed || verdicts || opts.plantBug ||
+                      !opts.shrink)))
         return usage();
 
     /* In cluster mode every seed goes through the fleet scenario
@@ -337,9 +314,6 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const std::vector<uint64_t> corpus =
-        scheduled ? scheduleCorpus(runs) : defaultCorpus(runs);
-
     auto reproHint = [&](uint64_t s) {
         std::printf("reproduce with: fuzz_runner --seed %llu%s%s\n",
                     static_cast<unsigned long long>(s),
@@ -364,7 +338,7 @@ main(int argc, char **argv)
      * file holds a line for every seed. */
     bool failed = false;
     size_t done = 0;
-    for (uint64_t s : corpus) {
+    for (uint64_t s : defaultCorpus(runs)) {
         FuzzReport rep = runSeed(s);
         if (vout.is_open())
             vout << verdictLine(s, rep) << std::endl;

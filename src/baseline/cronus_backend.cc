@@ -61,23 +61,29 @@ sendChunked(core::SrpcChannel &channel, const core::SrpcConfig &ring,
 /**
  * Fetch @p len bytes as @p fn calls whose results each fit one
  * response slot of @p ring, concatenated in order; @p encode(offset,
- * n) builds one call's arguments.
+ * n) builds one call's arguments. An empty fetch sends one empty
+ * call when @p fetch_empty, else nothing.
  */
 template <typename Encode>
 Result<Bytes>
 fetchChunked(core::SrpcChannel &channel, const core::SrpcConfig &ring,
-             const std::string &fn, uint64_t len, Encode encode)
+             const std::string &fn, uint64_t len, bool fetch_empty,
+             Encode encode)
 {
     const uint64_t chunk = ring.responseBytes() - kCallHeaderBytes;
     Bytes out;
+    if (len == 0 && !fetch_empty)
+        return out;
     out.reserve(len);
-    for (uint64_t off = 0; off < len; off += chunk) {
+    uint64_t off = 0;
+    do {
         uint64_t n = std::min<uint64_t>(chunk, len - off);
         auto r = channel.call(fn, encode(off, n));
         if (!r.isOk())
             return r.status();
         out.insert(out.end(), r.value().begin(), r.value().end());
-    }
+        off += n;
+    } while (off < len);
     return out;
 }
 
@@ -185,7 +191,7 @@ CronusBackend::copyFromGpu(uint64_t va, uint64_t len)
 {
     CRONUS_RETURN_IF_ERROR(ensureGpuChannel());
     return fetchChunked(
-        *gpuChannel, srpcConfig, "cuMemcpyDtoH", len,
+        *gpuChannel, srpcConfig, "cuMemcpyDtoH", len, true,
         [va](uint64_t off, uint64_t n) {
             return CudaRuntime::encodeMemcpyDtoH(va + off, n);
         });
@@ -242,7 +248,7 @@ CronusBackend::npuReadBuffer(uint32_t buffer, uint64_t offset,
 {
     CRONUS_RETURN_IF_ERROR(ensureNpuChannel());
     return fetchChunked(
-        *npuChannel, srpcConfig, "vtaReadBuffer", len,
+        *npuChannel, srpcConfig, "vtaReadBuffer", len, false,
         [buffer, offset](uint64_t off, uint64_t n) {
             return NpuRuntime::encodeReadBuffer(buffer, offset + off, n);
         });

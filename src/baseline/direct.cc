@@ -69,6 +69,9 @@ DirectBackend::copyToGpu(uint64_t va, const Bytes &data)
 {
     CRONUS_RETURN_IF_ERROR(ensureAlive());
     plat->clock().advance(plat->costs().gpuCopyCmdNs);
+    /* An empty copy is one charged command that moves nothing. */
+    if (data.empty())
+        return Status::ok();
     /* Pageable host memory: the driver stages through a CPU copy
      * before the DMA (as cudaMemcpy does). */
     plat->chargeMemcpy(data.size());
@@ -81,6 +84,8 @@ DirectBackend::copyFromGpu(uint64_t va, uint64_t len)
 {
     CRONUS_RETURN_IF_ERROR(gpuSynchronize());
     plat->clock().advance(plat->costs().gpuCopyCmdNs);
+    if (len == 0)
+        return Bytes{};
     plat->chargeMemcpy(len);
     plat->chargeDma(len);
     Bytes out(len);

@@ -29,14 +29,6 @@ FaultPlan::killOnAccess(uint64_t nth, PartitionId victim,
 }
 
 FaultPlan &
-FaultPlan::killOnRandomAccess(uint64_t lo, uint64_t hi,
-                              PartitionId victim, AccessFilter f)
-{
-    uint64_t span = (hi >= lo) ? hi - lo + 1 : 1;
-    return killOnAccess(lo + rng.nextBelow(span), victim, f);
-}
-
-FaultPlan &
 FaultPlan::killAtTime(SimTime when, PartitionId victim)
 {
     FaultTrigger t;

@@ -7,9 +7,9 @@
  * filtered by partition and direction, or a virtual-time deadline)
  * with an *action* (kill a partition, fail the triggering access,
  * corrupt a named sRPC ring-header field, or skew the simulated
- * clock). Randomized helpers draw from the plan's own xoshiro256**
- * stream, so the same seed always produces the same trap point --
- * benches and tests replay failures exactly (§IV-D experiments).
+ * clock). A plan fires at the same access ordinals on every run, so
+ * benches and tests replay failures exactly (§IV-D experiments); its
+ * seed travels with its JSON.
  *
  * The plan is pure data; the FaultInjector (injector.hh) arms it
  * against a live Spm.
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "base/json.hh"
-#include "base/rng.hh"
 #include "base/sim_clock.hh"
 #include "tee/spm.hh"
 
@@ -152,21 +151,13 @@ struct FaultEvent
 class FaultPlan
 {
   public:
-    explicit FaultPlan(uint64_t seed = 1) : planSeed(seed), rng(seed)
-    {
-    }
+    explicit FaultPlan(uint64_t seed = 1) : planSeed(seed) {}
 
     uint64_t seed() const { return planSeed; }
 
     /** Kill @p victim on the @p nth access matching @p f. */
     FaultPlan &killOnAccess(uint64_t nth, PartitionId victim,
                             AccessFilter f = AccessFilter::any());
-
-    /** Kill @p victim on the @p nth access drawn uniformly from
-     *  [lo, hi] using the plan's seeded stream. */
-    FaultPlan &killOnRandomAccess(uint64_t lo, uint64_t hi,
-                                  PartitionId victim,
-                                  AccessFilter f = AccessFilter::any());
 
     /** Kill @p victim on the first access at/after @p when. */
     FaultPlan &killAtTime(SimTime when, PartitionId victim);
@@ -218,7 +209,6 @@ class FaultPlan
     FaultPlan &add(const FaultTrigger &t, const FaultAction &a);
 
     uint64_t planSeed;
-    Rng rng;
     std::vector<FaultEvent> schedule;
 };
 

@@ -135,6 +135,25 @@ TEST_P(BackendConformanceTest, TimeAdvancesMonotonically)
     EXPECT_GT(b.now(), t0);
 }
 
+TEST_P(BackendConformanceTest, EmptyGpuCopiesAreChargedNoOps)
+{
+    /* An empty copy either way is one charged command that moves
+     * nothing, never an error. */
+    auto &b = *backend;
+    auto va = b.gpuAlloc(4096);
+    ASSERT_TRUE(va.isOk());
+    SimTime t0 = b.now();
+    Status put = b.copyToGpu(va.value(), Bytes{});
+    EXPECT_TRUE(put.isOk()) << put.toString();
+    EXPECT_GT(b.now(), t0);
+
+    SimTime t1 = b.now();
+    auto got = b.copyFromGpu(va.value(), 0);
+    ASSERT_TRUE(got.isOk()) << got.status().toString();
+    EXPECT_TRUE(got.value().empty());
+    EXPECT_GT(b.now(), t1);
+}
+
 TEST_P(BackendConformanceTest, FaultAndRecoverRestoresService)
 {
     auto &b = *backend;
