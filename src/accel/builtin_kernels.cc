@@ -48,21 +48,39 @@ namespace detail
 namespace
 {
 
-/** One register of floats on each target: SSE's four, AVX's
- *  eight. */
+/* No body may fuse s + c * r into one FMA, whatever flags build
+ * this file: an FMA rounds once instead of twice, which moves bytes.
+ * The guard lives here, not in a build flag, because not every build
+ * of src/ passes -ffp-contract=off (a project that compiles these
+ * sources with its own flags gets GCC's default, fast). GCC takes
+ * the setting per function, so every entry point below carries
+ * CRONUS_NO_FP_CONTRACT; clang takes it from the pragma, which must
+ * precede the body. */
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#define CRONUS_NO_FP_CONTRACT
+#else
+#define CRONUS_NO_FP_CONTRACT __attribute__((optimize("fp-contract=off")))
+#endif
+
+/** One register of floats on each target: SSE's four, AVX's eight,
+ *  AVX-512's sixteen. */
 typedef float Floats4 __attribute__((vector_size(16)));
 typedef float Floats8 __attribute__((vector_size(32)));
+typedef float Floats16 __attribute__((vector_size(64)));
 
 /** Columns per register block. */
 constexpr uint64_t kBlock = 48;
 
-/* Inlined into both entry points, so each compiles it for its own
+/* Inlined into every entry point, so each compiles it for its own
  * target, with that target's register width as Vec (a wider vector
- * than the target has would be split through the stack). Every
+ * than the target has would be split through the stack). Takes
+ * kRows rows of acc (stride width) and of coef (stride count) at
+ * once, so each loaded row segment serves every one of them. Every
  * acc[j] is loaded once, takes s = s + c * r for x ascending, and is
  * stored once: the textbook loop's order, one rounded product and
  * one rounded sum per term. */
-template <typename Vec>
+template <typename Vec, uint64_t kRows>
 [[gnu::always_inline]] inline void
 accumulateRowsBody(float *acc, const float *coef, const float *rows,
                    uint64_t count, uint64_t width)
@@ -70,75 +88,121 @@ accumulateRowsBody(float *acc, const float *coef, const float *rows,
     constexpr uint64_t kLanes = sizeof(Vec) / sizeof(float);
     constexpr uint64_t kVectors = kBlock / kLanes;
     uint64_t j = 0;
-    /* 48 columns at a time: the block's accumulators (six AVX or
-     * twelve SSE registers) stay in registers for the whole x loop,
-     * and each row segment is loaded once. */
+    /* 48 columns at a time: the block's accumulators (per row, three
+     * AVX-512, six AVX or twelve SSE registers) stay in registers
+     * for the whole x loop, and each row segment is loaded once. */
     for (; j + kBlock <= width; j += kBlock) {
-        Vec s[kVectors];
+        Vec s[kRows][kVectors];
+#pragma GCC unroll 2
+        for (uint64_t i = 0; i < kRows; ++i)
 #pragma GCC unroll 12
-        for (uint64_t v = 0; v < kVectors; ++v)
-            std::memcpy(&s[v], acc + j + v * kLanes, sizeof(Vec));
+            for (uint64_t v = 0; v < kVectors; ++v)
+                std::memcpy(&s[i][v], acc + i * width + j + v * kLanes,
+                            sizeof(Vec));
         for (uint64_t x = 0; x < count; ++x) {
             const float *row = rows + x * width + j;
 #pragma GCC unroll 12
             for (uint64_t v = 0; v < kVectors; ++v) {
                 Vec r;
                 std::memcpy(&r, row + v * kLanes, sizeof(Vec));
-                s[v] = s[v] + coef[x] * r;
+#pragma GCC unroll 2
+                for (uint64_t i = 0; i < kRows; ++i)
+                    s[i][v] = s[i][v] + coef[i * count + x] * r;
             }
         }
+#pragma GCC unroll 2
+        for (uint64_t i = 0; i < kRows; ++i)
 #pragma GCC unroll 12
-        for (uint64_t v = 0; v < kVectors; ++v)
-            std::memcpy(acc + j + v * kLanes, &s[v], sizeof(Vec));
+            for (uint64_t v = 0; v < kVectors; ++v)
+                std::memcpy(acc + i * width + j + v * kLanes, &s[i][v],
+                            sizeof(Vec));
     }
     /* Then one register of columns at a time, then one column. */
     for (; j + kLanes <= width; j += kLanes) {
-        Vec s, r;
-        std::memcpy(&s, acc + j, sizeof(Vec));
+        Vec s[kRows], r;
+#pragma GCC unroll 2
+        for (uint64_t i = 0; i < kRows; ++i)
+            std::memcpy(&s[i], acc + i * width + j, sizeof(Vec));
         for (uint64_t x = 0; x < count; ++x) {
             std::memcpy(&r, rows + x * width + j, sizeof(Vec));
-            s = s + coef[x] * r;
+#pragma GCC unroll 2
+            for (uint64_t i = 0; i < kRows; ++i)
+                s[i] = s[i] + coef[i * count + x] * r;
         }
-        std::memcpy(acc + j, &s, sizeof(Vec));
+#pragma GCC unroll 2
+        for (uint64_t i = 0; i < kRows; ++i)
+            std::memcpy(acc + i * width + j, &s[i], sizeof(Vec));
     }
     for (; j < width; ++j) {
-        float s = acc[j];
-        for (uint64_t x = 0; x < count; ++x)
-            s = s + coef[x] * rows[x * width + j];
-        acc[j] = s;
+#pragma GCC unroll 2
+        for (uint64_t i = 0; i < kRows; ++i) {
+            float s = acc[i * width + j];
+            for (uint64_t x = 0; x < count; ++x)
+                s = s + coef[i * count + x] * rows[x * width + j];
+            acc[i * width + j] = s;
+        }
     }
+}
+
+/* c += a * b, kRows rows of c per pass, then an odd last row alone. */
+template <typename Vec, uint64_t kRows>
+[[gnu::always_inline]] inline void
+accumulateProductBody(float *c, const float *a, const float *b,
+                      uint64_t m, uint64_t k, uint64_t n)
+{
+    uint64_t i = 0;
+    for (; i + kRows <= m; i += kRows)
+        accumulateRowsBody<Vec, kRows>(c + i * n, a + i * k, b, k, n);
+    for (; i < m; ++i)
+        accumulateRowsBody<Vec, 1>(c + i * n, a + i * k, b, k, n);
 }
 
 } // namespace
 
-void
-accumulateRowsPortable(float *acc, const float *coef, const float *rows,
-                       uint64_t count, uint64_t width)
+/* Twelve SSE registers per row already fill the sixteen, so the
+ * default target takes one row at a time. */
+CRONUS_NO_FP_CONTRACT void
+accumulateProductPortable(float *c, const float *a, const float *b,
+                          uint64_t m, uint64_t k, uint64_t n)
 {
-    accumulateRowsBody<Floats4>(acc, coef, rows, count, width);
+    accumulateProductBody<Floats4, 1>(c, a, b, m, k, n);
 }
 
 #if defined(__x86_64__)
 
-/* avx2 alone: a target that enables FMA (fma, avx512f, arch=...)
- * lets GCC contract s + c * r into one rounding, which moves bytes. */
-__attribute__((target("avx2"))) void
-accumulateRowsAvx2(float *acc, const float *coef, const float *rows,
-                   uint64_t count, uint64_t width)
+CRONUS_NO_FP_CONTRACT __attribute__((target("avx2"))) void
+accumulateProductAvx2(float *c, const float *a, const float *b,
+                      uint64_t m, uint64_t k, uint64_t n)
 {
-    accumulateRowsBody<Floats8>(acc, coef, rows, count, width);
+    accumulateProductBody<Floats8, 2>(c, a, b, m, k, n);
+}
+
+CRONUS_NO_FP_CONTRACT __attribute__((target("avx512f"))) void
+accumulateProductAvx512(float *c, const float *a, const float *b,
+                        uint64_t m, uint64_t k, uint64_t n)
+{
+    accumulateProductBody<Floats16, 2>(c, a, b, m, k, n);
 }
 
 #else
 
 void
-accumulateRowsAvx2(float *acc, const float *coef, const float *rows,
-                   uint64_t count, uint64_t width)
+accumulateProductAvx2(float *c, const float *a, const float *b,
+                      uint64_t m, uint64_t k, uint64_t n)
 {
-    accumulateRowsPortable(acc, coef, rows, count, width);
+    accumulateProductPortable(c, a, b, m, k, n);
+}
+
+void
+accumulateProductAvx512(float *c, const float *a, const float *b,
+                        uint64_t m, uint64_t k, uint64_t n)
+{
+    accumulateProductPortable(c, a, b, m, k, n);
 }
 
 #endif
+
+#undef CRONUS_NO_FP_CONTRACT
 
 bool
 avx2Available()
@@ -156,16 +220,32 @@ avx2Available()
 #endif
 }
 
+bool
+avx512Available()
+{
+#if defined(__x86_64__)
+    static const bool available = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("avx512f") != 0;
+    }();
+    return available;
+#else
+    return false;
+#endif
+}
+
 } // namespace detail
 
 void
-accumulateRows(float *acc, const float *coef, const float *rows,
-               uint64_t count, uint64_t width)
+accumulateProduct(float *c, const float *a, const float *b, uint64_t m,
+                  uint64_t k, uint64_t n)
 {
-    if (detail::avx2Available())
-        detail::accumulateRowsAvx2(acc, coef, rows, count, width);
+    if (detail::avx512Available())
+        detail::accumulateProductAvx512(c, a, b, m, k, n);
+    else if (detail::avx2Available())
+        detail::accumulateProductAvx2(c, a, b, m, k, n);
     else
-        detail::accumulateRowsPortable(acc, coef, rows, count, width);
+        detail::accumulateProductPortable(c, a, b, m, k, n);
 }
 
 void
@@ -263,15 +343,12 @@ registerBuiltinKernels()
             overlaps(out, m * n, b.value(), k * n))
             return Status(ErrorCode::InvalidArgument,
                           "matmul_f32: C overlaps A or B");
-        /* i-k-j order: row i of C accumulates over the contiguous
-         * rows of B. Element (i, j) still sums a[i][x] * b[x][j]
-         * from 0.0f with x ascending, so C is bit-identical to the
-         * textbook i-j-k loop. */
-        for (uint64_t i = 0; i < m; ++i) {
-            float *c_row = out + i * n;
-            std::fill_n(c_row, n, 0.0f);
-            accumulateRows(c_row, a.value() + i * k, b.value(), k, n);
-        }
+        /* i-k-j order: each row of C accumulates over the
+         * contiguous rows of B. Element (i, j) still sums
+         * a[i][x] * b[x][j] from 0.0f with x ascending, so C is
+         * bit-identical to the textbook i-j-k loop. */
+        std::fill_n(out, m * n, 0.0f);
+        accumulateProduct(out, a.value(), b.value(), m, k, n);
         return Status::ok();
     };
     reg.registerKernel("matmul_f32", matmul);

@@ -16,19 +16,20 @@ namespace cronus::accel
 {
 
 /**
- * acc[j] += coef[x] * rows[x * width + j] for every j < width, x
- * ascending over @p count contiguous rows: the inner step of an
- * i-k-j matrix product. acc is taken 48 columns at a time, each
- * block held in vector registers for the whole x loop, then one
- * register of columns at a time, then one column. Each acc[j] still
- * receives its terms one at a time in x order, exactly as a textbook
- * loop that walks column j would add them, so the sums are
- * bit-identical to that loop's. The body runs on AVX2 when the CPU
- * has it, else on the default target (kernel_dispatch.hh); both give
- * the same bytes. @p acc must not overlap @p coef or @p rows.
+ * c += a * b for row-major c (m x n), a (m x k) and b (k x n):
+ * c[i][j] takes a[i][x] * b[x][j] for x ascending, one term at a
+ * time after the value it held, exactly as a textbook loop that
+ * walks element (i, j) would add them, so the sums are bit-identical
+ * to that loop's. Rows of c accumulate over the contiguous rows of
+ * b, 48 columns at a time with the block held in vector registers
+ * for the whole x loop, then one register of columns at a time, then
+ * one column; on AVX2 and AVX-512 two rows of c share each loaded
+ * segment of b. The body runs on the widest of AVX-512, AVX2 and the
+ * default target that the CPU has (kernel_dispatch.hh); all three
+ * give the same bytes. @p c must not overlap @p a or @p b.
  */
-void accumulateRows(float *acc, const float *coef, const float *rows,
-                    uint64_t count, uint64_t width);
+void accumulateProduct(float *c, const float *a, const float *b,
+                       uint64_t m, uint64_t k, uint64_t n);
 
 /**
  * Register the built-in kernels with the global registry

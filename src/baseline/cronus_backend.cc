@@ -214,7 +214,12 @@ CronusBackend::gpuSynchronize()
 {
     CRONUS_RETURN_IF_ERROR(ensureGpuChannel());
     auto r = gpuChannel->call("cuCtxSynchronize", Bytes{});
-    return r.isOk() ? Status::ok() : r.status();
+    if (!r.isOk())
+        return r.status();
+    /* The synchronize ran every call queued before it: report the
+     * first async copy or launch that failed, as CUDA's synchronize
+     * reports an earlier asynchronous error. */
+    return gpuChannel->takeFailure();
 }
 
 Result<uint32_t>

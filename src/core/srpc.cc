@@ -475,6 +475,12 @@ SrpcChannel::drain()
     if (rid_mem.value() != sid_mem.value())
         return Status(ErrorCode::IntegrityViolation,
                       "streamCheck failed (Sid != Rid)");
+    return takeFailure();
+}
+
+Status
+SrpcChannel::takeFailure()
+{
     Status failure = std::move(latchedFailure);
     latchedFailure = Status::ok();
     return failure;

@@ -149,6 +149,14 @@ class SrpcChannel
      */
     Status drain();
 
+    /**
+     * The failure drain() would report, without pumping or reading
+     * the ring (so no shared-memory access ordinal moves); cleared by
+     * the read. A sync call's caller takes it after the call to learn
+     * of an earlier async call that failed.
+     */
+    Status takeFailure();
+
     /** Result of the async request @p rid (drain first). */
     Result<Bytes> resultOf(uint64_t rid);
 

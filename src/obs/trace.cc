@@ -125,9 +125,13 @@ Tracer::enclaveTrack(uint64_t eid, const std::string &device)
 void
 Tracer::record(TraceEvent ev)
 {
-    ring.push(ev);
-    if (mode() != TraceMode::Full)
+    /* Ring mode keeps no other copy, so the event (and its args map)
+     * moves into the ring. */
+    if (mode() != TraceMode::Full) {
+        ring.push(std::move(ev));
         return;
+    }
+    ring.push(ev);
     if (events.size() >= kMaxExportEvents) {
         ++dropped;
         return;

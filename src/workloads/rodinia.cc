@@ -12,7 +12,7 @@
 namespace cronus::workloads
 {
 
-using accel::accumulateRows;
+using accel::accumulateProduct;
 using accel::GpuAccessor;
 using accel::GpuKernel;
 using accel::GpuKernelRegistry;
@@ -245,12 +245,12 @@ backpropBody(GpuAccessor &mem, const std::vector<uint64_t> &args,
     auto out = mem.span<float>(args[2], n_out);
     if (!in.isOk() || !w.isOk() || !out.isOk())
         return Status(ErrorCode::AccessFault, "backprop span fault");
-    /* One accumulator per output, filled over contiguous rows of w:
-     * output j still sums in[i] * w[i][j] from 0.0f with i
-     * ascending, so the result matches the column-walking loop in
-     * runBackprop bit for bit. */
+    /* One accumulator per output, filled over contiguous rows of w
+     * (a 1 x n_in by n_in x n_out product): output j still sums
+     * in[i] * w[i][j] from 0.0f with i ascending, so the result
+     * matches the column-walking loop in runBackprop bit for bit. */
     std::vector<float> acc(n_out, 0.0f);
-    accumulateRows(acc.data(), in.value(), w.value(), n_in, n_out);
+    accumulateProduct(acc.data(), in.value(), w.value(), 1, n_in, n_out);
     for (uint64_t j = 0; j < n_out; ++j)
         out.value()[j] = std::tanh(acc[j]);
     return Status::ok();

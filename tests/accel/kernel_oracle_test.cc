@@ -1,5 +1,5 @@
 /** Property tests: the registered matmul_f32 and rodinia_backprop
- *  bodies, and each compiled path of their row accumulation
+ *  bodies, and each compiled path of their accumulation
  *  (kernel_dispatch.hh), against textbook loops (reference_kernels.hh
  *  for matmul), compared byte for byte on seeded random shapes and
  *  values. */
@@ -22,7 +22,9 @@ namespace
 {
 
 /* Around the body's 48-column register blocks and their tails: on
- * AVX2, 65 = 48 + 8 + 8 + 1 and 103 = 2 * 48 + 7. */
+ * AVX2, 65 = 48 + 8 + 8 + 1 and 103 = 2 * 48 + 7; on AVX-512,
+ * 47 = 2 * 16 + 15 and 65 = 48 + 16 + 1. Odd and even row counts
+ * reach the AVX paths' row pairs and their odd last row. */
 const uint64_t kDims[] = {1, 2, 7, 16, 47, 48, 65, 96, 103};
 
 /** Signed, with exponents spread over 2^-12..2^12, so sums of mixed
@@ -245,38 +247,38 @@ TEST_F(KernelOracleTest, BackpropMatchesColumnLoopByteForByte)
     }
 }
 
-/* Each compilation of accumulateRows' body on its own, not only the
- * one this CPU dispatches to. Operands live in exactly sized host vectors,
- * so a sanitizer build sees any vector load or store past a row or
- * past acc. */
-class KernelPathTest : public ::testing::TestWithParam<bool>
+/* Each compilation of accumulateProduct's body on its own, not only
+ * the one this CPU dispatches to. Operands live in exactly sized host
+ * vectors, so a sanitizer build sees any vector load or store past a
+ * row or past c. */
+class KernelPathTest : public ::testing::TestWithParam<std::string>
 {
   protected:
     using Body = void (*)(float *, const float *, const float *,
-                          uint64_t, uint64_t);
+                          uint64_t, uint64_t, uint64_t);
 
     void
     SetUp() override
     {
-        if (GetParam() && !detail::avx2Available())
+        if (GetParam() == "avx2" && !detail::avx2Available())
             GTEST_SKIP() << "this CPU has no AVX2";
+        if (GetParam() == "avx512" && !detail::avx512Available())
+            GTEST_SKIP() << "this CPU has no AVX-512F";
     }
 
     Body
     body() const
     {
-        return GetParam() ? detail::accumulateRowsAvx2
-                          : detail::accumulateRowsPortable;
+        if (GetParam() == "avx512")
+            return detail::accumulateProductAvx512;
+        if (GetParam() == "avx2")
+            return detail::accumulateProductAvx2;
+        return detail::accumulateProductPortable;
     }
 };
 
-std::string
-pathName(const ::testing::TestParamInfo<bool> &info)
-{
-    return info.param ? "avx2" : "portable";
-}
-
-/* matmul_f32's loop: each row of c zeroed, then accumulated. */
+/* matmul_f32's call: c zeroed, then accumulated, two rows at a time
+ * on the AVX paths with an odd last row alone. */
 TEST_P(KernelPathTest, MatmulRandomShapesMatchByteForByte)
 {
     forEachRandomShape([&](const std::vector<float> &a,
@@ -284,13 +286,12 @@ TEST_P(KernelPathTest, MatmulRandomShapesMatchByteForByte)
                            uint64_t k, uint64_t n,
                            const std::vector<float> &expected) {
         std::vector<float> c(m * n, 0.0f);
-        for (uint64_t i = 0; i < m; ++i)
-            body()(c.data() + i * n, a.data() + i * k, b.data(), k, n);
+        body()(c.data(), a.data(), b.data(), m, k, n);
         ASSERT_TRUE(sameBytes(c, expected)) << m << "x" << k << "x" << n;
     });
 }
 
-/* backpropBody's loop: one zeroed accumulator per output. */
+/* backpropBody's call: one zeroed accumulator row per output. */
 TEST_P(KernelPathTest, BackpropMatchesColumnLoopByteForByte)
 {
     Rng rng(0xb9);
@@ -298,7 +299,7 @@ TEST_P(KernelPathTest, BackpropMatchesColumnLoopByteForByte)
         for (uint64_t n_out : kBackpropOutputs) {
             const BackpropCase bp = randomBackprop(rng, n_in, n_out);
             std::vector<float> out(n_out, 0.0f);
-            body()(out.data(), bp.in.data(), bp.w.data(), n_in, n_out);
+            body()(out.data(), bp.in.data(), bp.w.data(), 1, n_in, n_out);
             for (float &f : out)
                 f = std::tanh(f);
             ASSERT_TRUE(sameBytes(out, bp.expected))
@@ -307,29 +308,41 @@ TEST_P(KernelPathTest, BackpropMatchesColumnLoopByteForByte)
     }
 }
 
-/* Both callers zero acc first; the contract is +=, each acc[j] taking
- * its terms after the value it held. count = 0 leaves acc as it is. */
+/* Both callers zero c first; the contract is +=, each c[i][j] taking
+ * its terms after the value it held. One, two, three and five rows:
+ * a lone row, a pair, a pair and an odd row, two pairs and an odd
+ * row; the widths reach every column tail. k = 0 leaves c as it
+ * is. */
 TEST_P(KernelPathTest, AccumulatesOntoNonZeroAcc)
 {
     Rng rng(0xacc);
-    for (uint64_t count : {0, 1, 5, 48}) {
-        for (uint64_t width : kDims) {
-            const auto start = randomMatrix(rng, width);
-            const auto coef = randomMatrix(rng, count);
-            const auto rows = randomMatrix(rng, count * width);
-            std::vector<float> expected = start;
-            for (uint64_t j = 0; j < width; ++j)
-                for (uint64_t x = 0; x < count; ++x)
-                    expected[j] += coef[x] * rows[x * width + j];
-            std::vector<float> acc = start;
-            body()(acc.data(), coef.data(), rows.data(), count, width);
-            ASSERT_TRUE(sameBytes(acc, expected)) << count << " x " << width;
+    for (uint64_t m : {1, 2, 3, 5}) {
+        for (uint64_t k : {0, 1, 5, 48}) {
+            for (uint64_t n : kDims) {
+                const auto start = randomMatrix(rng, m * n);
+                const auto a = randomMatrix(rng, m * k);
+                const auto b = randomMatrix(rng, k * n);
+                std::vector<float> expected = start;
+                for (uint64_t i = 0; i < m; ++i)
+                    for (uint64_t j = 0; j < n; ++j)
+                        for (uint64_t x = 0; x < k; ++x)
+                            expected[i * n + j] +=
+                                a[i * k + x] * b[x * n + j];
+                std::vector<float> c = start;
+                body()(c.data(), a.data(), b.data(), m, k, n);
+                ASSERT_TRUE(sameBytes(c, expected))
+                    << m << "x" << k << "x" << n;
+            }
         }
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Paths, KernelPathTest, ::testing::Bool(),
-                         pathName);
+INSTANTIATE_TEST_SUITE_P(
+    Paths, KernelPathTest,
+    ::testing::Values("portable", "avx2", "avx512"),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 } // namespace
 } // namespace cronus::accel

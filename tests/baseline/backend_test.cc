@@ -154,6 +154,24 @@ TEST_P(BackendConformanceTest, EmptyGpuCopiesAreChargedNoOps)
     EXPECT_GT(b.now(), t1);
 }
 
+TEST_P(BackendConformanceTest, FailedGpuCopyReachesTheCaller)
+{
+    /* A copy to an unmapped VA fails at once, or, where the copy is
+     * asynchronous (cronus's cuMemcpyHtoD), at the next synchronize:
+     * reported exactly once either way. */
+    auto &b = *backend;
+    ASSERT_TRUE(b.gpuAlloc(4096).isOk());
+    Status put = b.copyToGpu(0xdead0000, Bytes(16, 1));
+    Status sync = b.gpuSynchronize();
+    EXPECT_NE(put.isOk(), sync.isOk())
+        << "copy: " << put.toString() << ", sync: " << sync.toString();
+    const Status &failure = put.isOk() ? sync : put;
+    EXPECT_EQ(failure.code(), ErrorCode::AccessFault)
+        << failure.toString();
+    Status again = b.gpuSynchronize();
+    EXPECT_TRUE(again.isOk()) << again.toString();
+}
+
 TEST_P(BackendConformanceTest, FaultAndRecoverRestoresService)
 {
     auto &b = *backend;
